@@ -5,6 +5,8 @@ attacks through their effective plaintext channels, and certifies the
 design / non-malleability bounds numerically at small dimension.
 """
 
+__version__ = "0.1.0"
+
 from .channels import (
     KrausChannel,
     apply_channel,
@@ -47,5 +49,3 @@ from .linalg import (
 )
 from .nmes import AttackReport, EncryptionScheme, attack_report, effective_channel, pauli_attack
 from .weyl import is_prime, pauli_ensemble, weyl, weyl_commutation_phase, weyl_labels
-
-__version__ = "0.1.0"

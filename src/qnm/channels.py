@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import dagger, maximally_mixed, partial_trace
+from .linalg import gram_choi, maximally_mixed, partial_trace
 
 CPTNI_TOL = 1e-10
 KRAUS_CUTOFF = 1e-12
@@ -19,38 +19,36 @@ KRAUS_CUTOFF = 1e-12
 
 @dataclass
 class KrausChannel:
-    """A completely positive map given by a list of d_out x d_in Kraus operators."""
+    """A completely positive map given by M Kraus operators of shape d_out x d_in.
+
+    ``kraus_ops`` may be passed as any sequence of such matrices; it is
+    stored as one complex array of shape (M, d_out, d_in), so ``kraus_ops[m]``
+    is K_m and M may be 0.
+    """
 
     d_in: int
     d_out: int
-    kraus_ops: list = field(default_factory=list)
+    kraus_ops: np.ndarray = field(default_factory=list)
 
     def __post_init__(self):
-        ops = []
-        for m, k in enumerate(self.kraus_ops):
-            k = np.asarray(k, dtype=complex)
-            if k.shape != (self.d_out, self.d_in):
-                raise ValueError(
-                    f"Kraus operator {m} has shape {k.shape}, "
-                    f"expected ({self.d_out}, {self.d_in})"
-                )
-            ops.append(k)
-        self.kraus_ops = ops
+        shape = (self.d_out, self.d_in)
+        try:
+            ops = np.asarray(self.kraus_ops, dtype=complex)
+        except ValueError:  # operators of unequal shapes
+            ops = None
+        if ops is None or (ops.size and ops.shape[1:] != shape):
+            m = next(m for m, k in enumerate(self.kraus_ops) if np.shape(k) != shape)
+            raise ValueError(
+                f"Kraus operator {m} has shape {np.shape(self.kraus_ops[m])}, expected {shape}"
+            )
+        if not np.all(np.isfinite(ops)):
+            raise ValueError("Kraus operators must be finite")
+        self.kraus_ops = ops.reshape(-1, *shape)
 
     def completeness(self) -> np.ndarray:
         """sum_m K_m^dagger K_m (equals 1 for trace-preserving channels)."""
-        out = np.zeros((self.d_in, self.d_in), dtype=complex)
-        for k in self.kraus_ops:
-            out += dagger(k) @ k
-        return out
-
-    @property
-    def is_tp(self) -> bool:
-        return validate_cptni(self).is_tp
-
-    @property
-    def is_tni(self) -> bool:
-        return validate_cptni(self).is_tni
+        stacked = self.kraus_ops.reshape(-1, self.d_in)  # the K_m on top of each other
+        return stacked.conj().T @ stacked
 
 
 @dataclass
@@ -81,10 +79,7 @@ def apply_channel(ch: KrausChannel, rho: np.ndarray) -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (ch.d_in, ch.d_in):
         raise ValueError(f"state has shape {rho.shape}, channel expects ({ch.d_in}, {ch.d_in})")
-    out = np.zeros((ch.d_out, ch.d_out), dtype=complex)
-    for k in ch.kraus_ops:
-        out += k @ rho @ dagger(k)
-    return out
+    return np.sum(ch.kraus_ops @ rho @ ch.kraus_ops.conj().transpose(0, 2, 1), axis=0)
 
 
 def identity_channel(d: int) -> KrausChannel:
@@ -106,15 +101,11 @@ def constant_channel(eta0: np.ndarray, tol: float = 1e-10) -> KrausChannel:
     vals, vecs = np.linalg.eigh(eta0)
     if vals[0] < -tol or abs(vals.sum() - 1.0) > tol:
         raise ValueError("replacement state must be positive semidefinite with unit trace")
-    ops = []
-    for lam, v in zip(vals, vecs.T):
-        if lam <= KRAUS_CUTOFF:
-            continue
-        for j in range(d):
-            k = np.zeros((d, d), dtype=complex)
-            k[:, j] = np.sqrt(lam) * v
-            ops.append(k)
-    return KrausChannel(d_in=d, d_out=d, kraus_ops=ops)
+    keep = ~(vals <= KRAUS_CUTOFF)  # a NaN eigenvalue is kept, so KrausChannel rejects it
+    cols = np.sqrt(vals[keep]) * vecs[:, keep]
+    # K_(l, j) = sqrt(lam_l) v_l <j| for each kept eigenpair (lam_l, v_l) and basis state j
+    ops = cols.T[:, None, :, None] * np.eye(d)[None, :, None, :]
+    return KrausChannel(d_in=d, d_out=d, kraus_ops=ops.reshape(-1, d, d))
 
 
 def depolarizing_channel(d: int) -> KrausChannel:
@@ -131,11 +122,7 @@ def choi_of(ch: KrausChannel) -> np.ndarray:
     """
     if ch.d_in != ch.d_out:
         raise ValueError("Choi operator requires d_in = d_out")
-    d = ch.d_in
-    if not ch.kraus_ops:
-        return np.zeros((d * d, d * d), dtype=complex)
-    b = np.stack([k.reshape(-1) for k in ch.kraus_ops])
-    return (b.T @ b.conj()) / d
+    return gram_choi(ch.kraus_ops.reshape(-1, ch.d_in * ch.d_out), ch.d_in)
 
 
 def channel_from_choi(omega: np.ndarray, tol: float = 1e-10) -> KrausChannel:
@@ -155,11 +142,8 @@ def channel_from_choi(omega: np.ndarray, tol: float = 1e-10) -> KrausChannel:
     vals, vecs = np.linalg.eigh(omega * d)
     if vals[0] < -tol:
         raise ValueError(f"Choi operator is not PSD (min eigenvalue {vals[0]:.3e})")
-    ops = [
-        np.sqrt(lam) * vecs[:, m].reshape(d, d)
-        for m, lam in enumerate(vals)
-        if lam > KRAUS_CUTOFF
-    ]
+    keep = vals > KRAUS_CUTOFF
+    ops = (np.sqrt(vals[keep]) * vecs[:, keep]).T.reshape(-1, d, d)
     return KrausChannel(d_in=d, d_out=d, kraus_ops=ops)
 
 
@@ -186,5 +170,4 @@ def random_cptni_channel(d: int, rng: np.random.Generator, num_kraus: int | None
     g = rng.normal(size=(num_kraus * d, d)) + 1j * rng.normal(size=(num_kraus * d, d))
     v, _ = np.linalg.qr(g)
     scale = 1.0 if rng.random() < 0.5 else float(rng.uniform(0.2, 1.0))
-    ops = [np.sqrt(scale) * v[j * d : (j + 1) * d, :] for j in range(num_kraus)]
-    return KrausChannel(d_in=d, d_out=d, kraus_ops=ops)
+    return KrausChannel(d_in=d, d_out=d, kraus_ops=np.sqrt(scale) * v.reshape(num_kraus, d, d))

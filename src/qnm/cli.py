@@ -29,14 +29,21 @@ EXIT_IO = 3
 DEFAULT_TOL = 1e-9
 
 
+def _check_tol(tol: float, name: str) -> float:
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"{name} must be finite and > 0, got {tol!r}")
+    return tol
+
+
 def _default_tol() -> float:
     raw = os.environ.get("QNM_TOL")
     if raw is None:
         return DEFAULT_TOL
     try:
-        return float(raw)
+        tol = float(raw)
     except ValueError:
         raise ValueError(f"QNM_TOL is not a number: {raw!r}")
+    return _check_tol(tol, "QNM_TOL")
 
 
 def _write_json(obj: dict, out_path: str | None):
@@ -77,7 +84,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    tol = args.tol if args.tol is not None else _default_tol()
+    tol = _check_tol(args.tol, "--tol") if args.tol is not None else _default_tol()
     ensemble = files.load_ensemble(args.input)
     report = certify_design(ensemble, tol=tol)
     try:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import herm_eig, kron, maximally_mixed, num_rank, trace_norm
+from .linalg import gram_choi, kron, maximally_mixed, num_rank, trace_norm
 
 UNITARY_INGEST_TOL = 1e-8
 WEIGHT_TOL = 1e-12
@@ -46,15 +46,20 @@ class UnitaryEnsemble:
             )
         if self.weights.shape != (self.unitaries.shape[0],):
             raise ValueError("weights and unitaries disagree on ensemble size")
+        if not np.all(np.isfinite(self.weights)):
+            raise ValueError("weights must be finite")
+        if not np.all(np.isfinite(self.unitaries)):
+            raise ValueError("unitaries must be finite")
         if np.any(self.weights < 0):
             raise ValueError("weights must be nonnegative")
         if abs(self.weights.sum() - 1.0) > WEIGHT_TOL:
             raise ValueError(f"weights must sum to 1, got {self.weights.sum()!r}")
-        eye = np.eye(d)
-        for k, u in enumerate(self.unitaries):
-            dev = float(np.max(np.abs(u.conj().T @ u - eye)))
-            if dev > UNITARY_INGEST_TOL:
-                raise ValueError(f"ensemble element {k} is not unitary (deviation {dev:.3e})")
+        gram = self.unitaries.conj().transpose(0, 2, 1) @ self.unitaries
+        dev = np.max(np.abs(gram - np.eye(d)), axis=(1, 2))
+        bad = np.flatnonzero(dev > UNITARY_INGEST_TOL)
+        if bad.size:
+            k = bad[0]
+            raise ValueError(f"ensemble element {k} is not unitary (deviation {dev[k]:.3e})")
 
     @property
     def size(self) -> int:
@@ -131,49 +136,38 @@ def iso_project(x: np.ndarray, d: int):
     return IsotropicDecomposition(alpha=alpha, beta=beta, residual=residual), projected
 
 
-def ideal_choi(d: int) -> np.ndarray:
-    """Second-moment operator of the Haar twirl, in closed form (d^4 x d^4)."""
-    phi = max_entangled(d)
+def _haar_projectors(d: int):
+    """Omega_haar's real spectral projectors P1 = Phi (x) Phi and P2 = (1 - Phi) (x) (1 - Phi)."""
+    phi = max_entangled(d).real
     comp = np.eye(d * d) - phi
-    return kron(phi, phi) / d**2 + kron(comp, comp) / (d**2 * (d**2 - 1))
+    return np.kron(phi, phi), np.kron(comp, comp)
 
 
-def _vec(m: np.ndarray) -> np.ndarray:
-    # row-major flatten; vec(W) = (W (x) 1)|phi> * sqrt(D) for D x D inputs
-    return np.asarray(m).reshape(-1)
+def ideal_choi(d: int) -> np.ndarray:
+    """Second-moment operator of the Haar twirl, in closed form (d^4 x d^4, real)."""
+    p1, p2 = _haar_projectors(d)
+    return p1 / d**2 + p2 / (d**2 * (d**2 - 1))
 
 
 def ensemble_choi(e: UnitaryEnsemble) -> np.ndarray:
     """Second-moment operator Omega of an ensemble (d^4 x d^4, PSD, trace 1).
 
-    Uses (W (x) 1) Phi_D (W (x) 1)^dagger = vec(W) vec(W)^dagger / D with
-    W = U (x) conj(U) and D = d^2, so the whole sum reduces to one product
-    of stacked vectors.
+    The Gram-form Choi operator of the rows sqrt(p_k) vec(U_k (x) conj(U_k)),
+    i.e. of the twirl by W_k = U_k (x) conj(U_k) on d^2 levels.
     """
-    d = e.d
-    dd = d * d
-    b = np.empty((e.size, dd * dd), dtype=complex)
-    for k, u in enumerate(e.unitaries):
-        b[k] = math.sqrt(e.weights[k]) * _vec(np.kron(u, u.conj()))
-    omega = (b.T @ b.conj()) / dd
-    return (omega + omega.conj().T) / 2
-
-
-def encryption_choi(e: UnitaryEnsemble) -> np.ndarray:
-    """Choi operator of the average encryption map rho -> sum_k p_k U_k rho U_k^dagger."""
-    d = e.d
-    b = np.empty((e.size, d * d), dtype=complex)
-    for k, u in enumerate(e.unitaries):
-        b[k] = math.sqrt(e.weights[k]) * _vec(u)
-    choi = (b.T @ b.conj()) / d
-    return (choi + choi.conj().T) / 2
+    u = e.unitaries
+    scaled = np.sqrt(e.weights)[:, None, None] * u
+    # row-major vec(U (x) conj(U)) runs over the indices (i, a, j, b) of U[i, j] conj(U[a, b])
+    rows = np.einsum("kij,kab->kiajb", scaled, u.conj()).reshape(e.size, -1)
+    return gram_choi(rows, e.d * e.d)
 
 
 def one_design_distance(e: UnitaryEnsemble) -> float:
     """Trace distance of the average encryption Choi operator from tau (x) tau."""
     d = e.d
     tau = maximally_mixed(d)
-    return trace_norm(encryption_choi(e) - kron(tau, tau))
+    rows = np.sqrt(e.weights)[:, None] * e.unitaries.reshape(e.size, -1)
+    return trace_norm(gram_choi(rows, d) - kron(tau, tau))
 
 
 def frame_potential(e: UnitaryEnsemble, block: int = 1024) -> float:
@@ -240,24 +234,24 @@ def multiplicative_theta(
 ) -> float | None:
     """Largest relative eigenvalue deviation of Omega on the ideal support.
 
-    Conjugates ``omega`` by the pseudo-inverse square root of the ideal
-    second-moment operator and reports max |eig - 1|. This equals the
+    Omega_haar has eigenvalue 1/d^2 on P1 = Phi (x) Phi and 1/(d^2 (d^2-1))
+    on P2 = (1 - Phi) (x) (1 - Phi), so its pseudo-inverse square root is
+    A = d P1 + d sqrt(d^2 - 1) P2 and A Omega_haar A = P1 + P2 is the support
+    projector. The result is theta = max |eig(A (Omega - Omega_haar) A)|, the
     smallest theta with (1-theta) Omega_haar <= Omega <= (1+theta) Omega_haar
-    when Omega is supported inside the ideal support; if more than
-    ``leak_tol`` of its trace leaks outside, returns None.
+    when Omega is supported inside P1 + P2. If the trace leaking outside,
+    tr Omega - tr((P1 + P2) Omega), exceeds ``leak_tol`` (by default
+    ``SUPPORT_LEAK_TOL`` of this module), returns None.
     """
-    vals, vecs = herm_eig(ideal_choi(d))
-    on_support = vals > 1e-12
-    v = vecs[:, on_support]
-    lam = vals[on_support]
-    inside = float(np.real(np.trace(v.conj().T @ omega @ v)))
-    leak = float(np.real(np.trace(omega))) - inside
+    p1, p2 = _haar_projectors(d)
+    support = p1 + p2
+    leak = float(np.real(np.trace(omega)) - np.sum(support * omega.real))
     if leak > leak_tol:
         return None
-    q = v / np.sqrt(lam)
-    sandwich = q.conj().T @ omega @ q
-    ev = np.linalg.eigvalsh((sandwich + sandwich.conj().T) / 2)
-    return float(np.max(np.abs(ev - 1)))
+    a = d * p1 + d * math.sqrt(d * d - 1) * p2
+    # A is real, so A Omega A takes two real products; A Omega_haar A is the support
+    deviation = (a @ omega.real @ a - support) + 1j * (a @ omega.imag @ a)
+    return float(np.max(np.abs(np.linalg.eigvalsh(deviation))))
 
 
 def certify_design(e: UnitaryEnsemble, tol: float = DEFAULT_CERT_TOL) -> CertificationReport:
@@ -271,8 +265,7 @@ def certify_design(e: UnitaryEnsemble, tol: float = DEFAULT_CERT_TOL) -> Certifi
     """
     d = e.d
     omega = ensemble_choi(e)
-    omega_ideal = ideal_choi(d)
-    two_dist = trace_norm(omega - omega_ideal)
+    two_dist = trace_norm(omega - ideal_choi(d))
     one_dist = one_design_distance(e)
     theta = multiplicative_theta(omega, d)
     rank = num_rank(omega, 1e-10)

@@ -11,12 +11,12 @@ import json
 
 import numpy as np
 
+from . import __version__
 from .channels import KrausChannel
 from .design import CertificationReport, UnitaryEnsemble
 from .nmes import AttackReport
 
 FORMAT_VERSION = 1
-TOOL_VERSION = "0.1.0"
 
 
 def matrix_to_pairs(m: np.ndarray) -> list:
@@ -90,9 +90,12 @@ def load_matrix(path: str, key: str) -> np.ndarray:
         obj = json.load(fh)
     _check_format(obj, path)
     try:
-        return pairs_to_matrix(obj[key])
+        m = pairs_to_matrix(obj[key])
     except (KeyError, TypeError, IndexError) as exc:
         raise ValueError(f"{path}: malformed matrix file ({exc})") from exc
+    if not np.all(np.isfinite(m)):
+        raise ValueError(f"{path}: {key} must be finite")
+    return m
 
 
 def file_digest(path: str) -> str:
@@ -104,7 +107,7 @@ def certification_report_to_dict(report: CertificationReport, input_digest: str)
     out = {
         "format": FORMAT_VERSION,
         "kind": "certification",
-        "tool_version": TOOL_VERSION,
+        "tool_version": __version__,
         "input_digest": input_digest,
     }
     out.update(dataclasses.asdict(report))
@@ -115,7 +118,7 @@ def attack_report_to_dict(report: AttackReport, input_digest: str) -> dict:
     return {
         "format": FORMAT_VERSION,
         "kind": "attack",
-        "tool_version": TOOL_VERSION,
+        "tool_version": __version__,
         "input_digest": input_digest,
         "alpha": report.decomposition.alpha,
         "beta": report.decomposition.beta,

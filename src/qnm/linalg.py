@@ -87,18 +87,21 @@ def trace_norm(m: np.ndarray) -> float:
     return float(np.sum(np.linalg.svd(m, compute_uv=False)))
 
 
+def _check_hermitian(m: np.ndarray, tol: float) -> np.ndarray:
+    m = _check_square(m)
+    dev = float(np.max(np.abs(m - m.conj().T)))
+    if not dev <= tol:  # a NaN deviation fails too
+        raise ValueError(f"matrix is not Hermitian within {tol} (deviation {dev:.3e})")
+    return m
+
+
 def herm_eig(m: np.ndarray, tol: float = HERM_TOL):
     """Eigendecomposition of a Hermitian matrix.
 
     Returns (eigenvalues ascending, eigenvector matrix with orthonormal
     columns). Raises ValueError if the input is not Hermitian within ``tol``.
     """
-    m = _check_square(m)
-    if not is_hermitian(m, tol):
-        dev = float(np.max(np.abs(m - m.conj().T)))
-        raise ValueError(f"matrix is not Hermitian within {tol} (deviation {dev:.3e})")
-    vals, vecs = np.linalg.eigh(m)
-    return vals, vecs
+    return np.linalg.eigh(_check_hermitian(m, tol))
 
 
 def num_rank(m: np.ndarray, tol: float) -> int:
@@ -108,9 +111,22 @@ def num_rank(m: np.ndarray, tol: float) -> int:
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    vals, _ = herm_eig(m)
+    vals = np.linalg.eigvalsh(_check_hermitian(m, HERM_TOL))
     if vals[0] < -tol:
         raise ValueError(
             f"matrix is not positive semidefinite within {tol} (min eigenvalue {vals[0]:.3e})"
         )
     return int(np.count_nonzero(vals > tol))
+
+
+def gram_choi(rows: np.ndarray, d: int) -> np.ndarray:
+    """Exactly Hermitian (1/d) sum_k r_k r_k^dagger over the rows r_k of ``rows``.
+
+    Rows sqrt(p_k) vec(W_k) (row-major vec) give the Choi operator of
+    rho -> sum_k p_k W_k rho W_k^dagger, as (W (x) 1) Phi_d (...)^dagger = vec(W) vec(W)^dagger / d.
+    """
+    rows = np.asarray(rows)
+    g = rows.T @ rows.conj()
+    g += g.conj().T
+    g /= 2 * d
+    return g

@@ -11,7 +11,6 @@ isotropic cone spanned by the identity and the completely forgetful
 channel; the attack report grades the distance to that cone.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,14 +79,12 @@ def effective_channel(scheme: EncryptionScheme, adv: KrausChannel) -> KrausChann
     if adv.d_in != d or adv.d_out != d:
         raise ValueError(f"adversary acts on dimension {adv.d_in}, scheme has dimension {d}")
     e = scheme.ensemble
-    ops = []
-    for p, u in zip(e.weights, e.unitaries):
-        if p == 0:
-            continue
-        udag = dagger(u)
-        for k in adv.kraus_ops:
-            ops.append(math.sqrt(p) * (udag @ k @ u))
-    return KrausChannel(d_in=d, d_out=d, kraus_ops=ops)
+    keep = e.weights != 0
+    u = e.unitaries[keep, None]  # (N, 1, d, d) against the (M, d, d) Kraus stack
+    udag = np.sqrt(e.weights[keep])[:, None, None, None] * u.conj().transpose(0, 1, 3, 2)
+    # key-major order: all U_k^dagger K_m U_k of key k before those of key k + 1
+    ops = udag @ adv.kraus_ops @ u
+    return KrausChannel(d_in=d, d_out=d, kraus_ops=ops.reshape(-1, d, d))
 
 
 def attack_report(scheme: EncryptionScheme, adv: KrausChannel) -> AttackReport:

@@ -1,11 +1,14 @@
-"""Shared test oracles: batched Haar sampling and Monte-Carlo twirling.
+"""Shared test oracles: batched Haar sampling, Monte-Carlo twirling and loop references.
 
-These deliberately avoid the library's projection formulas so they can
-serve as independent cross-checks.
+These deliberately avoid the library's projection formulas and batched
+kernels so they can serve as independent cross-checks.
 """
+
+import math
 
 import numpy as np
 
+from qnm.design import ideal_choi
 from qnm.weyl import weyl
 
 
@@ -53,9 +56,42 @@ def mc_haar_twirl(inputs, d: int, n_samples: int, seed: int, chunk: int = 2000) 
         b = min(chunk, left)
         u = haar_batch(d, b, rng)
         v = np.einsum("bik,bjl->bijkl", u, u.conj()).reshape(b, dd, dd)
-        y = np.einsum("bpq,nqr,bsr->bnps", v, xs, v.conj()).reshape(b, xs.shape[0], dd * dd)
+        y = np.einsum("bpq,nqr,bsr->bnps", v, xs, v.conj(), optimize=True).reshape(
+            b, xs.shape[0], dd * dd
+        )
         coeff = y @ bflat.conj().T
         acc += np.einsum("bnw,wf->nf", coeff, bflat)
         left -= b
     out = (acc / n_samples).reshape(xs.shape[0], dd, dd)
     return out[0] if squeeze else out
+
+
+def eigh_theta(omega: np.ndarray, d: int, leak_tol: float = 1e-9):
+    """Multiplicative theta from a numerical eigendecomposition of Omega_haar (None on leak)."""
+    vals, vecs = np.linalg.eigh(ideal_choi(d))
+    on_support = vals > 1e-12
+    v = vecs[:, on_support]
+    inside = float(np.real(np.trace(v.conj().T @ omega @ v)))
+    if float(np.real(np.trace(omega))) - inside > leak_tol:
+        return None
+    q = v / np.sqrt(vals[on_support])
+    sandwich = q.conj().T @ omega @ q
+    ev = np.linalg.eigvalsh((sandwich + sandwich.conj().T) / 2)
+    return float(np.max(np.abs(ev - 1)))
+
+
+def eigh_rank(m: np.ndarray, tol: float) -> int:
+    """Number of eigenvalues above ``tol``, read off a full eigendecomposition."""
+    vals, _ = np.linalg.eigh(m)
+    return int(np.count_nonzero(vals > tol))
+
+
+def loop_effective_kraus(weights, unitaries, kraus_ops) -> list:
+    """sqrt(p_k) U_k^dagger K_m U_k key by key, skipping zero-weight keys."""
+    ops = []
+    for p, u in zip(weights, unitaries):
+        if p == 0:
+            continue
+        for k in kraus_ops:
+            ops.append(math.sqrt(p) * (u.conj().T @ k @ u))
+    return ops

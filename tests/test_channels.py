@@ -177,6 +177,32 @@ def test_validate_cptni_violation():
 def test_kraus_shape_validation():
     with pytest.raises(ValueError):
         KrausChannel(d_in=2, d_out=2, kraus_ops=[np.eye(3)])
+    with pytest.raises(ValueError, match=r"Kraus operator 1 has shape \(3, 3\)"):
+        KrausChannel(d_in=2, d_out=2, kraus_ops=[np.eye(2), np.eye(3)])
+    with pytest.raises(ValueError, match=r"Kraus operator 0 has shape \(2, 3\)"):
+        KrausChannel(d_in=2, d_out=2, kraus_ops=[np.ones((2, 3)), np.ones((2, 3))])
+
+
+def test_kraus_ops_are_stored_as_one_array():
+    ch = KrausChannel(d_in=3, d_out=2, kraus_ops=[np.ones((2, 3)), np.zeros((2, 3))])
+    assert ch.kraus_ops.shape == (2, 2, 3) and ch.kraus_ops.dtype == complex
+    empty = KrausChannel(d_in=2, d_out=2)
+    assert empty.kraus_ops.shape == (0, 2, 2)
+    assert np.array_equal(choi_of(empty), np.zeros((4, 4)))
+    assert np.array_equal(apply_channel(empty, np.eye(2) / 2), np.zeros((2, 2)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, np.nan)])
+def test_kraus_channel_rejects_non_finite_operators(bad):
+    k = np.eye(2, dtype=complex)
+    k[0, 1] = bad
+    with pytest.raises(ValueError, match="Kraus operators must be finite"):
+        KrausChannel(d_in=2, d_out=2, kraus_ops=[np.eye(2), k])
+
+
+def test_constant_channel_rejects_non_finite_state():
+    with pytest.raises(ValueError, match="must be finite"):
+        constant_channel(np.diag([np.nan, 0.0]))
 
 
 def test_apply_channel_dimension_mismatch():

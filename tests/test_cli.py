@@ -229,3 +229,51 @@ def test_ensemble_file_round_trip(tmp_path):
     again = files.ensemble_from_dict(files.ensemble_to_dict(e))
     assert np.array_equal(again.unitaries, e.unitaries)
     assert np.array_equal(again.weights, e.weights)
+
+
+@pytest.mark.parametrize(
+    "env, flag, name",
+    [("nan", [], "QNM_TOL"), ("-1", [], "QNM_TOL"), (None, ["--tol", "nan"], "--tol"),
+     (None, ["--tol", "inf"], "--tol")],
+    ids=["QNM_TOL=nan", "QNM_TOL=-1", "tol-nan", "tol-inf"],
+)
+def test_certify_rejects_bad_tolerance(tmp_path, monkeypatch, capsys, env, flag, name):
+    out = tmp_path / "c2.json"
+    run(["gen", "clifford", "--p", "2", "-o", str(out)])
+    if env is not None:
+        monkeypatch.setenv("QNM_TOL", env)
+    capsys.readouterr()
+    assert run(["certify", str(out), *flag]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{name} must be finite and > 0" in captured.err
+
+
+@pytest.mark.parametrize("field", ["weights", "unitaries"])
+def test_non_finite_ensemble_file_is_a_usage_error(tmp_path, capsys, field):
+    path = tmp_path / "c2.json"
+    run(["gen", "clifford", "--p", "2", "-o", str(path)])
+    obj = json.loads(path.read_text())
+    if field == "weights":
+        obj["weights"][0] = float("nan")
+    else:
+        obj["unitaries"][0][0][0][0] = float("nan")
+    path.write_text(json.dumps(obj))
+    capsys.readouterr()
+    assert run(["certify", str(path)]) == 2
+    assert f"{field} must be finite" in capsys.readouterr().err
+    assert run(["attack", "--scheme", str(path), "--adv", "identity"]) == 2
+    assert f"{field} must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("prefix, key", [("replace", "state"), ("unitary", "matrix")])
+def test_non_finite_matrix_file_is_a_usage_error(tmp_path, capsys, prefix, key):
+    scheme = tmp_path / "c2.json"
+    run(["gen", "clifford", "--p", "2", "-o", str(scheme)])
+    m = np.diag([1.0, 0.0]).astype(complex)
+    m[1, 1] = complex(0, np.inf)
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"format": 1, "d": 2, key: files.matrix_to_pairs(m)}))
+    capsys.readouterr()
+    assert run(["attack", "--scheme", str(scheme), "--adv", f"{prefix}:{path}"]) == 2
+    assert f"{key} must be finite" in capsys.readouterr().err

@@ -14,12 +14,13 @@ from qnm import (
     iso_project,
     kron,
     max_entangled,
+    multiplicative_theta,
     num_rank,
     trace_norm,
 )
 from qnm.construct import SamplerConfig, sample_design
 
-from helpers import haar_batch, mc_haar_twirl, philox, random_density
+from helpers import eigh_rank, eigh_theta, haar_batch, mc_haar_twirl, philox, random_density
 
 
 def singleton(d):
@@ -235,3 +236,49 @@ def test_ensemble_validation():
         UnitaryEnsemble(d=2, weights=np.array([1.0]), unitaries=np.array([[[1, 0], [1, 1]]], dtype=complex))
     with pytest.raises(ValueError):
         UnitaryEnsemble(d=2, weights=np.array([1.5, -0.5]), unitaries=np.array([np.eye(2)] * 2))
+
+
+@pytest.mark.parametrize("field", ["weights", "unitaries"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_ensemble_rejects_non_finite_input(field, bad):
+    fields = {"weights": np.array([0.5, 0.5]), "unitaries": np.array([np.eye(2)] * 2, dtype=complex)}
+    fields[field].reshape(-1)[-1] = bad  # a view: the last entry of the field
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        UnitaryEnsemble(d=2, **fields)
+
+
+def test_ensemble_names_first_non_unitary_element():
+    unitaries = np.array([np.eye(2)] * 4, dtype=complex)
+    unitaries[2] *= 2
+    unitaries[3] *= 3
+    with pytest.raises(ValueError, match="ensemble element 2 is not unitary"):
+        UnitaryEnsemble.uniform(2, unitaries)
+
+
+@pytest.fixture
+def sampled3():
+    return sample_design(SamplerConfig(d=3, n_samples=300, seed=11, source="clifford"))
+
+
+@pytest.fixture
+def haar4():
+    return UnitaryEnsemble.uniform(4, haar_batch(4, 100, philox(12)))  # N = 100 < d^4 = 256
+
+
+@pytest.mark.parametrize("name", ["clifford2", "clifford3", "sampled3", "haar4"])
+def test_closed_form_theta_and_rank_match_eigh_reference(name, request):
+    e = request.getfixturevalue(name)
+    omega = ensemble_choi(e)
+    report = certify_design(e)
+    assert abs(report.multiplicative_theta - eigh_theta(omega, e.d)) <= 1e-12
+    assert report.omega_rank == eigh_rank(omega, 1e-10)
+    if name == "haar4":
+        assert report.omega_rank == 100 and report.multiplicative_theta >= 1
+
+
+def test_multiplicative_theta_reports_support_leak():
+    # Phi (x) (1 - Phi) / (d^2 - 1) lies wholly outside the support of Omega_haar
+    phi = max_entangled(2)
+    outside = kron(phi, np.eye(4) - phi) / 3
+    assert multiplicative_theta(outside, 2) is None
+    assert eigh_theta(outside, 2) is None

@@ -18,9 +18,9 @@ from qnm import (
     weyl,
 )
 from qnm.channels import apply_channel
-from qnm.design import max_entangled
+from qnm.design import UnitaryEnsemble, max_entangled
 
-from helpers import philox, random_density
+from helpers import haar_batch, loop_effective_kraus, philox, random_density
 
 
 @pytest.fixture
@@ -198,3 +198,14 @@ def test_pauli_attack_on_two_qudit_pad_is_not_forwarded():
     scheme = EncryptionScheme(pauli_ensemble(2, 2))
     report = pauli_attack(scheme, 1, 0)
     assert np.max(np.abs(report.effective_choi - choi_of(unitary_channel(weyl(4, 1, 0))))) > 1e-6
+
+
+def test_batched_effective_channel_matches_per_key_loop():
+    rng = philox(21)
+    weights = np.array([0.4, 0.0, 0.35, 0.25])
+    ensemble = UnitaryEnsemble(d=3, weights=weights, unitaries=haar_batch(3, 4, rng))
+    adversary = random_cptni_channel(3, rng, num_kraus=5)
+    ops = effective_channel(EncryptionScheme(ensemble), adversary).kraus_ops
+    expected = loop_effective_kraus(weights, ensemble.unitaries, adversary.kraus_ops)
+    assert ops.shape == (3 * 5, 3, 3) and len(expected) == 3 * 5
+    assert np.max(np.abs(ops - np.array(expected))) <= 1e-12
