@@ -79,6 +79,8 @@ def apply_channel(ch: KrausChannel, rho: np.ndarray) -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (ch.d_in, ch.d_in):
         raise ValueError(f"state has shape {rho.shape}, channel expects ({ch.d_in}, {ch.d_in})")
+    if not np.all(np.isfinite(rho)):
+        raise ValueError("state must be finite")
     return np.sum(ch.kraus_ops @ rho @ ch.kraus_ops.conj().transpose(0, 2, 1), axis=0)
 
 
@@ -95,13 +97,15 @@ def unitary_channel(u: np.ndarray) -> KrausChannel:
 def constant_channel(eta0: np.ndarray, tol: float = 1e-10) -> KrausChannel:
     """The replacement attack rho -> eta0 * tr(rho) for a density matrix eta0."""
     eta0 = np.asarray(eta0, dtype=complex)
+    if not np.all(np.isfinite(eta0)):
+        raise ValueError("replacement state must be finite")
     d = eta0.shape[0]
     if eta0.shape != (d, d) or np.max(np.abs(eta0 - eta0.conj().T)) > tol:
         raise ValueError("replacement state must be a Hermitian square matrix")
     vals, vecs = np.linalg.eigh(eta0)
     if vals[0] < -tol or abs(vals.sum() - 1.0) > tol:
         raise ValueError("replacement state must be positive semidefinite with unit trace")
-    keep = ~(vals <= KRAUS_CUTOFF)  # a NaN eigenvalue is kept, so KrausChannel rejects it
+    keep = vals > KRAUS_CUTOFF
     cols = np.sqrt(vals[keep]) * vecs[:, keep]
     # K_(l, j) = sqrt(lam_l) v_l <j| for each kept eigenpair (lam_l, v_l) and basis state j
     ops = cols.T[:, None, :, None] * np.eye(d)[None, :, None, :]
@@ -137,6 +141,8 @@ def channel_from_choi(omega: np.ndarray, tol: float = 1e-10) -> KrausChannel:
     d = int(round(np.sqrt(dd)))
     if omega.shape != (dd, dd) or d * d != dd:
         raise ValueError(f"Choi operator must be d^2 x d^2, got shape {omega.shape}")
+    if not np.all(np.isfinite(omega)):
+        raise ValueError("Choi operator must be finite")
     if np.max(np.abs(omega - omega.conj().T)) > tol:
         raise ValueError("Choi operator must be Hermitian")
     vals, vecs = np.linalg.eigh(omega * d)

@@ -56,14 +56,13 @@ def _write_json(obj: dict, out_path: str | None):
 
 
 def cmd_gen(args) -> int:
+    if args.kind in ("pauli", "clifford") and args.p is None:
+        raise ValueError(f"gen {args.kind} requires --p")
     if args.kind == "pauli":
-        if args.p is None:
-            raise ValueError("gen pauli requires --p")
-        ensemble = pauli_ensemble(args.p, args.n or 1)
-        meta = {"source": "pauli", "p": args.p, "n": args.n or 1}
+        n = 1 if args.n is None else args.n
+        ensemble = pauli_ensemble(args.p, n)
+        meta = {"source": "pauli", "p": args.p, "n": n}
     elif args.kind == "clifford":
-        if args.p is None:
-            raise ValueError("gen clifford requires --p")
         ensemble = construct.clifford_prime(args.p)
         meta = {"source": "clifford", "p": args.p}
     else:
@@ -213,10 +212,7 @@ def main(argv=None) -> int:
     }[args.command]
     try:
         return handler(args)
-    except ValueError as exc:  # includes JSON decode errors
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except FileNotFoundError as exc:
+    except (ValueError, FileNotFoundError) as exc:  # ValueError includes JSON decode errors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:

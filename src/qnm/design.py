@@ -170,19 +170,17 @@ def one_design_distance(e: UnitaryEnsemble) -> float:
     return trace_norm(gram_choi(rows, d) - kron(tau, tau))
 
 
-def frame_potential(e: UnitaryEnsemble, block: int = 1024) -> float:
-    """Second frame potential sum_{k,l} p_k p_l |tr(U_k^dagger U_l)|^4.
+def frame_potential(e: UnitaryEnsemble, omega: np.ndarray | None = None) -> float:
+    """Second frame potential sum_{k,l} p_k p_l |tr(U_k^dagger U_l)|^4, as d^4 tr Omega^2.
 
-    Brute-force evaluation of all N^2 pairwise traces, blocked to bound
-    memory. The minimum value 2 is attained exactly on unitary 2-designs.
+    Omega is ``omega`` when given (it must be ``ensemble_choi(e)``), else it
+    is built here; the d^4 x d^4 operator replaces the N^2 pairwise traces,
+    so memory does not grow with N^2. Since FP - 2 = d^4 ||Omega - Omega_haar||_F^2,
+    the minimum value 2 is attained exactly on unitary 2-designs.
     """
-    a = e.unitaries.reshape(e.size, -1)
-    w = e.weights
-    total = 0.0
-    for i0 in range(0, e.size, block):
-        gram = a[i0 : i0 + block].conj() @ a.T  # gram[i, j] = tr(U_i^dagger U_j)
-        total += float(np.sum(w[i0 : i0 + block, None] * w[None, :] * np.abs(gram) ** 4))
-    return total
+    if omega is None:
+        omega = ensemble_choi(e)
+    return e.d**4 * float(np.vdot(omega, omega).real)
 
 
 def ensemble_entropy(e: UnitaryEnsemble) -> float:
@@ -261,7 +259,8 @@ def certify_design(e: UnitaryEnsemble, tol: float = DEFAULT_CERT_TOL) -> Certifi
     second-moment operators; d^2 times it upper-bounds the diamond distance
     of the corresponding twirls. The multiplicative grade is the operator
     sandwich deviation (see :func:`multiplicative_theta`). Rank, frame
-    potential and key-entropy diagnostics are filled in alongside.
+    potential (FP = d^4 tr Omega^2, read off the same Omega) and key-entropy
+    diagnostics are filled in alongside; nothing held grows with N^2.
     """
     d = e.d
     omega = ensemble_choi(e)
@@ -270,7 +269,7 @@ def certify_design(e: UnitaryEnsemble, tol: float = DEFAULT_CERT_TOL) -> Certifi
     theta = multiplicative_theta(omega, d)
     rank = num_rank(omega, 1e-10)
     bound = rank_bound(d)
-    fp = frame_potential(e)
+    fp = frame_potential(e, omega)
     ent = ensemble_entropy(e)
     ent_bound = entropy_bound(d, two_dist) if two_dist <= 1 / math.e else None
     return CertificationReport(

@@ -21,11 +21,34 @@ FORMAT_VERSION = 1
 
 def matrix_to_pairs(m: np.ndarray) -> list:
     m = np.asarray(m, dtype=complex)
-    return [[[float(z.real), float(z.imag)] for z in row] for row in m]
+    return np.stack([m.real, m.imag], -1).tolist()
 
 
-def pairs_to_matrix(rows) -> np.ndarray:
-    return np.array([[complex(entry[0], entry[1]) for entry in row] for row in rows])
+def _numbers(values, what: str, form: str = "a list of numbers") -> np.ndarray:
+    """One numpy conversion of nested JSON lists, which must be regular and hold numbers only."""
+    try:
+        arr = np.asarray(values)
+    except ValueError:  # ragged nesting
+        arr = None
+    if arr is None or arr.dtype.kind not in "iuf":
+        raise ValueError(f"{what} must be {form}")
+    return arr.astype(float)
+
+
+def pairs_to_matrix(rows, what: str = "matrix") -> np.ndarray:
+    """Complex array from nested lists of matrix rows whose entries are [re, im] pairs."""
+    form = "rows of [re, im] pairs of numbers"
+    arr = _numbers(rows, what, form)
+    if arr.ndim < 3 or arr.shape[-1] != 2:
+        raise ValueError(f"{what} must be {form}")
+    return arr.view(complex)[..., 0]  # bit-exact: keeps -0.0 and does not mix inf into nan
+
+
+def _dimension(obj: dict) -> int:
+    d = obj["d"]
+    if isinstance(d, bool) or not isinstance(d, (int, float)) or not float(d).is_integer():
+        raise ValueError(f"d must be an integer, got {d!r}")
+    return int(d)
 
 
 def _check_format(obj: dict, path: str):
@@ -40,8 +63,8 @@ def ensemble_to_dict(e: UnitaryEnsemble, meta: dict | None = None) -> dict:
     out = {
         "format": FORMAT_VERSION,
         "d": int(e.d),
-        "weights": [float(w) for w in e.weights],
-        "unitaries": [matrix_to_pairs(u) for u in e.unitaries],
+        "weights": e.weights.tolist(),
+        "unitaries": matrix_to_pairs(e.unitaries),
     }
     if meta:
         out["meta"] = meta
@@ -51,10 +74,10 @@ def ensemble_to_dict(e: UnitaryEnsemble, meta: dict | None = None) -> dict:
 def ensemble_from_dict(obj: dict, path: str = "<memory>") -> UnitaryEnsemble:
     _check_format(obj, path)
     try:
-        d = int(obj["d"])
-        weights = np.array([float(w) for w in obj["weights"]])
-        unitaries = np.array([pairs_to_matrix(u) for u in obj["unitaries"]])
-    except (KeyError, TypeError, IndexError) as exc:
+        d = _dimension(obj)
+        weights = _numbers(obj["weights"], "weights")
+        unitaries = pairs_to_matrix(obj["unitaries"], "unitaries")
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{path}: malformed ensemble file ({exc})") from exc
     return UnitaryEnsemble(d=d, weights=weights, unitaries=unitaries)
 
@@ -77,9 +100,9 @@ def load_kraus_channel(path: str) -> KrausChannel:
         obj = json.load(fh)
     _check_format(obj, path)
     try:
-        d = int(obj["d"])
-        ops = [pairs_to_matrix(k) for k in obj["kraus"]]
-    except (KeyError, TypeError, IndexError) as exc:
+        d = _dimension(obj)
+        ops = [pairs_to_matrix(k, f"Kraus operator {m}") for m, k in enumerate(obj["kraus"])]
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{path}: malformed Kraus file ({exc})") from exc
     return KrausChannel(d_in=d, d_out=d, kraus_ops=ops)
 
@@ -90,8 +113,8 @@ def load_matrix(path: str, key: str) -> np.ndarray:
         obj = json.load(fh)
     _check_format(obj, path)
     try:
-        m = pairs_to_matrix(obj[key])
-    except (KeyError, TypeError, IndexError) as exc:
+        m = pairs_to_matrix(obj[key], key)
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{path}: malformed matrix file ({exc})") from exc
     if not np.all(np.isfinite(m)):
         raise ValueError(f"{path}: {key} must be finite")

@@ -95,3 +95,18 @@ def loop_effective_kraus(weights, unitaries, kraus_ops) -> list:
         for k in kraus_ops:
             ops.append(math.sqrt(p) * (u.conj().T @ k @ u))
     return ops
+
+
+def pairwise_frame_potential(weights, unitaries) -> float:
+    """sum_{k,l} p_k p_l |tr(U_k^dagger U_l)|^4 over all N^2 pairs, never building Omega.
+
+    O(N^2 d^2) time; rows are taken in blocks of 1024, so memory is O(1024 N).
+    """
+    block = 1024
+    a = np.asarray(unitaries).reshape(len(weights), -1)
+    w = np.asarray(weights)
+    total = 0.0
+    for i0 in range(0, len(w), block):
+        gram = a[i0 : i0 + block].conj() @ a.T  # gram[i, j] = tr(U_i^dagger U_j)
+        total += float(np.sum(w[i0 : i0 + block, None] * w[None, :] * np.abs(gram) ** 4))
+    return total

@@ -201,8 +201,25 @@ def test_kraus_channel_rejects_non_finite_operators(bad):
 
 
 def test_constant_channel_rejects_non_finite_state():
-    with pytest.raises(ValueError, match="must be finite"):
-        constant_channel(np.diag([np.nan, 0.0]))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="replacement state must be finite"):
+            constant_channel(np.diag([bad, 0.0]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, np.nan)])
+def test_apply_channel_rejects_non_finite_state(bad):
+    rho = np.eye(2, dtype=complex) / 2
+    rho[0, 1] = bad
+    with pytest.raises(ValueError, match="state must be finite"):
+        apply_channel(identity_channel(2), rho)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_channel_from_choi_rejects_non_finite_operator(bad):
+    omega = max_entangled(2)
+    omega[1, 2] = bad
+    with pytest.raises(ValueError, match="Choi operator must be finite"):
+        channel_from_choi(omega)
 
 
 def test_apply_channel_dimension_mismatch():

@@ -277,3 +277,79 @@ def test_non_finite_matrix_file_is_a_usage_error(tmp_path, capsys, prefix, key):
     capsys.readouterr()
     assert run(["attack", "--scheme", str(scheme), "--adv", f"{prefix}:{path}"]) == 2
     assert f"{key} must be finite" in capsys.readouterr().err
+
+
+def _loop_pairs(m):
+    """The per-entry encoding the vectorised codec must reproduce byte for byte."""
+    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(m, dtype=complex)]
+
+
+def test_matrix_codec_is_byte_identical_to_the_per_entry_encoding(tmp_path):
+    m = np.array([[complex(-0.0, -0.0), complex(1.5, -0.0)], [complex(0.0, -2.0), 1e-300 + 3j]])
+    assert json.dumps(files.matrix_to_pairs(m)) == json.dumps(_loop_pairs(m))
+    back = files.pairs_to_matrix(files.matrix_to_pairs(m))
+    assert np.array_equal(np.signbit(back.real), np.signbit(m.real))
+    assert np.array_equal(np.signbit(back.imag), np.signbit(m.imag))
+
+    path = tmp_path / "s.json"
+    argv = ["gen", "sampled", "--d", "3", "--n", "20", "--seed", "4", "--from", "haar"]
+    run(argv + ["-o", str(path)])
+    obj = json.loads(path.read_text())
+    obj["unitaries"] = [_loop_pairs(u) for u in files.load_ensemble(str(path)).unitaries]
+    assert path.read_text() == json.dumps(obj, indent=1) + "\n"
+    again = tmp_path / "again.json"
+    files.save_ensemble(str(again), files.load_ensemble(str(path)), obj["meta"])
+    assert again.read_bytes() == path.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "entry", [[1.0, 0.0, 5.0], [1.0], ["1.0", "0.0"]], ids=["three", "one", "strings"]
+)
+def test_matrix_entries_must_be_pairs_of_numbers(tmp_path, capsys, entry):
+    scheme = tmp_path / "c2.json"
+    run(["gen", "clifford", "--p", "2", "-o", str(scheme)])
+    obj = json.loads(scheme.read_text())
+    obj["unitaries"][3][1][0] = entry
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj))
+    ops = [files.matrix_to_pairs(np.eye(2) / np.sqrt(2)) for _ in range(2)]
+    ops[1][0][1] = entry
+    kraus = tmp_path / "kraus.json"
+    kraus.write_text(json.dumps({"format": 1, "d": 2, "kraus": ops}))
+    state = tmp_path / "state.json"
+    state.write_text(json.dumps({"format": 1, "d": 2, "state": ops[1]}))
+    capsys.readouterr()
+    assert run(["certify", str(bad)]) == 2
+    assert str(bad) in capsys.readouterr().err
+    assert run(["attack", "--scheme", str(scheme), "--adv", str(kraus)]) == 2
+    err = capsys.readouterr().err
+    assert str(kraus) in err and "Kraus operator 1" in err
+    assert run(["attack", "--scheme", str(scheme), "--adv", f"replace:{state}"]) == 2
+    assert str(state) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("d", [2.7, True, "2"], ids=["fraction", "bool", "string"])
+def test_dimension_field_must_be_an_integer(tmp_path, capsys, d):
+    scheme = tmp_path / "c2.json"
+    run(["gen", "clifford", "--p", "2", "-o", str(scheme)])
+    obj = json.loads(scheme.read_text())
+    obj["d"] = d
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj))
+    kraus = tmp_path / "kraus.json"
+    kraus.write_text(json.dumps({"format": 1, "d": d, "kraus": [files.matrix_to_pairs(np.eye(2))]}))
+    capsys.readouterr()
+    assert run(["certify", str(bad)]) == 2
+    assert "d must be an integer" in capsys.readouterr().err
+    assert run(["attack", "--scheme", str(scheme), "--adv", str(kraus)]) == 2
+    assert "d must be an integer" in capsys.readouterr().err
+    obj["d"] = 2.0  # integral floats are accepted
+    bad.write_text(json.dumps(obj))
+    assert run(["certify", str(bad)]) == 0
+
+
+def test_gen_pauli_rejects_zero_qudits(tmp_path, capsys):
+    out = tmp_path / "p.json"
+    assert run(["gen", "pauli", "--p", "2", "--n", "0", "-o", str(out)]) == 2
+    assert "n must be a positive integer" in capsys.readouterr().err
+    assert not out.exists()

@@ -20,7 +20,15 @@ from qnm import (
 )
 from qnm.construct import SamplerConfig, sample_design
 
-from helpers import eigh_rank, eigh_theta, haar_batch, mc_haar_twirl, philox, random_density
+from helpers import (
+    eigh_rank,
+    eigh_theta,
+    haar_batch,
+    mc_haar_twirl,
+    pairwise_frame_potential,
+    philox,
+    random_density,
+)
 
 
 def singleton(d):
@@ -164,8 +172,39 @@ def test_frame_potential_matches_explicit_double_sum(pauli21, clifford2):
         assert abs(frame_potential(e) - total) <= 1e-10
 
 
-def test_frame_potential_blocking_is_consistent(clifford2):
-    assert abs(frame_potential(clifford2, block=7) - frame_potential(clifford2)) <= 1e-12
+@pytest.fixture
+def singleton2():
+    return singleton(2)
+
+
+@pytest.fixture
+def weighted3():
+    # non-uniform weights with a zero-weight key
+    weights = np.array([0.3, 0.0, 0.1, 0.25, 0.35])
+    return UnitaryEnsemble(d=3, weights=weights, unitaries=haar_batch(3, 5, philox(31)))
+
+
+@pytest.fixture
+def haar3_few():
+    return UnitaryEnsemble.uniform(3, haar_batch(3, 40, philox(32)))  # N = 40 < d^4 = 81
+
+
+@pytest.fixture
+def haar3_many():
+    return UnitaryEnsemble.uniform(3, haar_batch(3, 200, philox(33)))  # N = 200 > d^4 = 81
+
+
+# sampled3 draws 300 keys from the 216 Cliffords (up to phase) at d = 3, so keys repeat
+@pytest.mark.parametrize(
+    "name",
+    ["singleton2", "pauli21", "clifford2", "clifford3", "weighted3", "haar3_few", "haar3_many",
+     "sampled3"],
+)
+def test_frame_potential_matches_pairwise_reference(name, request):
+    e = request.getfixturevalue(name)
+    want = pairwise_frame_potential(e.weights, e.unitaries)
+    assert abs(frame_potential(e) - want) <= 1e-12 * want
+    assert frame_potential(e) == frame_potential(e, ensemble_choi(e))
 
 
 def test_entropy_bound_value():

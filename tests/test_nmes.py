@@ -151,6 +151,17 @@ def test_pauli_attack_exact_forwarding(pauli_scheme, pauli31):
     assert np.max(np.abs(report3.effective_choi - choi_of(unitary_channel(weyl(3, 1, 2))))) <= 1e-12
 
 
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_pauli_attack_forwards_every_weyl_operator_on_the_pad(p):
+    from qnm import pauli_ensemble
+
+    scheme = EncryptionScheme(pauli_ensemble(p, 1))
+    for a in range(p):
+        for b in range(p):
+            expected = choi_of(unitary_channel(weyl(p, a, b)))
+            assert np.max(np.abs(pauli_attack(scheme, a, b).effective_choi - expected)) <= 1e-12
+
+
 def test_pauli_attack_identity_index(pauli_scheme):
     report = pauli_attack(pauli_scheme, 0, 0)
     assert report.malleability_residual <= 1e-12
