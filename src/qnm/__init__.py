@@ -36,6 +36,7 @@ from .design import (
     multiplicative_theta,
     one_design_distance,
     rank_bound,
+    support_leak,
 )
 from .linalg import (
     dagger,

@@ -34,6 +34,8 @@ class SamplerConfig:
     def __post_init__(self):
         if self.n_samples < 1:
             raise ValueError(f"n_samples must be >= 1, got {self.n_samples}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.source not in ("clifford", "haar"):
             raise ValueError(f"source must be 'clifford' or 'haar', got {self.source!r}")
 

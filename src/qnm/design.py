@@ -13,6 +13,9 @@ on four d-level systems, whose ideal (Haar) value has the closed form
 
 The ensemble is a unitary 2-design exactly when Omega equals Omega_haar,
 which is what :func:`certify_design` measures.
+
+Omega is held in the real Liouville basis (:func:`ensemble_choi`), where it is real
+symmetric and Omega_haar is unchanged, so every grade is computed in real arithmetic.
 """
 
 import math
@@ -91,6 +94,7 @@ class CertificationReport:
     two_design_trace_dist: float
     two_design_diamond_upper: float
     multiplicative_theta: float | None
+    support_leak: float
     omega_rank: int
     rank_bound: int
     conjectured_rank_bound: int
@@ -136,30 +140,53 @@ def iso_project(x: np.ndarray, d: int):
     return IsotropicDecomposition(alpha=alpha, beta=beta, residual=residual), projected
 
 
-def _haar_projectors(d: int):
-    """Omega_haar's real spectral projectors P1 = Phi (x) Phi and P2 = (1 - Phi) (x) (1 - Phi)."""
-    phi = max_entangled(d).real
-    comp = np.eye(d * d) - phi
-    return np.kron(phi, phi), np.kron(comp, comp)
+def _haar_span(d: int, a: float, b: float):
+    """Real W (rows phi (x) e_m, e_m (x) phi, phi (x) phi) and coef, a P1 + b P2 = b 1 + W^T D W.
+
+    D = diag(coef), as P2 = 1 - Phi (x) 1 - 1 (x) Phi + P1.
+    """
+    dd = d * d
+    phi = np.eye(d).reshape(1, dd) / math.sqrt(d)
+    w = np.vstack([np.kron(phi, np.eye(dd)), np.kron(np.eye(dd), phi), np.kron(phi, phi)])
+    return w, np.r_[np.full(2 * dd, -b), a + b]
 
 
 def ideal_choi(d: int) -> np.ndarray:
     """Second-moment operator of the Haar twirl, in closed form (d^4 x d^4, real)."""
-    p1, p2 = _haar_projectors(d)
-    return p1 / d**2 + p2 / (d**2 * (d**2 - 1))
+    b = 1 / (d**2 * (d**2 - 1))
+    w, coef = _haar_span(d, 1 / d**2, b)
+    out = w.T @ (coef[:, None] * w)
+    out.flat[:: d**4 + 1] += b
+    return out
+
+
+_ROW_BLOCK = 1 << 18  # complex entries per key block of ensemble_choi's intermediate
 
 
 def ensemble_choi(e: UnitaryEnsemble) -> np.ndarray:
-    """Second-moment operator Omega of an ensemble (d^4 x d^4, PSD, trace 1).
+    """Second-moment operator T Omega T^dagger of an ensemble (d^4 x d^4, real PSD, trace 1).
 
-    The Gram-form Choi operator of the rows sqrt(p_k) vec(U_k (x) conj(U_k)),
-    i.e. of the twirl by W_k = U_k (x) conj(U_k) on d^2 levels.
+    T = t (x) conj(t), where the unitary t maps a Hermitian d x d matrix to its real coordinates
+    (Gross, Audenaert and Eisert, J. Math. Phys. 48, 052104 (2007)): (i, i) stays, and for
+    i < a, (i, a) becomes sqrt(2) Re and (a, i) sqrt(2) Im. As t fixes vec(1), T fixes
+    Phi (x) 1, 1 (x) Phi, Omega_haar and Phi_{d^2}, so every (unitarily invariant) grade is
+    unchanged. The real rows sqrt(p_k) vec(t (U_k (x) conj(U_k)) t^dagger) are filled key
+    block by key block.
     """
-    u = e.unitaries
-    scaled = np.sqrt(e.weights)[:, None, None] * u
-    # row-major vec(U (x) conj(U)) runs over the indices (i, a, j, b) of U[i, j] conj(U[a, b])
-    rows = np.einsum("kij,kab->kiajb", scaled, u.conj()).reshape(e.size, -1)
-    return gram_choi(rows, e.d * e.d)
+    d = e.d
+    # t z = c1 z + c2 z_swap on a vec z over (i, a), where z_swap[i, a] = z[a, i]
+    up = np.triu(np.ones((d, d)), 1) / math.sqrt(2)
+    c1, c2 = np.eye(d) + up + 1j * up.T, up - 1j * up.T
+    scaled = np.sqrt(e.weights)[:, None, None] * e.unitaries
+    rows = np.empty((e.size, d**4))
+    step = max(1, _ROW_BLOCK // d**4)
+    for k in range(0, e.size, step):
+        # [k, i, a, j, b] = U[i, j] conj(U[a, b]); apply conj(t) on (j, b), then t on (i, a)
+        w = np.einsum("kij,kab->kiajb", scaled[k : k + step], e.unitaries[k : k + step].conj())
+        w = w * c1.conj() + w.swapaxes(3, 4) * c2.conj()
+        w = w * c1[:, :, None, None] + w.swapaxes(1, 2) * c2[:, :, None, None]
+        rows[k : k + step] = w.real.reshape(len(w), -1)
+    return gram_choi(rows, d * d)
 
 
 def one_design_distance(e: UnitaryEnsemble) -> float:
@@ -227,6 +254,18 @@ def conjectured_rank_bound(d: int) -> int:
     return d * d * (d * d - 1)
 
 
+def support_leak(omega: np.ndarray, d: int) -> float:
+    """tr Omega - tr((P1 + P2) Omega), the weight outside the support of Omega_haar.
+
+    It is -sum_i coef_i (W Omega W^T)_ii for P1 + P2 = 1 + W^T diag(coef) W, and is zero, up to
+    rounding, for the Omega of any ensemble.
+    """
+    w, coef = _haar_span(d, 1.0, 1.0)
+    cols = np.flatnonzero(w.any(axis=0))  # W is zero outside these 2 d^3 - d^2 columns
+    w = w[:, cols]
+    return -float(np.real(coef @ np.sum((w @ omega[np.ix_(cols, cols)]) * w, axis=1)))
+
+
 def multiplicative_theta(
     omega: np.ndarray, d: int, leak_tol: float = SUPPORT_LEAK_TOL
 ) -> float | None:
@@ -237,19 +276,17 @@ def multiplicative_theta(
     A = d P1 + d sqrt(d^2 - 1) P2 and A Omega_haar A = P1 + P2 is the support
     projector. The result is theta = max |eig(A (Omega - Omega_haar) A)|, the
     smallest theta with (1-theta) Omega_haar <= Omega <= (1+theta) Omega_haar
-    when Omega is supported inside P1 + P2. If the trace leaking outside,
-    tr Omega - tr((P1 + P2) Omega), exceeds ``leak_tol`` (by default
-    ``SUPPORT_LEAK_TOL`` of this module), returns None.
+    when Omega is supported inside P1 + P2. If :func:`support_leak` exceeds
+    ``leak_tol`` (by default ``SUPPORT_LEAK_TOL`` of this module), returns None.
     """
-    p1, p2 = _haar_projectors(d)
-    support = p1 + p2
-    leak = float(np.real(np.trace(omega)) - np.sum(support * omega.real))
-    if leak > leak_tol:
+    if support_leak(omega, d) > leak_tol:
         return None
-    a = d * p1 + d * math.sqrt(d * d - 1) * p2
-    # A is real, so A Omega A takes two real products; A Omega_haar A is the support
-    deviation = (a @ omega.real @ a - support) + 1j * (a @ omega.imag @ a)
-    return float(np.max(np.abs(np.linalg.eigvalsh(deviation))))
+    c = d * math.sqrt(d * d - 1)
+    w, coef = _haar_span(d, d, c)  # A = c 1 + W^T diag(coef) W, W of rank 2 d^2 + 1
+    x = omega - ideal_choi(d)
+    for _ in range(2):  # (A X)^dagger = X A, as X is Hermitian and A real symmetric
+        x = (c * x + w.T @ (coef[:, None] * (w @ x))).conj().T
+    return float(np.max(np.abs(np.linalg.eigvalsh(x))))
 
 
 def certify_design(e: UnitaryEnsemble, tol: float = DEFAULT_CERT_TOL) -> CertificationReport:
@@ -258,7 +295,8 @@ def certify_design(e: UnitaryEnsemble, tol: float = DEFAULT_CERT_TOL) -> Certifi
     The additive grade is the trace norm ||Omega - Omega_haar||_1 on
     second-moment operators; d^2 times it upper-bounds the diamond distance
     of the corresponding twirls. The multiplicative grade is the operator
-    sandwich deviation (see :func:`multiplicative_theta`). Rank, frame
+    sandwich deviation (see :func:`multiplicative_theta`), next to the
+    :func:`support_leak` that decides whether it exists. Rank, frame
     potential (FP = d^4 tr Omega^2, read off the same Omega) and key-entropy
     diagnostics are filled in alongside; nothing held grows with N^2.
     """
@@ -266,6 +304,7 @@ def certify_design(e: UnitaryEnsemble, tol: float = DEFAULT_CERT_TOL) -> Certifi
     omega = ensemble_choi(e)
     two_dist = trace_norm(omega - ideal_choi(d))
     one_dist = one_design_distance(e)
+    leak = support_leak(omega, d)
     theta = multiplicative_theta(omega, d)
     rank = num_rank(omega, 1e-10)
     bound = rank_bound(d)
@@ -279,6 +318,7 @@ def certify_design(e: UnitaryEnsemble, tol: float = DEFAULT_CERT_TOL) -> Certifi
         two_design_trace_dist=two_dist,
         two_design_diamond_upper=d * d * two_dist,
         multiplicative_theta=theta,
+        support_leak=leak,
         omega_rank=rank,
         rank_bound=bound,
         conjectured_rank_bound=conjectured_rank_bound(d),

@@ -1,8 +1,9 @@
-"""Dense complex linear algebra primitives used throughout the package.
+"""Dense linear algebra primitives used throughout the package.
 
-All operators are plain square ``numpy`` arrays of complex dtype; tensor
-factor structure is described by a tuple of factor dimensions where needed.
-Everything here is a pure function of its inputs.
+All operators are plain square ``numpy`` arrays; real input stays real and
+takes numpy's real LAPACK and BLAS paths. Tensor factor structure is described
+by a tuple of factor dimensions where needed. Everything here is a pure
+function of its inputs.
 """
 
 import math
@@ -40,7 +41,8 @@ def is_hermitian(m: np.ndarray, tol: float = HERM_TOL) -> bool:
 
 
 def _check_square(m: np.ndarray) -> np.ndarray:
-    m = np.asarray(m, dtype=complex)
+    m = np.asarray(m)
+    m = m.astype(np.result_type(m, np.float64), copy=False)  # real input stays real
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     return m
@@ -124,6 +126,7 @@ def gram_choi(rows: np.ndarray, d: int) -> np.ndarray:
 
     Rows sqrt(p_k) vec(W_k) (row-major vec) give the Choi operator of
     rho -> sum_k p_k W_k rho W_k^dagger, as (W (x) 1) Phi_d (...)^dagger = vec(W) vec(W)^dagger / d.
+    Real rows stay real: ``conj()`` returns them uncopied, so numpy takes its syrk path.
     """
     rows = np.asarray(rows)
     g = rows.T @ rows.conj()

@@ -80,6 +80,53 @@ def eigh_theta(omega: np.ndarray, d: int, leak_tol: float = 1e-9):
     return float(np.max(np.abs(ev - 1)))
 
 
+def computational_choi(weights, unitaries) -> np.ndarray:
+    """Complex Omega in the computational basis: (1/d^2) sum_k p_k vec(W_k) vec(W_k)^dagger.
+
+    W_k = U_k (x) conj(U_k). Reference for ``ensemble_choi``, which returns T Omega T^dagger.
+    """
+    u = np.asarray(unitaries)
+    d = u.shape[-1]
+    scaled = np.sqrt(np.asarray(weights))[:, None, None] * u
+    rows = np.einsum("kij,kab->kiajb", scaled, u.conj()).reshape(len(u), -1)
+    g = rows.T @ rows.conj()
+    return (g + g.conj().T) / (2 * d * d)
+
+
+def haar_projectors(d: int):
+    """Dense P1 = Phi (x) Phi and P2 = (1 - Phi) (x) (1 - Phi) of Omega_haar."""
+    phi = np.eye(d).reshape(-1, 1) / math.sqrt(d)
+    phi = phi @ phi.T
+    comp = np.eye(d * d) - phi
+    return np.kron(phi, phi), np.kron(comp, comp)
+
+
+def projector_theta(omega: np.ndarray, d: int, leak_tol: float = 1e-9):
+    """Theta as max |eig(A Omega A - P1 - P2)| with dense A and projectors (None on leak)."""
+    p1, p2 = haar_projectors(d)
+    support = p1 + p2
+    if float(np.real(np.trace(omega) - np.sum(support * omega))) > leak_tol:
+        return None
+    a = d * p1 + d * math.sqrt(d * d - 1) * p2
+    return float(np.max(np.abs(np.linalg.eigvalsh(a @ omega @ a - support))))
+
+
+def liouville_t(d: int) -> np.ndarray:
+    """The unitary t with t vec(X) = real coordinates of a Hermitian X, built entry by entry.
+
+    Row (i, i) reads X_ii; for i < a, row (i, a) reads sqrt(2) Re X_ia and row (a, i)
+    reads sqrt(2) Im X_ia.
+    """
+    t = np.zeros((d * d, d * d), dtype=complex)
+    s = 1 / math.sqrt(2)
+    for i in range(d):
+        t[i * d + i, i * d + i] = 1
+        for a in range(i + 1, d):
+            t[i * d + a, [i * d + a, a * d + i]] = s, s
+            t[a * d + i, [i * d + a, a * d + i]] = -1j * s, 1j * s
+    return t
+
+
 def eigh_rank(m: np.ndarray, tol: float) -> int:
     """Number of eigenvalues above ``tol``, read off a full eigendecomposition."""
     vals, _ = np.linalg.eigh(m)

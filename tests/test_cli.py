@@ -48,6 +48,13 @@ def test_gen_sampled_is_deterministic(tmp_path):
     assert len(obj["unitaries"]) == 50
 
 
+def test_gen_sampled_rejects_negative_seed(tmp_path, capsys):
+    out = tmp_path / "s.json"
+    assert run(["gen", "sampled", "--d", "2", "--n", "5", "--seed", "-1", "-o", str(out)]) == 2
+    assert "seed must be >= 0, got -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_gen_requires_params(tmp_path):
     assert run(["gen", "clifford", "-o", str(tmp_path / "x.json")]) == 2
     assert run(["gen", "sampled", "--d", "2", "-o", str(tmp_path / "x.json")]) == 2

@@ -16,17 +16,22 @@ from qnm import (
     max_entangled,
     multiplicative_theta,
     num_rank,
+    support_leak,
     trace_norm,
 )
-from qnm.construct import SamplerConfig, sample_design
+from qnm.construct import SamplerConfig, clifford_prime, sample_design
 
 from helpers import (
+    computational_choi,
     eigh_rank,
     eigh_theta,
     haar_batch,
+    haar_projectors,
+    liouville_t,
     mc_haar_twirl,
     pairwise_frame_potential,
     philox,
+    projector_theta,
     random_density,
 )
 
@@ -319,5 +324,58 @@ def test_multiplicative_theta_reports_support_leak():
     # Phi (x) (1 - Phi) / (d^2 - 1) lies wholly outside the support of Omega_haar
     phi = max_entangled(2)
     outside = kron(phi, np.eye(4) - phi) / 3
+    assert abs(support_leak(outside, 2) - 1) <= 1e-14
     assert multiplicative_theta(outside, 2) is None
     assert eigh_theta(outside, 2) is None
+    assert projector_theta(outside, 2) is None
+
+
+@pytest.fixture(scope="module")
+def clifford5():
+    return clifford_prime(5)
+
+
+# clifford5's 3000 keys span several key blocks of ensemble_choi; haar4 has N < d^4
+@pytest.mark.parametrize(
+    "name", ["pauli21", "clifford2", "clifford3", "clifford5", "sampled3", "haar4", "weighted3"]
+)
+def test_real_basis_grades_match_computational_reference(name, request):
+    e = request.getfixturevalue(name)
+    d = e.d
+    ref = computational_choi(e.weights, e.unitaries)
+    p1, p2 = haar_projectors(d)
+    ref_dist = float(np.sum(np.abs(np.linalg.eigvalsh(ref - p1 / d**2 - p2 / (d**2 * (d**2 - 1))))))
+    ref_fp = d**4 * float(np.vdot(ref, ref).real)
+    report = certify_design(e)
+    assert abs(report.two_design_trace_dist - ref_dist) <= 1e-12
+    assert abs(report.multiplicative_theta - projector_theta(ref, d)) <= 1e-12
+    assert report.omega_rank == eigh_rank(ref, 1e-10)
+    assert abs(report.frame_potential - ref_fp) <= 1e-12 * ref_fp
+    if ref_dist <= 1 / math.e:
+        assert abs(report.entropy_bound_bits - entropy_bound(d, ref_dist)) <= 1e-12
+    else:
+        assert report.entropy_bound_bits is None
+    assert abs(report.support_leak) <= 1e-12
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_liouville_basis_fixes_the_haar_span(d):
+    t = liouville_t(d)
+    assert np.max(np.abs(t @ t.conj().T - np.eye(d * d))) <= 1e-14
+    big = np.kron(t, t.conj())
+    p1, p2 = haar_projectors(d)
+    haar = p1 / d**2 + p2 / (d**2 * (d**2 - 1))
+    assert np.max(np.abs(ideal_choi(d) - haar)) <= 1e-14
+    assert np.max(np.abs(big @ haar @ big.conj().T - haar)) <= 1e-14
+    phi = max_entangled(d * d)
+    assert np.max(np.abs(big @ phi @ big.conj().T - phi)) <= 1e-14
+
+
+@pytest.mark.parametrize("name", ["clifford2", "weighted3", "haar3_few", "sampled3"])
+def test_ensemble_choi_is_the_reference_in_the_real_basis(name, request):
+    e = request.getfixturevalue(name)
+    omega = ensemble_choi(e)
+    assert omega.dtype == np.float64 and np.array_equal(omega, omega.T)
+    big = np.kron(liouville_t(e.d), liouville_t(e.d).conj())
+    ref = computational_choi(e.weights, e.unitaries)
+    assert np.max(np.abs(big @ ref @ big.conj().T - omega)) <= 1e-14

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from qnm import herm_eig, ideal_choi, kron, num_rank, partial_trace, trace_norm
+from qnm import herm_eig, ideal_choi, is_hermitian, kron, num_rank, partial_trace, trace_norm
 from qnm.design import max_entangled
+from qnm.linalg import gram_choi
 
 from helpers import philox
 
@@ -158,3 +159,25 @@ def test_num_rank_weyl_second_moment():
 def test_num_rank_rejects_negative_eigenvalue():
     with pytest.raises(ValueError):
         num_rank(np.diag([1.0, -0.5]), 1e-10)
+
+
+def test_real_symmetric_input_stays_real():
+    g = philox(9).normal(size=(6, 4))
+    psd = g @ g.T  # rank 4
+    indefinite = psd - 2 * np.eye(6)
+    for m in (psd, indefinite):
+        assert is_hermitian(m) and is_hermitian(m.astype(complex))
+        assert abs(trace_norm(m) - trace_norm(m.astype(complex))) <= 1e-12
+        vals, vecs = herm_eig(m)
+        cvals, _ = herm_eig(m.astype(complex))
+        assert vals.dtype == vecs.dtype == np.float64
+        assert np.max(np.abs(vals - cvals)) <= 1e-12
+        assert np.max(np.abs(vecs @ np.diag(vals) @ vecs.T - m)) <= 1e-12
+    assert num_rank(psd, 1e-10) == num_rank(psd.astype(complex), 1e-10) == 4
+
+
+def test_gram_choi_of_real_rows_is_real_and_exactly_symmetric():
+    rows = philox(10).normal(size=(7, 9))
+    g = gram_choi(rows, 3)
+    assert g.dtype == np.float64 and np.array_equal(g, g.T)
+    assert np.max(np.abs(g - rows.T @ rows / 3)) <= 1e-14
