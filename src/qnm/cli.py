@@ -1,4 +1,4 @@
-"""Command-line front end: generate ensembles, certify designs, run attacks, print bounds.
+"""Command-line front end: generate ensembles, certify designs, run attacks, report bounds.
 
 Exit codes: 0 success / certification pass, 1 certification fail,
 2 usage or validation error, 3 I/O failure. Reports go to stdout (or
@@ -46,13 +46,19 @@ def _default_tol() -> float:
     return _check_tol(tol, "QNM_TOL")
 
 
-def _write_json(obj: dict, out_path: str | None):
-    text = json.dumps(obj, indent=1)
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        sys.stdout.write(text + "\n")
+def _write_json(obj: dict, out_path: str | None) -> int:
+    """Write a report to ``out_path`` (stdout if None); EXIT_IO if that fails, else EXIT_OK."""
+    text = json.dumps(obj, indent=1) + "\n"
+    try:
+        if out_path:
+            with open(out_path, "w") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+    except OSError as exc:
+        print(f"error: cannot write report: {exc}", file=sys.stderr)
+        return EXIT_IO
+    return EXIT_OK
 
 
 def cmd_gen(args) -> int:
@@ -86,12 +92,8 @@ def cmd_certify(args) -> int:
     tol = _check_tol(args.tol, "--tol") if args.tol is not None else _default_tol()
     ensemble = files.load_ensemble(args.input)
     report = certify_design(ensemble, tol=tol)
-    try:
-        _write_json(
-            files.certification_report_to_dict(report, files.file_digest(args.input)), args.out
-        )
-    except OSError as exc:
-        print(f"error: cannot write report: {exc}", file=sys.stderr)
+    digest = files.file_digest(args.input)
+    if _write_json(files.certification_report_to_dict(report, digest), args.out) == EXIT_IO:
         return EXIT_IO
     if args.mode in ("trace", "both") and not report.passes_two_design:
         return EXIT_CERT_FAIL
@@ -130,35 +132,29 @@ def cmd_attack(args) -> int:
     scheme = EncryptionScheme(files.load_ensemble(args.scheme))
     adversary = _parse_adversary(args.adv, scheme.d)
     report = attack_report(scheme, adversary)
-    try:
-        _write_json(files.attack_report_to_dict(report, files.file_digest(args.scheme)), args.out)
-    except OSError as exc:
-        print(f"error: cannot write report: {exc}", file=sys.stderr)
-        return EXIT_IO
-    return EXIT_OK
+    digest = files.file_digest(args.scheme)
+    return _write_json(files.attack_report_to_dict(report, digest), args.out)
 
 
 def cmd_bounds(args) -> int:
-    d, theta = args.d, args.theta
+    d, theta, delta = args.d, args.theta, args.delta
     if d < 2:
         raise ValueError(f"d must be at least 2, got {d}")
-    if theta < 0:
-        raise ValueError(f"theta must be nonnegative, got {theta}")
-    status = EXIT_OK
-    print(f"dimension d = {d}, theta = {theta}")
-    print(f"minimum unitaries for an exact 2-design: {rank_bound(d)}")
-    print(f"reference key lengths: 4*log2(d) = {4 * math.log2(d):.4f} bits, "
-          f"5*log2(d) = {5 * math.log2(d):.4f} bits")
-    if 0 < theta <= 0.5:
-        n = construct.recommended_n(d, theta, args.delta)
-        print(f"recommended sample count at delta = {args.delta}: N = {n}")
-    else:
-        print("recommended sample count: n/a (needs 0 < theta <= 1/2)")
-    if theta <= 1 / math.e:
-        print(f"key entropy bound: {entropy_bound(d, theta):.4f} bits")
-    else:
+    if not (math.isfinite(theta) and theta >= 0):
+        raise ValueError(f"theta must be finite and nonnegative, got {theta}")
+    if not 0 < delta < 1:
+        raise ValueError(f"delta must lie in (0, 1), got {delta}")
+    entropy_ok = theta <= 1 / math.e
+    report = files.report_dict(
+        "bounds", d=d, theta=theta, delta=delta, rank_bound=rank_bound(d),
+        key_bits_4log2d=4 * math.log2(d), key_bits_5log2d=5 * math.log2(d),
+        recommended_n=construct.recommended_n(d, theta, delta) if 0 < theta <= 0.5 else None,
+        entropy_bound_bits=entropy_bound(d, theta) if entropy_ok else None,
+    )
+    status = _write_json(report, args.out)
+    if status == EXIT_OK and not entropy_ok:
         print(f"error: entropy bound needs theta <= 1/e, got {theta}", file=sys.stderr)
-        status = EXIT_USAGE
+        return EXIT_USAGE
     return status
 
 
@@ -193,10 +189,11 @@ def build_parser() -> argparse.ArgumentParser:
                           "unitary:<file> | <kraus file>")
     atk.add_argument("--out", default=None, help="write report here instead of stdout")
 
-    bnd = sub.add_parser("bounds", help="print size and entropy bounds")
+    bnd = sub.add_parser("bounds", help="report size and entropy bounds")
     bnd.add_argument("--d", type=int, required=True)
     bnd.add_argument("--theta", type=float, default=0.0)
     bnd.add_argument("--delta", type=float, default=0.01)
+    bnd.add_argument("--out", default=None, help="write report here instead of stdout")
 
     return parser
 

@@ -32,6 +32,8 @@ class SamplerConfig:
     source: str = "clifford"
 
     def __post_init__(self):
+        if self.d < 2:
+            raise ValueError(f"d must be >= 2, got {self.d}")
         if self.n_samples < 1:
             raise ValueError(f"n_samples must be >= 1, got {self.n_samples}")
         if self.seed < 0:
@@ -111,11 +113,15 @@ def haar_unitary(d: int, rng) -> np.ndarray:
     draw from. Uses QR of a complex Gaussian matrix with the diagonal phase
     correction that makes the distribution exactly Haar.
     """
-    rng = _as_generator(rng)
-    z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    q, r = np.linalg.qr(z)
-    diag = np.diagonal(r)
-    return q * (diag / np.abs(diag))
+    return _haar_unitaries(d, 1, rng)[0]
+
+
+def _haar_unitaries(d: int, n: int, rng) -> np.ndarray:
+    """n Haar unitaries from one draw and one stacked QR, bit-identical to n haar_unitary calls."""
+    g = _as_generator(rng).normal(size=(n, 2, d, d))
+    q, r = np.linalg.qr(g[:, 0] + 1j * g[:, 1])
+    diag = np.diagonal(r, axis1=1, axis2=2)
+    return q * (diag / np.abs(diag))[:, None, :]
 
 
 def _as_generator(rng) -> np.random.Generator:
@@ -136,7 +142,7 @@ def sample_design(cfg: SamplerConfig) -> UnitaryEnsemble:
         idx = rng.integers(0, len(pool), size=cfg.n_samples)
         unitaries = pool[idx]
     else:
-        unitaries = np.array([haar_unitary(cfg.d, rng) for _ in range(cfg.n_samples)])
+        unitaries = _haar_unitaries(cfg.d, cfg.n_samples, rng)
     return UnitaryEnsemble.uniform(cfg.d, unitaries)
 
 

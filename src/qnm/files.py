@@ -1,10 +1,14 @@
 """JSON interchange formats for ensembles, channels, states and reports.
 
-Matrices are stored as nested lists of [re, im] pairs, row by row. Every
-file carries a "format" version field; numbers round-trip losslessly at
-double precision.
+Every file carries a "format" version field; numbers round-trip losslessly
+at double precision. Kraus, matrix and report files are format 1: matrices
+are nested lists of [re, im] pairs, row by row. Ensemble files are format 2:
+"unitaries" is the padded base64 of the N*d*d little-endian complex128 values
+in C order (key, row, column), N = len(weights), so no float is parsed or
+printed per entry. Format 1 ensemble files (pairs, as above) still load.
 """
 
+import base64
 import dataclasses
 import hashlib
 import json
@@ -16,7 +20,8 @@ from .channels import KrausChannel
 from .design import CertificationReport, UnitaryEnsemble
 from .nmes import AttackReport
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 1  # Kraus, matrix and report files, and the ensemble files that still load
+ENSEMBLE_FORMAT_VERSION = 2
 
 
 def matrix_to_pairs(m: np.ndarray) -> list:
@@ -46,25 +51,39 @@ def pairs_to_matrix(rows, what: str = "matrix") -> np.ndarray:
 
 def _dimension(obj: dict) -> int:
     d = obj["d"]
-    if isinstance(d, bool) or not isinstance(d, (int, float)) or not float(d).is_integer():
-        raise ValueError(f"d must be an integer, got {d!r}")
+    if isinstance(d, bool) or not isinstance(d, (int, float)) or not float(d).is_integer() or d < 2:
+        raise ValueError(f"d must be an integer >= 2, got {d!r}")
     return int(d)
 
 
-def _check_format(obj: dict, path: str):
+def _check_format(obj: dict, path: str, versions=(FORMAT_VERSION,)) -> int:
     if not isinstance(obj, dict):
         raise ValueError(f"{path}: expected a JSON object at top level")
     version = obj.get("format")
-    if version != FORMAT_VERSION:
+    if isinstance(version, bool) or version not in versions:  # True == 1 in Python
         raise ValueError(f"{path}: unsupported format version {version!r}")
+    return version
+
+
+def _unpack_unitaries(text, n: int, d: int) -> np.ndarray:
+    """Writable (n, d, d) complex array from format 2's base64 block of <c16 values."""
+    if not isinstance(text, str):
+        raise ValueError(f"unitaries must be a padded base64 string, got {type(text).__name__}")
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except ValueError as exc:  # not ASCII, or not padded base64
+        raise ValueError(f"unitaries must be a padded base64 string ({exc})") from exc
+    if len(raw) != 16 * n * d * d:
+        raise ValueError(f"unitaries holds {len(raw)} bytes, expected 16*N*d^2 = {16 * n * d * d}")
+    return np.frombuffer(bytearray(raw), "<c16").reshape(n, d, d)
 
 
 def ensemble_to_dict(e: UnitaryEnsemble, meta: dict | None = None) -> dict:
     out = {
-        "format": FORMAT_VERSION,
+        "format": ENSEMBLE_FORMAT_VERSION,
         "d": int(e.d),
         "weights": e.weights.tolist(),
-        "unitaries": matrix_to_pairs(e.unitaries),
+        "unitaries": base64.b64encode(np.ascontiguousarray(e.unitaries, "<c16")).decode("ascii"),
     }
     if meta:
         out["meta"] = meta
@@ -72,20 +91,23 @@ def ensemble_to_dict(e: UnitaryEnsemble, meta: dict | None = None) -> dict:
 
 
 def ensemble_from_dict(obj: dict, path: str = "<memory>") -> UnitaryEnsemble:
-    _check_format(obj, path)
+    version = _check_format(obj, path, (FORMAT_VERSION, ENSEMBLE_FORMAT_VERSION))
     try:
         d = _dimension(obj)
         weights = _numbers(obj["weights"], "weights")
-        unitaries = pairs_to_matrix(obj["unitaries"], "unitaries")
+        if version == FORMAT_VERSION:
+            unitaries = pairs_to_matrix(obj["unitaries"], "unitaries")
+        else:
+            unitaries = _unpack_unitaries(obj["unitaries"], weights.size, d)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{path}: malformed ensemble file ({exc})") from exc
     return UnitaryEnsemble(d=d, weights=weights, unitaries=unitaries)
 
 
 def save_ensemble(path: str, e: UnitaryEnsemble, meta: dict | None = None):
+    text = json.dumps(ensemble_to_dict(e, meta))  # one dumps, no indent: the C encoder
     with open(path, "w") as fh:
-        json.dump(ensemble_to_dict(e, meta), fh, indent=1)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def load_ensemble(path: str) -> UnitaryEnsemble:
@@ -126,27 +148,23 @@ def file_digest(path: str) -> str:
         return "sha256:" + hashlib.sha256(fh.read()).hexdigest()
 
 
+def report_dict(kind: str, **fields) -> dict:
+    """A report: the format, kind and tool version, then ``fields`` in order."""
+    return {"format": FORMAT_VERSION, "kind": kind, "tool_version": __version__, **fields}
+
+
 def certification_report_to_dict(report: CertificationReport, input_digest: str) -> dict:
-    out = {
-        "format": FORMAT_VERSION,
-        "kind": "certification",
-        "tool_version": __version__,
-        "input_digest": input_digest,
-    }
-    out.update(dataclasses.asdict(report))
-    return out
+    return report_dict("certification", input_digest=input_digest, **dataclasses.asdict(report))
 
 
 def attack_report_to_dict(report: AttackReport, input_digest: str) -> dict:
-    return {
-        "format": FORMAT_VERSION,
-        "kind": "attack",
-        "tool_version": __version__,
-        "input_digest": input_digest,
-        "alpha": report.decomposition.alpha,
-        "beta": report.decomposition.beta,
-        "malleability_residual": report.malleability_residual,
-        "diamond_upper_bound": report.diamond_upper_bound,
-        "scheme_one_design_dist": report.scheme_one_design_dist,
-        "effective_choi": matrix_to_pairs(report.effective_choi),
-    }
+    return report_dict(
+        "attack",
+        input_digest=input_digest,
+        alpha=report.decomposition.alpha,
+        beta=report.decomposition.beta,
+        malleability_residual=report.malleability_residual,
+        diamond_upper_bound=report.diamond_upper_bound,
+        scheme_one_design_dist=report.scheme_one_design_dist,
+        effective_choi=matrix_to_pairs(report.effective_choi),
+    )

@@ -4,11 +4,13 @@ These deliberately avoid the library's projection formulas and batched
 kernels so they can serve as independent cross-checks.
 """
 
+import json
 import math
 
 import numpy as np
 
 from qnm.design import ideal_choi
+from qnm.files import matrix_to_pairs
 from qnm.weyl import weyl
 
 
@@ -22,6 +24,17 @@ def haar_batch(d: int, count: int, rng: np.random.Generator) -> np.ndarray:
     q, r = np.linalg.qr(z)
     diag = np.einsum("bii->bi", r)
     return q * (diag / np.abs(diag))[:, None, :]
+
+
+def loop_haar(d: int, count: int, rng: np.random.Generator) -> np.ndarray:
+    """``count`` Haar unitaries drawn key by key: real part, imaginary part, QR, phase fix."""
+    out = []
+    for _ in range(count):
+        z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        q, r = np.linalg.qr(z)
+        diag = np.diagonal(r)
+        out.append(q * (diag / np.abs(diag)))
+    return np.array(out)
 
 
 def random_density(d: int, rng: np.random.Generator, rank: int | None = None) -> np.ndarray:
@@ -157,3 +170,23 @@ def pairwise_frame_potential(weights, unitaries) -> float:
         gram = a[i0 : i0 + block].conj() @ a.T  # gram[i, j] = tr(U_i^dagger U_j)
         total += float(np.sum(w[i0 : i0 + block, None] * w[None, :] * np.abs(gram) ** 4))
     return total
+
+
+def format1_ensemble_dict(e, meta: dict | None = None) -> dict:
+    """The format-1 ensemble encoding: every key entry as its own [re, im] pair."""
+    out = {
+        "format": 1,
+        "d": int(e.d),
+        "weights": e.weights.tolist(),
+        "unitaries": matrix_to_pairs(e.unitaries),
+    }
+    if meta:
+        out["meta"] = meta
+    return out
+
+
+def save_format1_ensemble(path, e, meta: dict | None = None):
+    """Write ``e`` as the format-1 writer did: one json.dump with indent=1."""
+    with open(path, "w") as fh:
+        json.dump(format1_ensemble_dict(e, meta), fh, indent=1)
+        fh.write("\n")

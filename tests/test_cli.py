@@ -1,3 +1,4 @@
+import base64
 import json
 
 import numpy as np
@@ -5,6 +6,8 @@ import pytest
 
 from qnm import cli, files
 from qnm.design import UnitaryEnsemble
+
+from helpers import format1_ensemble_dict, save_format1_ensemble
 
 
 def run(argv):
@@ -45,7 +48,8 @@ def test_gen_sampled_is_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
     obj = json.loads(a.read_text())
     assert obj["meta"] == {"source": "clifford", "seed": 7, "n": 50}
-    assert len(obj["unitaries"]) == 50
+    assert obj["format"] == 2 and len(obj["weights"]) == 50
+    assert files.load_ensemble(str(a)).size == 50
 
 
 def test_gen_sampled_rejects_negative_seed(tmp_path, capsys):
@@ -155,30 +159,48 @@ def test_attack_invalid_adversary(tmp_path):
 
 def test_bounds_output(capsys):
     assert run(["bounds", "--d", "2", "--theta", "0"]) == 0
-    out = capsys.readouterr().out
-    assert "10" in out
-    assert "3.1887" in out
-    assert "5.0000 bits" in out
+    out = json.loads(capsys.readouterr().out)
+    assert (out["format"], out["kind"], out["d"], out["theta"]) == (1, "bounds", 2, 0.0)
+    assert out["rank_bound"] == 10
+    assert round(out["entropy_bound_bits"], 4) == 3.1887
+    assert out["key_bits_4log2d"] == 4.0 and out["key_bits_5log2d"] == 5.0
+    assert out["recommended_n"] is None  # needs 0 < theta <= 1/2
 
 
 def test_bounds_reference_key_length_qutrit(capsys):
     assert run(["bounds", "--d", "3", "--theta", "0"]) == 0
-    out = capsys.readouterr().out
-    assert "7.9248" in out  # 5 log2(3)
+    out = json.loads(capsys.readouterr().out)
+    assert round(out["key_bits_5log2d"], 4) == 7.9248  # 5 log2(3)
 
 
 def test_bounds_recommended_n(capsys):
     assert run(["bounds", "--d", "2", "--theta", "0.1", "--delta", "0.01"]) == 0
-    out = capsys.readouterr().out
-    assert "N = 18243" in out
+    out = json.loads(capsys.readouterr().out)
+    assert out["recommended_n"] == 18243 and out["delta"] == 0.01
 
 
 def test_bounds_entropy_domain_error(capsys):
     assert run(["bounds", "--d", "2", "--theta", "0.4"]) == 2
     captured = capsys.readouterr()
-    # other rows still printed
-    assert "minimum unitaries" in captured.out
+    # the other fields are still reported
+    out = json.loads(captured.out)
+    assert out["rank_bound"] == 10 and out["recommended_n"] is not None
+    assert out["entropy_bound_bits"] is None
     assert "entropy bound needs theta <= 1/e" in captured.err
+
+
+def test_bounds_out_flag_and_bad_arguments(tmp_path, capsys):
+    path = tmp_path / "bounds.json"
+    assert run(["bounds", "--d", "2", "--theta", "0.1", "--out", str(path)]) == 0
+    assert capsys.readouterr().out == ""
+    assert json.loads(path.read_text())["recommended_n"] == 18243
+    assert run(["bounds", "--d", "2", "--out", str(tmp_path / "no" / "dir" / "b.json")]) == 3
+    for argv, name in [(["--theta", "nan"], "theta"), (["--delta", "1.5"], "delta"),
+                       (["--d", "1"], "d")]:
+        capsys.readouterr()
+        assert run(["bounds", "--d", "2", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"{name} must" in captured.err
 
 
 def test_report_out_flag(tmp_path):
@@ -257,9 +279,9 @@ def test_certify_rejects_bad_tolerance(tmp_path, monkeypatch, capsys, env, flag,
 
 
 @pytest.mark.parametrize("field", ["weights", "unitaries"])
-def test_non_finite_ensemble_file_is_a_usage_error(tmp_path, capsys, field):
+def test_non_finite_ensemble_file_is_a_usage_error(tmp_path, capsys, clifford2, field):
     path = tmp_path / "c2.json"
-    run(["gen", "clifford", "--p", "2", "-o", str(path)])
+    save_format1_ensemble(path, clifford2)
     obj = json.loads(path.read_text())
     if field == "weights":
         obj["weights"][0] = float("nan")
@@ -302,8 +324,6 @@ def test_matrix_codec_is_byte_identical_to_the_per_entry_encoding(tmp_path):
     argv = ["gen", "sampled", "--d", "3", "--n", "20", "--seed", "4", "--from", "haar"]
     run(argv + ["-o", str(path)])
     obj = json.loads(path.read_text())
-    obj["unitaries"] = [_loop_pairs(u) for u in files.load_ensemble(str(path)).unitaries]
-    assert path.read_text() == json.dumps(obj, indent=1) + "\n"
     again = tmp_path / "again.json"
     files.save_ensemble(str(again), files.load_ensemble(str(path)), obj["meta"])
     assert again.read_bytes() == path.read_bytes()
@@ -312,10 +332,11 @@ def test_matrix_codec_is_byte_identical_to_the_per_entry_encoding(tmp_path):
 @pytest.mark.parametrize(
     "entry", [[1.0, 0.0, 5.0], [1.0], ["1.0", "0.0"]], ids=["three", "one", "strings"]
 )
-def test_matrix_entries_must_be_pairs_of_numbers(tmp_path, capsys, entry):
+def test_matrix_entries_must_be_pairs_of_numbers(tmp_path, capsys, clifford2, entry):
     scheme = tmp_path / "c2.json"
     run(["gen", "clifford", "--p", "2", "-o", str(scheme)])
-    obj = json.loads(scheme.read_text())
+    save_format1_ensemble(tmp_path / "c2-format1.json", clifford2)
+    obj = json.loads((tmp_path / "c2-format1.json").read_text())
     obj["unitaries"][3][1][0] = entry
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(obj))
@@ -359,4 +380,150 @@ def test_gen_pauli_rejects_zero_qudits(tmp_path, capsys):
     out = tmp_path / "p.json"
     assert run(["gen", "pauli", "--p", "2", "--n", "0", "-o", str(out)]) == 2
     assert "n must be a positive integer" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _edge_ensemble():
+    """A 2-key ensemble whose entries include -0.0 and subnormals, so bit-exactness shows."""
+    tiny = 5e-324
+    u = np.array(
+        [[complex(-0.0, 1.0), complex(tiny, -0.0)], [complex(-0.0, -tiny), complex(1.0, -0.0)]]
+    )
+    return UnitaryEnsemble(d=2, weights=np.array([0.25, 0.75]), unitaries=np.array([u, -u.conj()]))
+
+
+def test_format2_round_trip_is_bit_exact_and_writable(tmp_path):
+    e = _edge_ensemble()
+    path = tmp_path / "e.json"
+    files.save_ensemble(str(path), e, {"note": "edge"})
+    obj = json.loads(path.read_text())
+    assert obj["format"] == files.ENSEMBLE_FORMAT_VERSION == 2
+    assert base64.b64decode(obj["unitaries"]) == e.unitaries.astype("<c16").tobytes()
+    back = files.load_ensemble(str(path))
+    assert back.unitaries.tobytes() == e.unitaries.tobytes()  # keeps -0.0 and subnormals
+    assert back.weights.tobytes() == e.weights.tobytes()
+    assert back.unitaries.flags.writeable and back.weights.flags.writeable
+    back.unitaries[0, 0, 0] = 1.0
+    again = tmp_path / "again.json"
+    files.save_ensemble(str(again), files.load_ensemble(str(path)), obj["meta"])
+    assert again.read_bytes() == path.read_bytes()
+
+
+def _write_format2(path, e, **fields):
+    """Write ``e`` as a format-2 ensemble file with ``fields`` overriding its entries."""
+    path.write_text(json.dumps({**files.ensemble_to_dict(e), **fields}))
+
+
+@pytest.mark.parametrize(
+    "unitaries",
+    ["not base64!", "QUJD", "AAAAAAAAAAAAAAAA", [[[[1.0, 0.0]]]], 7, None],
+    ids=["bad-chars", "short", "wrong-length", "list", "number", "null"],
+)
+def test_format2_malformed_unitaries_are_usage_errors(tmp_path, capsys, pauli21, unitaries):
+    path = tmp_path / "bad.json"
+    _write_format2(path, pauli21, unitaries=unitaries)
+    capsys.readouterr()
+    assert run(["certify", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert str(path) in err and "unitaries" in err
+    assert run(["attack", "--scheme", str(path), "--adv", "identity"]) == 2
+    assert "unitaries" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("stray", ["\n", " ", "!"])
+def test_format2_rejects_stray_characters_in_a_valid_block(tmp_path, capsys, pauli21, stray):
+    text = files.ensemble_to_dict(pauli21)["unitaries"]
+    path = tmp_path / "bad.json"
+    _write_format2(path, pauli21, unitaries=text[:8] + stray + text[8:])
+    capsys.readouterr()
+    assert run(["certify", str(path)]) == 2
+    assert "unitaries must be a padded base64 string" in capsys.readouterr().err
+
+
+def test_format2_wrong_length_names_the_expected_size(tmp_path, capsys, pauli21):
+    block = pauli21.unitaries.astype("<c16").tobytes()
+    path = tmp_path / "bad.json"
+    _write_format2(path, pauli21, unitaries=base64.b64encode(block[:-16]).decode())
+    capsys.readouterr()
+    assert run(["certify", str(path)]) == 2
+    assert f"unitaries holds {len(block) - 16} bytes, expected 16*N*d^2 = {len(block)}" in (
+        capsys.readouterr().err
+    )
+
+
+def test_format2_non_finite_bytes_are_rejected(tmp_path, capsys, pauli21):
+    u = pauli21.unitaries.copy()
+    u[2, 1, 0] = complex(np.nan, 0.0)
+    path = tmp_path / "nan.json"
+    _write_format2(path, pauli21, unitaries=base64.b64encode(u.astype("<c16").tobytes()).decode())
+    capsys.readouterr()
+    assert run(["certify", str(path)]) == 2
+    assert "unitaries must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("version", [0, 3, "2", None, True])
+def test_other_ensemble_format_versions_are_rejected(tmp_path, capsys, pauli21, version):
+    path = tmp_path / "v.json"
+    _write_format2(path, pauli21, format=version)
+    capsys.readouterr()
+    assert run(["certify", str(path)]) == 2
+    assert f"unsupported format version {version!r}" in capsys.readouterr().err
+
+
+def test_kraus_and_matrix_files_stay_at_format_1(tmp_path, capsys):
+    scheme = tmp_path / "c2.json"
+    run(["gen", "clifford", "--p", "2", "-o", str(scheme)])
+    pairs = files.matrix_to_pairs(np.eye(2))
+    kraus, state = tmp_path / "kraus.json", tmp_path / "state.json"
+    for version in (2, True):
+        kraus.write_text(json.dumps({"format": version, "d": 2, "kraus": [pairs]}))
+        state.write_text(json.dumps({"format": version, "d": 2, "state": pairs}))
+        for adv in (str(kraus), f"replace:{state}"):
+            capsys.readouterr()
+            assert run(["attack", "--scheme", str(scheme), "--adv", adv]) == 2
+            assert f"unsupported format version {version!r}" in capsys.readouterr().err
+
+
+def test_format1_file_loads_like_format2(tmp_path, capsys):
+    v2 = tmp_path / "v2.json"
+    argv = ["gen", "sampled", "--d", "3", "--n", "40", "--seed", "4", "--from", "haar"]
+    assert run(argv + ["-o", str(v2)]) == 0
+    e = files.load_ensemble(str(v2))
+    v1 = tmp_path / "v1.json"
+    save_format1_ensemble(v1, e)
+    back = files.load_ensemble(str(v1))
+    assert back.unitaries.tobytes() == e.unitaries.tobytes()
+    assert back.weights.tobytes() == e.weights.tobytes()
+    reports = []
+    for path in (v2, v1):
+        capsys.readouterr()
+        code = run(["certify", str(path), "--mode", "both"])
+        report = json.loads(capsys.readouterr().out)
+        assert report.pop("input_digest") == files.file_digest(str(path))
+        reports.append((code, report))
+    assert reports[0] == reports[1]
+    save_format1_ensemble(v1, _edge_ensemble())
+    assert files.load_ensemble(str(v1)).unitaries.tobytes() == _edge_ensemble().unitaries.tobytes()
+
+
+@pytest.mark.parametrize("d", [1, 0])
+def test_dimension_below_two_is_a_usage_error(tmp_path, capsys, d):
+    one = UnitaryEnsemble(d=1, weights=np.array([1.0]), unitaries=np.ones((1, 1, 1)))
+    v2 = tmp_path / "v2.json"
+    _write_format2(v2, one, d=d)
+    v1 = tmp_path / "v1.json"
+    v1.write_text(json.dumps({**format1_ensemble_dict(one), "d": d}))
+    kraus = tmp_path / "kraus.json"
+    kraus.write_text(json.dumps({"format": 1, "d": d, "kraus": [files.matrix_to_pairs(np.eye(2))]}))
+    scheme = tmp_path / "c2.json"
+    run(["gen", "clifford", "--p", "2", "-o", str(scheme)])
+    for argv in (["certify", str(v2)], ["certify", str(v1)],
+                 ["attack", "--scheme", str(v1), "--adv", "identity"],
+                 ["attack", "--scheme", str(scheme), "--adv", str(kraus)]):
+        capsys.readouterr()
+        assert run(argv) == 2
+        assert f"d must be an integer >= 2, got {d}" in capsys.readouterr().err
+    out = tmp_path / "s.json"
+    assert run(["gen", "sampled", "--from", "haar", "--d", str(d), "--n", "3", "-o", str(out)]) == 2
+    assert f"d must be >= 2, got {d}" in capsys.readouterr().err
     assert not out.exists()

@@ -12,7 +12,7 @@ from qnm import (
 )
 from qnm.construct import _canonical_key
 
-from helpers import haar_batch, philox
+from helpers import haar_batch, loop_haar, philox
 
 
 def test_clifford_sizes():
@@ -112,6 +112,16 @@ def test_sample_design_deterministic_and_seed_sensitive():
     assert not np.array_equal(a.unitaries, c.unitaries)
 
 
+@pytest.mark.parametrize("d", [2, 7])
+@pytest.mark.parametrize("seed", [0, 31])
+def test_batched_haar_draws_match_the_per_key_loop_bit_for_bit(d, seed):
+    e = sample_design(SamplerConfig(d=d, n_samples=60, seed=seed, source="haar"))
+    rng = philox(seed)
+    looped = np.array([haar_unitary(d, rng) for _ in range(60)])
+    assert e.unitaries.tobytes() == looped.tobytes()
+    assert e.unitaries.tobytes() == loop_haar(d, 60, philox(seed)).tobytes()
+
+
 def test_sample_design_haar_source():
     e = sample_design(SamplerConfig(d=3, n_samples=5, seed=2, source="haar"))
     assert e.size == 5 and e.d == 3
@@ -127,6 +137,9 @@ def test_sampled_clifford_reaches_quarter_theta():
 
 
 def test_sampler_config_validation():
+    for d in (1, 0):
+        with pytest.raises(ValueError, match=f"d must be >= 2, got {d}"):
+            SamplerConfig(d=d, n_samples=3, seed=1, source="haar")
     with pytest.raises(ValueError):
         SamplerConfig(d=2, n_samples=0, seed=1, source="clifford")
     with pytest.raises(ValueError):
