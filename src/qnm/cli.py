@@ -15,9 +15,8 @@ import sys
 import numpy as np
 
 from . import construct, files
-from .channels import constant_channel, identity_channel, unitary_channel
+from .channels import constant_channel, depolarizing_channel, identity_channel, unitary_channel
 from .design import certify_design, entropy_bound, rank_bound
-from .linalg import maximally_mixed
 from .nmes import EncryptionScheme, attack_report
 from .weyl import pauli_ensemble, weyl
 
@@ -108,7 +107,7 @@ def _parse_adversary(selector: str, d: int):
     if selector.startswith("replace:"):
         arg = selector.split(":", 1)[1]
         if arg == "tau":
-            return constant_channel(maximally_mixed(d))
+            return depolarizing_channel(d)
         if arg.isdigit():
             j = int(arg)
             if j >= d:
@@ -201,14 +200,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    handler = {
-        "gen": cmd_gen,
-        "certify": cmd_certify,
-        "attack": cmd_attack,
-        "bounds": cmd_bounds,
-    }[args.command]
+    handler = {"gen": cmd_gen, "certify": cmd_certify, "attack": cmd_attack, "bounds": cmd_bounds}
     try:
-        return handler(args)
+        return handler[args.command](args)
     except (ValueError, FileNotFoundError) as exc:  # ValueError includes JSON decode errors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

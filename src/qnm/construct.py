@@ -40,6 +40,8 @@ class SamplerConfig:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.source not in ("clifford", "haar"):
             raise ValueError(f"source must be 'clifford' or 'haar', got {self.source!r}")
+        if self.source == "clifford" and not (is_prime(self.d) and self.d <= CLIFFORD_PRIME_CAP):
+            raise ValueError(f"d must be a prime <= {CLIFFORD_PRIME_CAP} for clifford, got {self.d}")
 
 
 def _clifford_generators(p: int) -> list:

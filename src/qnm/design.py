@@ -8,14 +8,16 @@ the operator
 
 on four d-level systems, whose ideal (Haar) value has the closed form
 
-    Omega_haar = 1/d^2 * Phi_d (x) Phi_d
-               + 1/(d^2 (d^2-1)) * (1 - Phi_d) (x) (1 - Phi_d).
+    Omega_haar = 1/d^2 * P1 + 1/(d^2 (d^2-1)) * P2,
+    P1 = Phi_d (x) Phi_d,   P2 = (1 - Phi_d) (x) (1 - Phi_d).
 
 The ensemble is a unitary 2-design exactly when Omega equals Omega_haar,
 which is what :func:`certify_design` measures.
 
-Omega is held in the real Liouville basis (:func:`ensemble_choi`), where it is real
-symmetric and Omega_haar is unchanged, so every grade is computed in real arithmetic.
+Omega is held in the real Liouville basis (:func:`ensemble_choi`) and graded, in real
+arithmetic, in the adjoint frame whose first basis element is 1/sqrt(d). There U (x) conj(U)
+is 1 (+) R_U, and Omega_haar, its support and the sandwich A are diagonal, with 0 on the mixed
+entries (Gross, Audenaert and Eisert, J. Math. Phys. 48, 052104 (2007)).
 """
 
 import math
@@ -140,24 +142,31 @@ def iso_project(x: np.ndarray, d: int):
     return IsotropicDecomposition(alpha=alpha, beta=beta, residual=residual), projected
 
 
-def _haar_span(d: int, a: float, b: float):
-    """Real W (rows phi (x) e_m, e_m (x) phi, phi (x) phi) and coef, a P1 + b P2 = b 1 + W^T D W.
+def _adjoint_frame(x: np.ndarray, d: int) -> np.ndarray:
+    """(H (x) H) x (H (x) H) of a d^4 x d^4 ``x``, as a new array; H^2 = 1, so it also maps back.
 
-    D = diag(coef), as P2 = 1 - Phi (x) 1 - 1 (x) Phi + P1.
+    H, the Householder reflection taking phi = vec(1)/sqrt(d) to e_0, moves only the d diagonal
+    coordinates (i, i) of a d^2 axis: one d x d product on each of the four axes.
     """
-    dd = d * d
-    phi = np.eye(d).reshape(1, dd) / math.sqrt(d)
-    w = np.vstack([np.kron(phi, np.eye(dd)), np.kron(np.eye(dd), phi), np.kron(phi, phi)])
-    return w, np.r_[np.full(2 * dd, -b), a + b]
+    v = np.eye(d)[0] - 1 / math.sqrt(d)
+    h = np.eye(d) - 2 * np.outer(v, v) / (v @ v)
+    y = np.array(x, dtype=np.result_type(x, np.float64)).reshape((d * d,) * 4)
+    for axis in range(4):
+        z = np.moveaxis(y, axis, 0)[:: d + 1]  # a view of y: the diagonal coordinates
+        z[...] = np.tensordot(h, z, axes=1)
+    return y.reshape(x.shape)
+
+
+def _haar_diagonal(d: int) -> np.ndarray:
+    """h with Omega_haar = diag(h) in the adjoint frame; h is 0 on the 2 (d^2 - 1) mixed entries."""
+    h = np.pad(np.full((d * d - 1, d * d - 1), 1 / (d**2 * (d**2 - 1))), (1, 0))
+    h[0, 0] = 1 / d**2
+    return h.reshape(-1)
 
 
 def ideal_choi(d: int) -> np.ndarray:
     """Second-moment operator of the Haar twirl, in closed form (d^4 x d^4, real)."""
-    b = 1 / (d**2 * (d**2 - 1))
-    w, coef = _haar_span(d, 1 / d**2, b)
-    out = w.T @ (coef[:, None] * w)
-    out.flat[:: d**4 + 1] += b
-    return out
+    return _adjoint_frame(np.diag(_haar_diagonal(d)), d)
 
 
 _ROW_BLOCK = 1 << 18  # complex entries per key block of ensemble_choi's intermediate
@@ -254,16 +263,30 @@ def conjectured_rank_bound(d: int) -> int:
     return d * d * (d * d - 1)
 
 
+def _haar_deviation(omega: np.ndarray, d: int):
+    """(X, h, leak): X = (H (x) H) (Omega - Omega_haar) (H (x) H) as a new array, with
+    Omega_haar = diag(h) there, and the support leak, the sum of X's diagonal where h is 0."""
+    x = _adjoint_frame(omega, d)
+    h = _haar_diagonal(d)
+    x.flat[:: len(h) + 1] -= h
+    return x, h, float(np.real(np.sum(np.diagonal(x)[h == 0])))
+
+
+def _sandwich_theta(x: np.ndarray, h: np.ndarray) -> float:
+    """max |eig(A X A)| for A = diag(h^(-1/2)) on the support of h, 0 off it; scales X in place."""
+    s = np.where(h > 0, h, np.inf) ** -0.5
+    x *= s[:, None]
+    x *= s
+    return float(np.max(np.abs(np.linalg.eigvalsh(x))))
+
+
 def support_leak(omega: np.ndarray, d: int) -> float:
     """tr Omega - tr((P1 + P2) Omega), the weight outside the support of Omega_haar.
 
-    It is -sum_i coef_i (W Omega W^T)_ii for P1 + P2 = 1 + W^T diag(coef) W, and is zero, up to
-    rounding, for the Omega of any ensemble.
+    It is the sum of the 2 (d^2 - 1) mixed diagonal entries of Omega in the adjoint frame, zero
+    up to rounding for the Omega of any ensemble, whose keys act there as 1 (+) R_k.
     """
-    w, coef = _haar_span(d, 1.0, 1.0)
-    cols = np.flatnonzero(w.any(axis=0))  # W is zero outside these 2 d^3 - d^2 columns
-    w = w[:, cols]
-    return -float(np.real(coef @ np.sum((w @ omega[np.ix_(cols, cols)]) * w, axis=1)))
+    return _haar_deviation(omega, d)[2]
 
 
 def multiplicative_theta(
@@ -271,22 +294,14 @@ def multiplicative_theta(
 ) -> float | None:
     """Largest relative eigenvalue deviation of Omega on the ideal support.
 
-    Omega_haar has eigenvalue 1/d^2 on P1 = Phi (x) Phi and 1/(d^2 (d^2-1))
-    on P2 = (1 - Phi) (x) (1 - Phi), so its pseudo-inverse square root is
-    A = d P1 + d sqrt(d^2 - 1) P2 and A Omega_haar A = P1 + P2 is the support
-    projector. The result is theta = max |eig(A (Omega - Omega_haar) A)|, the
-    smallest theta with (1-theta) Omega_haar <= Omega <= (1+theta) Omega_haar
-    when Omega is supported inside P1 + P2. If :func:`support_leak` exceeds
-    ``leak_tol`` (by default ``SUPPORT_LEAK_TOL`` of this module), returns None.
+    In the adjoint frame Omega_haar = diag(h), so its pseudo-inverse square root is A = diag(s),
+    s = h^(-1/2) on P1 + P2 and 0 on the mixed entries. The result, max |eig(A (Omega -
+    Omega_haar) A)|, is the smallest theta with (1-theta) Omega_haar <= Omega <= (1+theta)
+    Omega_haar when Omega lies inside P1 + P2; it is None if :func:`support_leak` exceeds
+    ``leak_tol`` (by default this module's ``SUPPORT_LEAK_TOL``).
     """
-    if support_leak(omega, d) > leak_tol:
-        return None
-    c = d * math.sqrt(d * d - 1)
-    w, coef = _haar_span(d, d, c)  # A = c 1 + W^T diag(coef) W, W of rank 2 d^2 + 1
-    x = omega - ideal_choi(d)
-    for _ in range(2):  # (A X)^dagger = X A, as X is Hermitian and A real symmetric
-        x = (c * x + w.T @ (coef[:, None] * (w @ x))).conj().T
-    return float(np.max(np.abs(np.linalg.eigvalsh(x))))
+    x, h, leak = _haar_deviation(omega, d)
+    return None if leak > leak_tol else _sandwich_theta(x, h)
 
 
 def certify_design(e: UnitaryEnsemble, tol: float = DEFAULT_CERT_TOL) -> CertificationReport:
@@ -302,15 +317,13 @@ def certify_design(e: UnitaryEnsemble, tol: float = DEFAULT_CERT_TOL) -> Certifi
     """
     d = e.d
     omega = ensemble_choi(e)
-    two_dist = trace_norm(omega - ideal_choi(d))
+    x, h, leak = _haar_deviation(omega, d)  # a rotated copy: omega itself is left as built
+    two_dist = trace_norm(x)
+    theta = None if leak > SUPPORT_LEAK_TOL else _sandwich_theta(x, h)
+    del x
     one_dist = one_design_distance(e)
-    leak = support_leak(omega, d)
-    theta = multiplicative_theta(omega, d)
     rank = num_rank(omega, 1e-10)
     bound = rank_bound(d)
-    fp = frame_potential(e, omega)
-    ent = ensemble_entropy(e)
-    ent_bound = entropy_bound(d, two_dist) if two_dist <= 1 / math.e else None
     return CertificationReport(
         d=d,
         n=e.size,
@@ -322,9 +335,9 @@ def certify_design(e: UnitaryEnsemble, tol: float = DEFAULT_CERT_TOL) -> Certifi
         omega_rank=rank,
         rank_bound=bound,
         conjectured_rank_bound=conjectured_rank_bound(d),
-        frame_potential=fp,
-        entropy_bits=ent,
-        entropy_bound_bits=ent_bound,
+        frame_potential=frame_potential(e, omega),
+        entropy_bits=ensemble_entropy(e),
+        entropy_bound_bits=entropy_bound(d, two_dist) if two_dist <= 1 / math.e else None,
         passes_2design_at=tol,
         passes_one_design=one_dist <= tol,
         passes_two_design=two_dist <= tol,

@@ -112,8 +112,7 @@ def save_ensemble(path: str, e: UnitaryEnsemble, meta: dict | None = None):
 
 def load_ensemble(path: str) -> UnitaryEnsemble:
     with open(path) as fh:
-        obj = json.load(fh)
-    return ensemble_from_dict(obj, path)
+        return ensemble_from_dict(json.load(fh), path)
 
 
 def load_kraus_channel(path: str) -> KrausChannel:

@@ -6,24 +6,15 @@ plaintext by a uniformly random Weyl operator is the standard d-dimensional
 one-time pad; it hides the state perfectly but is maximally malleable.
 """
 
+import math
+
 import numpy as np
 
 from .design import UnitaryEnsemble
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+    return n >= 2 and all(n % f for f in range(2, math.isqrt(n) + 1))
 
 
 def weyl(d: int, a: int, b: int) -> np.ndarray:

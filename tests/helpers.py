@@ -9,7 +9,6 @@ import math
 
 import numpy as np
 
-from qnm.design import ideal_choi
 from qnm.files import matrix_to_pairs
 from qnm.weyl import weyl
 
@@ -80,8 +79,12 @@ def mc_haar_twirl(inputs, d: int, n_samples: int, seed: int, chunk: int = 2000) 
 
 
 def eigh_theta(omega: np.ndarray, d: int, leak_tol: float = 1e-9):
-    """Multiplicative theta from a numerical eigendecomposition of Omega_haar (None on leak)."""
-    vals, vecs = np.linalg.eigh(ideal_choi(d))
+    """Multiplicative theta from a numerical eigendecomposition of Omega_haar (None on leak).
+
+    Omega_haar is built from the dense projectors of :func:`haar_projectors`, not the library.
+    """
+    p1, p2 = haar_projectors(d)
+    vals, vecs = np.linalg.eigh(p1 / d**2 + p2 / (d**2 * (d**2 - 1)))
     on_support = vals > 1e-12
     v = vecs[:, on_support]
     inside = float(np.real(np.trace(v.conj().T @ omega @ v)))

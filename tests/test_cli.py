@@ -59,6 +59,16 @@ def test_gen_sampled_rejects_negative_seed(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("d", ["4", "7"])
+def test_gen_sampled_clifford_names_d_and_the_cap(tmp_path, capsys, d):
+    out = tmp_path / "s.json"
+    assert run(["gen", "sampled", "--d", d, "--n", "5", "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"d must be a prime <= 5 for clifford, got {d}" in err and "--p" not in err
+    assert not out.exists()
+    assert run(["gen", "sampled", "--d", d, "--n", "5", "--from", "haar", "-o", str(out)]) == 0
+
+
 def test_gen_requires_params(tmp_path):
     assert run(["gen", "clifford", "-o", str(tmp_path / "x.json")]) == 2
     assert run(["gen", "sampled", "--d", "2", "-o", str(tmp_path / "x.json")]) == 2

@@ -146,6 +146,10 @@ def test_sampler_config_validation():
         SamplerConfig(d=2, n_samples=5, seed=1, source="fourier")
     with pytest.raises(ValueError):
         sample_design(SamplerConfig(d=4, n_samples=3, seed=1, source="clifford"))
+    for d in (4, 7):
+        with pytest.raises(ValueError, match=f"d must be a prime <= 5 for clifford, got {d}"):
+            SamplerConfig(d=d, n_samples=3, seed=1, source="clifford")
+        SamplerConfig(d=d, n_samples=3, seed=1, source="haar")
 
 
 def test_recommended_n_quadratic_in_theta():

@@ -19,6 +19,7 @@ from qnm import (
     support_leak,
     trace_norm,
 )
+from qnm import design
 from qnm.construct import SamplerConfig, clifford_prime, sample_design
 
 from helpers import (
@@ -358,17 +359,21 @@ def test_real_basis_grades_match_computational_reference(name, request):
     assert abs(report.support_leak) <= 1e-12
 
 
-@pytest.mark.parametrize("d", [2, 3, 5])
+@pytest.mark.parametrize("d", [2, 3, 5, 7])
 def test_liouville_basis_fixes_the_haar_span(d):
     t = liouville_t(d)
     assert np.max(np.abs(t @ t.conj().T - np.eye(d * d))) <= 1e-14
-    big = np.kron(t, t.conj())
+    one = np.eye(d).reshape(-1)
+    assert np.max(np.abs(t @ one - one)) <= 1e-14  # so t (x) conj(t) fixes P1 and P2
     p1, p2 = haar_projectors(d)
     haar = p1 / d**2 + p2 / (d**2 * (d**2 - 1))
+    del p1, p2
     assert np.max(np.abs(ideal_choi(d) - haar)) <= 1e-14
-    assert np.max(np.abs(big @ haar @ big.conj().T - haar)) <= 1e-14
-    phi = max_entangled(d * d)
-    assert np.max(np.abs(big @ phi @ big.conj().T - phi)) <= 1e-14
+    if d <= 5:  # at d = 7 the dense complex conjugations below would hold ~0.5 GB
+        big = np.kron(t, t.conj())
+        assert np.max(np.abs(big @ haar @ big.conj().T - haar)) <= 1e-14
+        phi = max_entangled(d * d)
+        assert np.max(np.abs(big @ phi @ big.conj().T - phi)) <= 1e-14
 
 
 @pytest.mark.parametrize("name", ["clifford2", "weighted3", "haar3_few", "sampled3"])
@@ -379,3 +384,40 @@ def test_ensemble_choi_is_the_reference_in_the_real_basis(name, request):
     big = np.kron(liouville_t(e.d), liouville_t(e.d).conj())
     ref = computational_choi(e.weights, e.unitaries)
     assert np.max(np.abs(big @ ref @ big.conj().T - omega)) <= 1e-14
+
+
+@pytest.mark.parametrize("name", ["clifford3", "haar4", "weighted3"])
+def test_certify_design_leaves_the_built_omega_untouched(name, request, monkeypatch):
+    e = request.getfixturevalue(name)
+    built = design.ensemble_choi
+    kept = []
+
+    def keep(*args, **kwargs):  # wraps the module attribute, as the benchmark's tracer does
+        omega = built(*args, **kwargs)
+        kept.append((omega, omega.copy()))
+        return omega
+
+    def forbidden(d):
+        raise AssertionError("certify_design must not build ideal_choi")
+
+    monkeypatch.setattr(design, "ensemble_choi", keep)
+    monkeypatch.setattr(design, "ideal_choi", forbidden)
+    report = certify_design(e)
+    [(omega, before)] = kept
+    assert omega.tobytes() == before.tobytes()
+    assert report.multiplicative_theta is not None
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_frame_grades_match_dense_projectors_off_the_ensemble_manifold(d):
+    omega = random_density(d**4, philox(80 + d))  # trace one, PSD, mostly off the Haar support
+    p1, p2 = haar_projectors(d)
+    support = p1 + p2
+    want = float(np.real(np.trace(omega) - np.trace(support @ omega)))
+    assert want >= 0.1
+    assert abs(support_leak(omega, d) - want) <= 1e-12
+    assert multiplicative_theta(omega, d) is None and projector_theta(omega, d) is None
+    inside = support @ omega @ support
+    assert abs(support_leak(inside, d)) <= 1e-12
+    theta = multiplicative_theta(inside, d)
+    assert theta >= 0.1 and abs(theta - projector_theta(inside, d)) <= 1e-12
