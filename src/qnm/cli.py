@@ -16,7 +16,8 @@ import numpy as np
 
 from . import construct, files
 from .channels import constant_channel, depolarizing_channel, identity_channel, unitary_channel
-from .design import certify_design, entropy_bound, rank_bound
+from .design import DEFAULT_CERT_TOL, certify_design, entropy_bound, rank_bound
+from .linalg import check_tol
 from .nmes import EncryptionScheme, attack_report
 from .weyl import pauli_ensemble, weyl
 
@@ -25,24 +26,16 @@ EXIT_CERT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
 
-DEFAULT_TOL = 1e-9
-
-
-def _check_tol(tol: float, name: str) -> float:
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError(f"{name} must be finite and > 0, got {tol!r}")
-    return tol
-
 
 def _default_tol() -> float:
     raw = os.environ.get("QNM_TOL")
     if raw is None:
-        return DEFAULT_TOL
+        return DEFAULT_CERT_TOL
     try:
         tol = float(raw)
     except ValueError:
         raise ValueError(f"QNM_TOL is not a number: {raw!r}")
-    return _check_tol(tol, "QNM_TOL")
+    return check_tol(tol, "QNM_TOL")
 
 
 def _write_json(obj: dict, out_path: str | None) -> int:
@@ -88,7 +81,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    tol = _check_tol(args.tol, "--tol") if args.tol is not None else _default_tol()
+    tol = check_tol(args.tol, "--tol") if args.tol is not None else _default_tol()
     ensemble = files.load_ensemble(args.input)
     report = certify_design(ensemble, tol=tol)
     digest = files.file_digest(args.input)

@@ -17,7 +17,8 @@ which is what :func:`certify_design` measures.
 Omega is held in the real Liouville basis (:func:`ensemble_choi`) and graded, in real
 arithmetic, in the adjoint frame whose first basis element is 1/sqrt(d). There U (x) conj(U)
 is 1 (+) R_U, and Omega_haar, its support and the sandwich A are diagonal, with 0 on the mixed
-entries (Gross, Audenaert and Eisert, J. Math. Phys. 48, 052104 (2007)).
+entries (Gross, Audenaert and Eisert, J. Math. Phys. 48, 052104 (2007)). Certifying takes one
+d^4 eigensolve (the trace norm) and one on the 1 + (d^2 - 1)^2 support (theta and rank).
 """
 
 import math
@@ -25,12 +26,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import gram_choi, kron, maximally_mixed, num_rank, trace_norm
+from .linalg import check_tol, gram_choi, kron, maximally_mixed, trace_norm
 
 UNITARY_INGEST_TOL = 1e-8
 WEIGHT_TOL = 1e-12
 DEFAULT_CERT_TOL = 1e-9
 SUPPORT_LEAK_TOL = 1e-9
+RANK_TOL = 1e-10
+"""certify_design counts eigenvalues of A Omega A above d^2 (d^2 - 1) RANK_TOL. Each is t times
+one of Omega's, t in [d^2, d^2 (d^2 - 1)] (Ostrowski), so an eigenvalue of Omega above
+(d^2 - 1) RANK_TOL always counts towards its rank, and one at or below RANK_TOL never does."""
 
 
 @dataclass
@@ -272,12 +277,11 @@ def _haar_deviation(omega: np.ndarray, d: int):
     return x, h, float(np.real(np.sum(np.diagonal(x)[h == 0])))
 
 
-def _sandwich_theta(x: np.ndarray, h: np.ndarray) -> float:
-    """max |eig(A X A)| for A = diag(h^(-1/2)) on the support of h, 0 off it; scales X in place."""
-    s = np.where(h > 0, h, np.inf) ** -0.5
-    x *= s[:, None]
-    x *= s
-    return float(np.max(np.abs(np.linalg.eigvalsh(x))))
+def _sandwich_spectrum(x: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Ascending eig(A X A) on the support of h, A = diag(h^(-1/2)) there; ``x`` is left as is.
+    A is 0 on the 2 (d^2 - 1) mixed entries, so dropping them drops only zero eigenvalues."""
+    s = h[h > 0] ** -0.5
+    return np.linalg.eigvalsh(x[np.ix_(h > 0, h > 0)] * s[:, None] * s)
 
 
 def support_leak(omega: np.ndarray, d: int) -> float:
@@ -298,31 +302,38 @@ def multiplicative_theta(
     s = h^(-1/2) on P1 + P2 and 0 on the mixed entries. The result, max |eig(A (Omega -
     Omega_haar) A)|, is the smallest theta with (1-theta) Omega_haar <= Omega <= (1+theta)
     Omega_haar when Omega lies inside P1 + P2; it is None if :func:`support_leak` exceeds
-    ``leak_tol`` (by default this module's ``SUPPORT_LEAK_TOL``).
+    ``leak_tol`` (by default this module's ``SUPPORT_LEAK_TOL``; it must be finite and > 0).
     """
+    check_tol(leak_tol, "leak_tol")
     x, h, leak = _haar_deviation(omega, d)
-    return None if leak > leak_tol else _sandwich_theta(x, h)
+    return None if leak > leak_tol else float(np.max(np.abs(_sandwich_spectrum(x, h))))
 
 
 def certify_design(e: UnitaryEnsemble, tol: float = DEFAULT_CERT_TOL) -> CertificationReport:
     """Grade an ensemble as an encryption scheme (1-design) and 2-design.
 
-    The additive grade is the trace norm ||Omega - Omega_haar||_1 on
-    second-moment operators; d^2 times it upper-bounds the diamond distance
-    of the corresponding twirls. The multiplicative grade is the operator
-    sandwich deviation (see :func:`multiplicative_theta`), next to the
-    :func:`support_leak` that decides whether it exists. Rank, frame
-    potential (FP = d^4 tr Omega^2, read off the same Omega) and key-entropy
-    diagnostics are filled in alongside; nothing held grows with N^2.
+    The additive grade is the trace norm ||Omega - Omega_haar||_1 on second-moment operators;
+    d^2 times it upper-bounds the diamond distance of the corresponding twirls. The
+    multiplicative grade is the operator sandwich deviation (see :func:`multiplicative_theta`),
+    next to the :func:`support_leak` that decides whether it exists. The rank of Omega (at
+    ``RANK_TOL``) comes from the same support eigensolve as theta. Frame potential (FP = d^4 tr
+    Omega^2, read off the same Omega) and key-entropy diagnostics are filled in alongside;
+    nothing held grows with N^2. ``tol`` must be finite and > 0.
     """
+    check_tol(tol, "tol")
     d = e.d
     omega = ensemble_choi(e)
+    fp = frame_potential(e, omega)
     x, h, leak = _haar_deviation(omega, d)  # a rotated copy: omega itself is left as built
-    two_dist = trace_norm(x)
-    theta = None if leak > SUPPORT_LEAK_TOL else _sandwich_theta(x, h)
-    del x
+    del omega
+    two_dist = float(np.sum(np.abs(np.linalg.eigvalsh(x))))  # x is symmetric by construction
+    mu = _sandwich_spectrum(x, h)  # mu + 1 = eig(A Omega A), of Omega's rank (Sylvester)
+    theta = None if leak > SUPPORT_LEAK_TOL else float(np.max(np.abs(mu)))
+    cut = d * d * (d * d - 1) * RANK_TOL
+    if mu[0] + 1 < -cut:
+        raise ValueError(f"Omega is not positive semidefinite (min eig(A Omega A) {mu[0] + 1:.3e})")
+    rank = int(np.count_nonzero(mu + 1 > cut))
     one_dist = one_design_distance(e)
-    rank = num_rank(omega, 1e-10)
     bound = rank_bound(d)
     return CertificationReport(
         d=d,
@@ -335,7 +346,7 @@ def certify_design(e: UnitaryEnsemble, tol: float = DEFAULT_CERT_TOL) -> Certifi
         omega_rank=rank,
         rank_bound=bound,
         conjectured_rank_bound=conjectured_rank_bound(d),
-        frame_potential=frame_potential(e, omega),
+        frame_potential=fp,
         entropy_bits=ensemble_entropy(e),
         entropy_bound_bits=entropy_bound(d, two_dist) if two_dist <= 1 / math.e else None,
         passes_2design_at=tol,

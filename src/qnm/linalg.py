@@ -33,6 +33,13 @@ def maximally_mixed(d: int) -> np.ndarray:
     return np.eye(d, dtype=complex) / d
 
 
+def check_tol(tol: float, name: str) -> float:
+    """``tol`` itself if it is a finite number > 0; else a ValueError naming ``name``."""
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"{name} must be finite and > 0, got {tol!r}")
+    return tol
+
+
 def is_hermitian(m: np.ndarray, tol: float = HERM_TOL) -> bool:
     m = np.asarray(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -109,10 +116,9 @@ def herm_eig(m: np.ndarray, tol: float = HERM_TOL):
 def num_rank(m: np.ndarray, tol: float) -> int:
     """Number of eigenvalues above ``tol`` for a PSD Hermitian matrix.
 
-    Raises ValueError if any eigenvalue lies below ``-tol``.
+    Raises ValueError if any eigenvalue lies below ``-tol``, or if ``tol`` is not finite and > 0.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    check_tol(tol, "tol")
     vals = np.linalg.eigvalsh(_check_hermitian(m, HERM_TOL))
     if vals[0] < -tol:
         raise ValueError(

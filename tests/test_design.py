@@ -421,3 +421,88 @@ def test_frame_grades_match_dense_projectors_off_the_ensemble_manifold(d):
     assert abs(support_leak(inside, d)) <= 1e-12
     theta = multiplicative_theta(inside, d)
     assert theta >= 0.1 and abs(theta - projector_theta(inside, d)) <= 1e-12
+
+
+@pytest.mark.parametrize("name", ["clifford3", "haar4"])
+def test_certify_design_makes_one_full_and_one_support_eigensolve(name, request, monkeypatch):
+    e = request.getfixturevalue(name)
+    d = e.d
+    calls = []
+    for kind in ("eigvalsh", "eigh", "svd"):
+        def counted(a, *args, _kind=kind, _solve=getattr(np.linalg, kind), **kwargs):
+            calls.append((_kind, np.shape(a)[-1]))
+            return _solve(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, kind, counted)
+    certify_design(e)
+    assert sorted(c for c in calls if c[1] > d * d) == [("eigvalsh", 1 + (d * d - 1) ** 2),
+                                                        ("eigvalsh", d**4)]
+    assert {kind for kind, _ in calls} == {"eigvalsh"}  # no eigh, no svd
+
+
+@pytest.fixture
+def repeated3():
+    keys = haar_batch(3, 40, philox(34))
+    return UnitaryEnsemble.uniform(3, np.concatenate([keys] * 3))  # 120 keys, 40 distinct
+
+
+@pytest.mark.parametrize("name, rank", [("singleton2", 1), ("repeated3", 40), ("haar4", 100)])
+def test_omega_rank_matches_eigh_of_the_computational_choi(name, rank, request):
+    e = request.getfixturevalue(name)
+    want = eigh_rank(computational_choi(e.weights, e.unitaries), 1e-10)
+    assert certify_design(e).omega_rank == want == rank
+
+
+def _support_omega(d, first, rest, seed):
+    """PSD Omega (real Liouville basis) with eigenvalue ``first`` on 1/sqrt(d) (x) 1/sqrt(d) and
+    ``rest``, in a random basis, on the traceless block: inside the support of Omega_haar."""
+    dd = d * d
+    rest = np.concatenate([rest, np.zeros((dd - 1) ** 2 - len(rest))])
+    q, _ = np.linalg.qr(philox(seed).normal(size=((dd - 1) ** 2,) * 2))
+    frame = np.zeros((dd,) * 4)
+    frame[0, 0, 0, 0] = first
+    frame[1:, 1:, 1:, 1:] = ((q * rest) @ q.T).reshape((dd - 1,) * 4)
+    return design._adjoint_frame(frame.reshape(dd * dd, dd * dd), d)
+
+
+def _rank_of(omega, d, monkeypatch):
+    """certify_design's omega_rank when ensemble_choi returns ``omega``."""
+    monkeypatch.setattr(design, "ensemble_choi", lambda e: omega)
+    report = certify_design(singleton(d))
+    assert abs(report.support_leak) <= 1e-14
+    return report.omega_rank
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_omega_rank_counts_outside_the_rank_tol_window(d, monkeypatch):
+    tol, wide = design.RANK_TOL, (d * d - 1) * design.RANK_TOL
+    # on 1/sqrt(d) A^2 is smallest (d^2), on the traceless block largest (d^2 (d^2 - 1)):
+    # the two ends of the window, where a count is decided closest to the cut
+    rest = [0.5, 1e-3, 1.01 * wide, 0.99 * tol, 0.5 * tol, 1e-14]
+    assert _rank_of(_support_omega(d, 1.01 * wide, rest, 90 + d), d, monkeypatch) == 4
+    assert _rank_of(_support_omega(d, 0.99 * tol, rest, 90 + d), d, monkeypatch) == 3
+    # inside the window the count depends on the direction, as documented
+    assert _rank_of(_support_omega(d, 0.99 * wide, [1.01 * tol], 90 + d), d, monkeypatch) == 1
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_omega_rank_keeps_the_psd_check(d, monkeypatch):
+    tol = design.RANK_TOL
+    assert _rank_of(_support_omega(d, 0.25, [0.5, -0.5 * tol], 95 + d), d, monkeypatch) == 2
+    with pytest.raises(ValueError, match="not positive semidefinite"):
+        _rank_of(_support_omega(d, 0.25, [0.5, -2 * tol], 95 + d), d, monkeypatch)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1e-9])
+def test_multiplicative_theta_rejects_a_bad_leak_tol(bad):
+    phi = max_entangled(2)
+    outside = kron(phi, np.eye(4) - phi) / 3  # wholly outside the support: theta is None
+    with pytest.raises(ValueError, match="leak_tol must be finite and > 0"):
+        multiplicative_theta(outside, 2, leak_tol=bad)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1e-9])
+def test_certify_design_rejects_a_bad_tol(bad, pauli21):
+    # at tol = inf the one-time pad would pass as a 2-design
+    with pytest.raises(ValueError, match="^tol must be finite and > 0"):
+        certify_design(pauli21, tol=bad)

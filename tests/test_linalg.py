@@ -181,3 +181,10 @@ def test_gram_choi_of_real_rows_is_real_and_exactly_symmetric():
     g = gram_choi(rows, 3)
     assert g.dtype == np.float64 and np.array_equal(g, g.T)
     assert np.max(np.abs(g - rows.T @ rows / 3)) <= 1e-14
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0, -1e-10])
+def test_num_rank_rejects_a_bad_tol(bad):
+    # with a NaN tol no eigenvalue would count
+    with pytest.raises(ValueError, match="^tol must be finite and > 0"):
+        num_rank(ideal_choi(2), bad)
