@@ -4,16 +4,18 @@ A channel Lambda with Kraus operators {K_m} acts as rho -> sum_m K_m rho
 K_m^dagger. Its Choi operator is omega = (Lambda (x) id) Phi_d (trace at
 most 1, exactly 1 for trace-preserving channels), and the channel is
 recovered through Lambda(rho) = d tr_2((1 (x) rho^T) omega), with the
-transpose taken in the computational basis.
+transpose taken in the computational basis. :func:`channel_from_choi` is the
+one way from a PSD operator to Kraus operators: the replacement attack
+rho -> eta tr(rho) is the channel whose Choi operator is eta (x) tau.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import gram_choi, maximally_mixed, partial_trace
+from .linalg import gram_choi, is_hermitian, maximally_mixed, partial_trace
 
-CPTNI_TOL = 1e-10
+CPTNI_TOL = 1e-10  # for sum K^dagger K - 1 (TP, TNI), Choi negativity and a state's trace
 KRAUS_CUTOFF = 1e-12
 
 
@@ -45,11 +47,6 @@ class KrausChannel:
             raise ValueError("Kraus operators must be finite")
         self.kraus_ops = ops.reshape(-1, *shape)
 
-    def completeness(self) -> np.ndarray:
-        """sum_m K_m^dagger K_m (equals 1 for trace-preserving channels)."""
-        stacked = self.kraus_ops.reshape(-1, self.d_in)  # the K_m on top of each other
-        return stacked.conj().T @ stacked
-
 
 @dataclass
 class CptniReport:
@@ -62,16 +59,14 @@ class CptniReport:
 def validate_cptni(ch: KrausChannel) -> CptniReport:
     """Classify a Kraus channel as trace preserving / non-increasing.
 
-    ``defect`` is the operator norm of sum K^dagger K - 1. Kraus form is
-    completely positive by construction, so is_cp is always true.
+    ``defect`` is the operator norm of sum K^dagger K - 1, read off the eigenvalues of that
+    Hermitian sum. Kraus form is completely positive by construction, so is_cp is always true.
     """
-    comp = ch.completeness()
-    eye = np.eye(ch.d_in)
-    defect = float(np.linalg.norm(comp - eye, ord=2))
-    evs = np.linalg.eigvalsh((comp + comp.conj().T) / 2)
+    stacked = ch.kraus_ops.reshape(-1, ch.d_in)  # the K_m on top of each other
+    evs = np.linalg.eigvalsh(stacked.conj().T @ stacked)
+    defect = float(max(1 - evs[0], evs[-1] - 1))
     is_tni = bool(evs[-1] <= 1 + CPTNI_TOL)
-    is_tp = defect <= CPTNI_TOL
-    return CptniReport(is_cp=True, is_tni=is_tni, is_tp=is_tp, defect=defect)
+    return CptniReport(is_cp=True, is_tni=is_tni, is_tp=defect <= CPTNI_TOL, defect=defect)
 
 
 def apply_channel(ch: KrausChannel, rho: np.ndarray) -> np.ndarray:
@@ -89,27 +84,26 @@ def identity_channel(d: int) -> KrausChannel:
 
 
 def unitary_channel(u: np.ndarray) -> KrausChannel:
-    u = np.asarray(u, dtype=complex)
-    d = u.shape[0]
-    return KrausChannel(d_in=d, d_out=d, kraus_ops=[u])
+    """Conjugation by ``u``; a ValueError if u^dagger u is not 1 within ``CPTNI_TOL``."""
+    ch = KrausChannel(d_in=len(u), d_out=len(u), kraus_ops=[u])
+    rep = validate_cptni(ch)
+    if not rep.is_tp:
+        raise ValueError(f"matrix is not unitary (defect {rep.defect:.3e})")
+    return ch
 
 
-def constant_channel(eta0: np.ndarray, tol: float = 1e-10) -> KrausChannel:
-    """The replacement attack rho -> eta0 * tr(rho) for a density matrix eta0."""
+def constant_channel(eta0: np.ndarray) -> KrausChannel:
+    """The replacement attack rho -> eta0 * tr(rho): the channel with Choi operator eta0 (x) tau."""
     eta0 = np.asarray(eta0, dtype=complex)
     if not np.all(np.isfinite(eta0)):
         raise ValueError("replacement state must be finite")
     d = eta0.shape[0]
-    if eta0.shape != (d, d) or np.max(np.abs(eta0 - eta0.conj().T)) > tol:
-        raise ValueError("replacement state must be a Hermitian square matrix")
-    vals, vecs = np.linalg.eigh(eta0)
-    if vals[0] < -tol or abs(vals.sum() - 1.0) > tol:
-        raise ValueError("replacement state must be positive semidefinite with unit trace")
-    keep = vals > KRAUS_CUTOFF
-    cols = np.sqrt(vals[keep]) * vecs[:, keep]
-    # K_(l, j) = sqrt(lam_l) v_l <j| for each kept eigenpair (lam_l, v_l) and basis state j
-    ops = cols.T[:, None, :, None] * np.eye(d)[None, :, None, :]
-    return KrausChannel(d_in=d, d_out=d, kraus_ops=ops.reshape(-1, d, d))
+    if eta0.shape != (d, d) or not abs(np.trace(eta0) - 1) <= CPTNI_TOL:
+        raise ValueError("replacement state must be a square matrix with unit trace")
+    try:  # eta0 (x) tau is Hermitian and PSD exactly when eta0 is
+        return channel_from_choi(np.kron(eta0, maximally_mixed(d)))
+    except ValueError as exc:
+        raise ValueError(f"replacement state must be Hermitian and PSD ({exc})") from None
 
 
 def depolarizing_channel(d: int) -> KrausChannel:
@@ -129,12 +123,12 @@ def choi_of(ch: KrausChannel) -> np.ndarray:
     return gram_choi(ch.kraus_ops.reshape(-1, ch.d_in * ch.d_out), ch.d_in)
 
 
-def channel_from_choi(omega: np.ndarray, tol: float = 1e-10) -> KrausChannel:
+def channel_from_choi(omega: np.ndarray) -> KrausChannel:
     """Kraus representation recovered from a Choi operator.
 
-    Eigendecomposes d * omega and keeps modes with eigenvalue above 1e-12;
-    the result reproduces d tr_2((1 (x) rho^T) omega) on any input. Raises
-    ValueError if omega is not PSD within ``tol``.
+    Eigendecomposes d * omega and keeps modes with eigenvalue above ``KRAUS_CUTOFF``; the result
+    reproduces d tr_2((1 (x) rho^T) omega) on any input. Raises ValueError if omega is not
+    Hermitian within ``linalg.HERM_TOL`` or has an eigenvalue of d * omega below -``CPTNI_TOL``.
     """
     omega = np.asarray(omega, dtype=complex)
     dd = omega.shape[0]
@@ -143,10 +137,10 @@ def channel_from_choi(omega: np.ndarray, tol: float = 1e-10) -> KrausChannel:
         raise ValueError(f"Choi operator must be d^2 x d^2, got shape {omega.shape}")
     if not np.all(np.isfinite(omega)):
         raise ValueError("Choi operator must be finite")
-    if np.max(np.abs(omega - omega.conj().T)) > tol:
+    if not is_hermitian(omega):
         raise ValueError("Choi operator must be Hermitian")
     vals, vecs = np.linalg.eigh(omega * d)
-    if vals[0] < -tol:
+    if vals[0] < -CPTNI_TOL:
         raise ValueError(f"Choi operator is not PSD (min eigenvalue {vals[0]:.3e})")
     keep = vals > KRAUS_CUTOFF
     ops = (np.sqrt(vals[keep]) * vecs[:, keep]).T.reshape(-1, d, d)

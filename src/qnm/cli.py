@@ -105,9 +105,7 @@ def _parse_adversary(selector: str, d: int):
             j = int(arg)
             if j >= d:
                 raise ValueError(f"replacement basis state {j} out of range for d={d}")
-            state = np.zeros((d, d), dtype=complex)
-            state[j, j] = 1.0
-            return constant_channel(state)
+            return constant_channel(np.diag(np.eye(d)[j]))
         return constant_channel(files.load_matrix(arg, "state"))
     if selector.startswith("weyl:"):
         try:

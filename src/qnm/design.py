@@ -293,20 +293,17 @@ def support_leak(omega: np.ndarray, d: int) -> float:
     return _haar_deviation(omega, d)[2]
 
 
-def multiplicative_theta(
-    omega: np.ndarray, d: int, leak_tol: float = SUPPORT_LEAK_TOL
-) -> float | None:
+def multiplicative_theta(omega: np.ndarray, d: int) -> float | None:
     """Largest relative eigenvalue deviation of Omega on the ideal support.
 
     In the adjoint frame Omega_haar = diag(h), so its pseudo-inverse square root is A = diag(s),
     s = h^(-1/2) on P1 + P2 and 0 on the mixed entries. The result, max |eig(A (Omega -
     Omega_haar) A)|, is the smallest theta with (1-theta) Omega_haar <= Omega <= (1+theta)
     Omega_haar when Omega lies inside P1 + P2; it is None if :func:`support_leak` exceeds
-    ``leak_tol`` (by default this module's ``SUPPORT_LEAK_TOL``; it must be finite and > 0).
+    ``SUPPORT_LEAK_TOL``, as in :func:`certify_design`.
     """
-    check_tol(leak_tol, "leak_tol")
     x, h, leak = _haar_deviation(omega, d)
-    return None if leak > leak_tol else float(np.max(np.abs(_sandwich_spectrum(x, h))))
+    return None if leak > SUPPORT_LEAK_TOL else float(np.max(np.abs(_sandwich_spectrum(x, h))))
 
 
 def certify_design(e: UnitaryEnsemble, tol: float = DEFAULT_CERT_TOL) -> CertificationReport:

@@ -6,6 +6,7 @@ by a tuple of factor dimensions where needed. Everything here is a pure
 function of its inputs.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -22,10 +23,7 @@ def kron(*ops) -> np.ndarray:
     """Kronecker product of one or more operators, left factor first."""
     if not ops:
         raise ValueError("kron needs at least one operand")
-    out = np.asarray(ops[0], dtype=complex)
-    for op in ops[1:]:
-        out = np.kron(out, np.asarray(op, dtype=complex))
-    return out
+    return functools.reduce(np.kron, [np.asarray(op, dtype=complex) for op in ops])
 
 
 def maximally_mixed(d: int) -> np.ndarray:
@@ -40,11 +38,14 @@ def check_tol(tol: float, name: str) -> float:
     return tol
 
 
+def hermitian_defect(m: np.ndarray) -> float:
+    """max |m - m^dagger| of a square matrix; NaN if ``m`` holds a NaN."""
+    return float(np.max(np.abs(m - m.conj().T)))
+
+
 def is_hermitian(m: np.ndarray, tol: float = HERM_TOL) -> bool:
     m = np.asarray(m)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        return False
-    return float(np.max(np.abs(m - m.conj().T))) <= tol
+    return m.ndim == 2 and m.shape[0] == m.shape[1] and hermitian_defect(m) <= tol
 
 
 def _check_square(m: np.ndarray) -> np.ndarray:
@@ -98,7 +99,7 @@ def trace_norm(m: np.ndarray) -> float:
 
 def _check_hermitian(m: np.ndarray, tol: float) -> np.ndarray:
     m = _check_square(m)
-    dev = float(np.max(np.abs(m - m.conj().T)))
+    dev = hermitian_defect(m)
     if not dev <= tol:  # a NaN deviation fails too
         raise ValueError(f"matrix is not Hermitian within {tol} (deviation {dev:.3e})")
     return m
@@ -136,6 +137,8 @@ def gram_choi(rows: np.ndarray, d: int) -> np.ndarray:
     """
     rows = np.asarray(rows)
     g = rows.T @ rows.conj()
-    g += g.conj().T
-    g /= 2 * d
+    if np.iscomplexobj(g):  # a real product comes from syrk, exactly symmetric already
+        g += g.conj().T
+        d *= 2
+    g /= d
     return g

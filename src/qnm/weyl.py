@@ -59,16 +59,9 @@ def pauli_ensemble(p: int, n: int = 1) -> UnitaryEnsemble:
         raise ValueError(f"p must be prime, got {p}")
     if n < 1:
         raise ValueError(f"n must be a positive integer, got {n}")
-    d = p**n
-    singles = {(a, b): weyl(p, a, b) for a in range(p) for b in range(p)}
-    num_keys = p ** (2 * n)
-    unitaries = np.empty((num_keys, d, d), dtype=complex)
-    for key in range(num_keys):
-        u = np.ones((1, 1), dtype=complex)
-        rem = key
-        for _ in range(n):
-            digit = rem % (p * p)
-            rem //= p * p
-            u = np.kron(u, singles[(digit % p, digit // p)])
-        unitaries[key] = u
-    return UnitaryEnsemble.uniform(d, unitaries)
+    singles = np.array([weyl(p, digit % p, digit // p) for digit in range(p * p)])
+    u = np.ones((1, 1, 1), dtype=complex)
+    for _ in range(n):  # the next factor's digit is the slow axis: u[digit, key] = u[key] (x) W
+        k, m = u.shape[0] * p * p, u.shape[1] * p
+        u = (u[None, :, :, None, :, None] * singles[:, None, None, :, None, :]).reshape(k, m, m)
+    return UnitaryEnsemble.uniform(p**n, u)

@@ -193,3 +193,18 @@ def save_format1_ensemble(path, e, meta: dict | None = None):
     with open(path, "w") as fh:
         json.dump(format1_ensemble_dict(e, meta), fh, indent=1)
         fh.write("\n")
+
+
+def loop_pauli_unitaries(p: int, n: int) -> np.ndarray:
+    """The p^(2n) keys of ``pauli_ensemble`` one by one: base-p^2 digit i of the key, a + p b,
+    picks W(a, b) for tensor factor i, and the factors are joined by np.kron, first one left."""
+    out = np.empty((p ** (2 * n), p**n, p**n), dtype=complex)
+    for key in range(len(out)):
+        u = np.ones((1, 1), dtype=complex)
+        rem = key
+        for _ in range(n):
+            digit = rem % (p * p)
+            rem //= p * p
+            u = np.kron(u, weyl(p, digit % p, digit // p))
+        out[key] = u
+    return out

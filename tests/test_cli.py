@@ -160,6 +160,34 @@ def test_attack_kraus_file_and_unitary_file(tmp_path, capsys):
     json.loads(capsys.readouterr().out)
 
 
+def test_attack_rejects_a_non_unitary_matrix(tmp_path, capsys):
+    scheme = tmp_path / "c2.json"
+    run(["gen", "clifford", "--p", "2", "-o", str(scheme)])
+    u_path = tmp_path / "u.json"
+    half = files.matrix_to_pairs(0.5 * np.eye(2))
+    u_path.write_text(json.dumps({"format": 1, "d": 2, "matrix": half}))
+    capsys.readouterr()
+    assert run(["attack", "--scheme", str(scheme), "--adv", f"unitary:{u_path}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "matrix is not unitary (defect 7.500e-01)" in captured.err
+
+
+@pytest.mark.parametrize(
+    "state",
+    [np.ones((2, 3)) / 2, np.array([[0.5, 0.1], [0.0, 0.5]]), np.diag([1.5, -0.5]), np.eye(2)],
+    ids=["non-square", "non-hermitian", "non-psd", "trace-2"],
+)
+def test_attack_rejects_a_replacement_that_is_not_a_state(tmp_path, capsys, state):
+    scheme = tmp_path / "c2.json"
+    run(["gen", "clifford", "--p", "2", "-o", str(scheme)])
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps({"format": 1, "d": 2, "state": files.matrix_to_pairs(state)}))
+    capsys.readouterr()
+    assert run(["attack", "--scheme", str(scheme), "--adv", f"replace:{path}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "error: replacement state must be" in captured.err
+
+
 def test_attack_invalid_adversary(tmp_path):
     scheme = tmp_path / "c2.json"
     run(["gen", "clifford", "--p", "2", "-o", str(scheme)])

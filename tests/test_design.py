@@ -494,14 +494,6 @@ def test_omega_rank_keeps_the_psd_check(d, monkeypatch):
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1e-9])
-def test_multiplicative_theta_rejects_a_bad_leak_tol(bad):
-    phi = max_entangled(2)
-    outside = kron(phi, np.eye(4) - phi) / 3  # wholly outside the support: theta is None
-    with pytest.raises(ValueError, match="leak_tol must be finite and > 0"):
-        multiplicative_theta(outside, 2, leak_tol=bad)
-
-
-@pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1e-9])
 def test_certify_design_rejects_a_bad_tol(bad, pauli21):
     # at tol = inf the one-time pad would pass as a 2-design
     with pytest.raises(ValueError, match="^tol must be finite and > 0"):

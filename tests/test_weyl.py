@@ -12,6 +12,8 @@ from qnm import (
 from qnm.design import ensemble_choi
 from qnm.weyl import is_prime, weyl_labels
 
+from helpers import loop_pauli_unitaries
+
 
 def test_weyl_qubit_shift():
     assert np.allclose(weyl(2, 1, 0), [[0, 1], [1, 0]])
@@ -101,6 +103,16 @@ def test_pauli_ensemble_rejects_composite():
         pauli_ensemble(4, 1)
     with pytest.raises(ValueError):
         pauli_ensemble(2, 0)
+
+
+@pytest.mark.parametrize("p,n", [(2, 1), (2, 3), (3, 2), (5, 1), (7, 1)])
+def test_pauli_ensemble_matches_the_per_key_kron_loop(p, n):
+    got = pauli_ensemble(p, n).unitaries
+    want = loop_pauli_unitaries(p, n)
+    assert got.shape == want.shape
+    if p == 2:  # real phases +-1: the same products, bit for bit
+        assert np.array_equal(got, want)
+    assert np.max(np.abs(got - want)) <= 1e-15
 
 
 @pytest.mark.parametrize("p,n", [(2, 1), (3, 1), (2, 2)])
