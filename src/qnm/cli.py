@@ -66,9 +66,7 @@ def cmd_gen(args) -> int:
     else:
         if args.d is None or args.n is None:
             raise ValueError("gen sampled requires --d and --n")
-        cfg = construct.SamplerConfig(
-            d=args.d, n_samples=args.n, seed=args.seed, source=args.source
-        )
+        cfg = construct.SamplerConfig(args.d, args.n, args.seed, args.source)
         ensemble = construct.sample_design(cfg)
         meta = {"source": args.source, "seed": args.seed, "n": args.n}
     try:
@@ -194,7 +192,7 @@ def main(argv=None) -> int:
     handler = {"gen": cmd_gen, "certify": cmd_certify, "attack": cmd_attack, "bounds": cmd_bounds}
     try:
         return handler[args.command](args)
-    except (ValueError, FileNotFoundError) as exc:  # ValueError includes JSON decode errors
+    except (ValueError, FileNotFoundError) as exc:  # ValueError includes unreadable JSON
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:

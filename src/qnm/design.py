@@ -77,8 +77,7 @@ class UnitaryEnsemble:
 
     @classmethod
     def uniform(cls, d: int, unitaries) -> "UnitaryEnsemble":
-        unitaries = np.asarray(unitaries, dtype=complex)
-        n = unitaries.shape[0]
+        n = len(unitaries)
         return cls(d=d, weights=np.full(n, 1.0 / n), unitaries=unitaries)
 
 

@@ -65,6 +65,15 @@ def _check_format(obj: dict, path: str, versions=(FORMAT_VERSION,)) -> int:
     return version
 
 
+def _read_json(path: str):
+    """json.load of ``path``; a parse failure, deep nesting included, is a ValueError naming it."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except (RecursionError, ValueError) as exc:  # ValueError: not JSON, or not UTF-8
+            raise ValueError(f"{path}: not readable as JSON ({exc})") from exc
+
+
 def _unpack_unitaries(text, n: int, d: int) -> np.ndarray:
     """Writable (n, d, d) complex array from format 2's base64 block of <c16 values."""
     if not isinstance(text, str):
@@ -111,32 +120,32 @@ def save_ensemble(path: str, e: UnitaryEnsemble, meta: dict | None = None):
 
 
 def load_ensemble(path: str) -> UnitaryEnsemble:
-    with open(path) as fh:
-        return ensemble_from_dict(json.load(fh), path)
+    return ensemble_from_dict(_read_json(path), path)
 
 
 def load_kraus_channel(path: str) -> KrausChannel:
     """Read an adversary channel stored as {"format": 1, "d": d, "kraus": [matrix...]}."""
-    with open(path) as fh:
-        obj = json.load(fh)
+    obj = _read_json(path)
     _check_format(obj, path)
     try:
         d = _dimension(obj)
         ops = [pairs_to_matrix(k, f"Kraus operator {m}") for m, k in enumerate(obj["kraus"])]
+        return KrausChannel(d_in=d, d_out=d, kraus_ops=ops)  # it checks each shape against d
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{path}: malformed Kraus file ({exc})") from exc
-    return KrausChannel(d_in=d, d_out=d, kraus_ops=ops)
 
 
 def load_matrix(path: str, key: str) -> np.ndarray:
-    """Read a single matrix file, e.g. {"format": 1, "d": d, "matrix": ...}."""
-    with open(path) as fh:
-        obj = json.load(fh)
+    """Read a single d x d matrix file, e.g. {"format": 1, "d": d, "matrix": ...}."""
+    obj = _read_json(path)
     _check_format(obj, path)
     try:
+        d = _dimension(obj)
         m = pairs_to_matrix(obj[key], key)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{path}: malformed matrix file ({exc})") from exc
+    if m.shape != (d, d):
+        raise ValueError(f"{path}: {key} must be d x d = {d} x {d}, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise ValueError(f"{path}: {key} must be finite")
     return m

@@ -9,6 +9,7 @@ import math
 
 import numpy as np
 
+from qnm.construct import _KEY_DECIMALS, _PHASE_PICK_TOL, _clifford_generators
 from qnm.files import matrix_to_pairs
 from qnm.weyl import weyl
 
@@ -208,3 +209,41 @@ def loop_pauli_unitaries(p: int, n: int) -> np.ndarray:
             u = np.kron(u, weyl(p, digit % p, digit // p))
         out[key] = u
     return out
+
+
+def loop_canonical_phase(u: np.ndarray) -> np.ndarray:
+    """``u`` times |z|/z, z its first entry in C order of modulus above the phase-pick tolerance."""
+    flat = u.reshape(-1)
+    z = flat[int(np.argmax(np.abs(flat) > _PHASE_PICK_TOL))]
+    return u * (abs(z) / z)
+
+
+def loop_canonical_key(u: np.ndarray) -> bytes:
+    """One matrix's key: its phase-fixed real part, rounded, then its imaginary part; -0.0 -> +0.0."""
+    v = loop_canonical_phase(u)
+    re = np.round(v.real, _KEY_DECIMALS) + 0.0
+    im = np.round(v.imag, _KEY_DECIMALS) + 0.0
+    return re.tobytes() + im.tobytes()
+
+
+def loop_clifford_elements(p: int) -> np.ndarray:
+    """The Clifford group mod phases by breadth-first closure, one g @ u product and key at a time.
+
+    Frontier elements in order, each times every generator in order; a new class keeps the
+    phase-fixed product, and the next frontier keeps the raw one.
+    """
+    gens = _clifford_generators(p)
+    eye = np.eye(p, dtype=complex)
+    seen = {loop_canonical_key(eye): loop_canonical_phase(eye)}
+    frontier = [eye]
+    while frontier:
+        fresh = []
+        for u in frontier:
+            for g in gens:
+                v = g @ u
+                key = loop_canonical_key(v)
+                if key not in seen:
+                    seen[key] = loop_canonical_phase(v)
+                    fresh.append(v)
+        frontier = fresh
+    return np.array(list(seen.values()))

@@ -173,11 +173,16 @@ def test_attack_rejects_a_non_unitary_matrix(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "state",
-    [np.ones((2, 3)) / 2, np.array([[0.5, 0.1], [0.0, 0.5]]), np.diag([1.5, -0.5]), np.eye(2)],
+    "state, error",
+    [
+        (np.ones((2, 3)) / 2, "{path}: state must be d x d = 2 x 2, got shape (2, 3)"),
+        (np.array([[0.5, 0.1], [0.0, 0.5]]), "replacement state must be Hermitian and PSD"),
+        (np.diag([1.5, -0.5]), "replacement state must be Hermitian and PSD"),
+        (np.eye(2), "replacement state must be a square matrix with unit trace"),
+    ],
     ids=["non-square", "non-hermitian", "non-psd", "trace-2"],
 )
-def test_attack_rejects_a_replacement_that_is_not_a_state(tmp_path, capsys, state):
+def test_attack_rejects_a_replacement_that_is_not_a_state(tmp_path, capsys, state, error):
     scheme = tmp_path / "c2.json"
     run(["gen", "clifford", "--p", "2", "-o", str(scheme)])
     path = tmp_path / "state.json"
@@ -185,7 +190,55 @@ def test_attack_rejects_a_replacement_that_is_not_a_state(tmp_path, capsys, stat
     capsys.readouterr()
     assert run(["attack", "--scheme", str(scheme), "--adv", f"replace:{path}"]) == 2
     captured = capsys.readouterr()
-    assert captured.out == "" and "error: replacement state must be" in captured.err
+    assert captured.out == "" and f"error: {error.format(path=path)}" in captured.err
+
+
+@pytest.mark.parametrize("prefix, key", [("replace", "state"), ("unitary", "matrix")])
+@pytest.mark.parametrize(
+    "d, m", [(2, np.ones((2, 3)) / 2), (3, np.eye(2))], ids=["non-square", "mismatched-d"]
+)
+def test_matrix_file_must_hold_a_d_by_d_matrix(tmp_path, capsys, prefix, key, d, m):
+    scheme = tmp_path / "c2.json"
+    run(["gen", "clifford", "--p", "2", "-o", str(scheme)])
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"format": 1, "d": d, key: files.matrix_to_pairs(m)}))
+    capsys.readouterr()
+    assert run(["attack", "--scheme", str(scheme), "--adv", f"{prefix}:{path}"]) == 2
+    captured = capsys.readouterr()
+    shape = f"{d} x {d}, got shape {m.shape}"
+    assert captured.out == "" and f"error: {path}: {key} must be d x d = {shape}" in captured.err
+
+
+def test_kraus_file_shape_error_names_the_file(tmp_path, capsys):
+    scheme = tmp_path / "c2.json"
+    run(["gen", "clifford", "--p", "2", "-o", str(scheme)])
+    path = tmp_path / "k.json"
+    kraus = [files.matrix_to_pairs(np.ones((2, 3)))]
+    path.write_text(json.dumps({"format": 1, "d": 2, "kraus": kraus}))
+    capsys.readouterr()
+    assert run(["attack", "--scheme", str(scheme), "--adv", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {path}: malformed Kraus file (Kraus operator 0 has shape (2, 3)" in err
+
+
+@pytest.mark.parametrize(
+    "adv", ["{path}", "replace:{path}", "unitary:{path}"], ids=["kraus", "replace", "unitary"]
+)
+def test_too_deeply_nested_json_is_a_usage_error(tmp_path, capsys, adv):
+    scheme = tmp_path / "c2.json"
+    run(["gen", "clifford", "--p", "2", "-o", str(scheme)])
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    capsys.readouterr()
+    assert run(["attack", "--scheme", str(scheme), "--adv", adv.format(path=path)]) == 2
+    assert f"error: {path}: not readable as JSON" in capsys.readouterr().err
+
+
+def test_too_deeply_nested_ensemble_file_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    assert run(["certify", str(path), "--mode", "both"]) == 2
+    assert f"error: {path}: not readable as JSON" in capsys.readouterr().err
 
 
 def test_attack_invalid_adversary(tmp_path):

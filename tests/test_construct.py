@@ -10,9 +10,20 @@ from qnm import (
     sample_design,
     weyl,
 )
-from qnm.construct import _canonical_key
+from qnm.construct import _canonical, _clifford_elements
 
-from helpers import haar_batch, loop_haar, philox
+from helpers import (
+    haar_batch,
+    loop_canonical_key,
+    loop_canonical_phase,
+    loop_clifford_elements,
+    loop_haar,
+    philox,
+)
+
+
+def _keys(us) -> set:
+    return set(_canonical(us)[1])
 
 
 def test_clifford_sizes():
@@ -31,18 +42,32 @@ def test_clifford_elements_unitary_and_distinct(clifford3):
     eye = np.eye(3)
     for u in clifford3.unitaries:
         assert np.max(np.abs(u.conj().T @ u - eye)) <= 1e-12
-    keys = {_canonical_key(u) for u in clifford3.unitaries}
-    assert len(keys) == 216
+    assert len(_keys(clifford3.unitaries)) == 216
 
 
 @pytest.mark.parametrize("p", [2, 3])
 def test_clifford_closed_under_multiplication(p):
     e = clifford_prime(p)
-    keys = {_canonical_key(u) for u in e.unitaries}
     rng = philox(80 + p)
-    idx = rng.integers(0, e.size, size=(40, 2))
-    for i, j in idx:
-        assert _canonical_key(e.unitaries[i] @ e.unitaries[j]) in keys
+    i, j = rng.integers(0, e.size, size=(2, 40))
+    assert _keys(e.unitaries[i] @ e.unitaries[j]) <= _keys(e.unitaries)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_clifford_elements_bit_identical_to_the_loop_reference(p):
+    assert _clifford_elements(p).tobytes() == loop_clifford_elements(p).tobytes()
+
+
+def test_canonical_keys_a_stack_as_the_single_matrix_reference():
+    rng = philox(79)
+    us = haar_batch(3, 50, rng) * np.exp(2j * np.pi * rng.random(50))[:, None, None]
+    us[:10, 0, 0] = 0  # the phase is then picked from a later entry
+    us[10:20] = clifford_prime(3).unitaries[:10] * -1j  # exact zeros, some phased to -0.0
+    phased, keys = _canonical(us)
+    rounded = np.round(phased.real, 6)
+    assert np.any((rounded == 0) & np.signbit(rounded))  # the keys must map these to +0.0
+    assert keys == [loop_canonical_key(u) for u in us]
+    assert phased.tobytes() == np.array([loop_canonical_phase(u) for u in us]).tobytes()
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -99,8 +124,7 @@ def test_haar_left_invariance():
 def test_sample_design_singleton():
     e = sample_design(SamplerConfig(d=2, n_samples=1, seed=3, source="clifford"))
     assert e.size == 1
-    keys = {_canonical_key(u) for u in clifford_prime(2).unitaries}
-    assert _canonical_key(e.unitaries[0]) in keys
+    assert _keys(e.unitaries) <= _keys(clifford_prime(2).unitaries)
 
 
 def test_sample_design_deterministic_and_seed_sensitive():
