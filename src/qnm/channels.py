@@ -16,24 +16,23 @@ import numpy as np
 from .linalg import gram_choi, is_hermitian, maximally_mixed, partial_trace
 
 CPTNI_TOL = 1e-10  # for sum K^dagger K - 1 (TP, TNI), Choi negativity and a state's trace
-KRAUS_CUTOFF = 1e-12
+KRAUS_CUTOFF = 1e-12  # eigenvalues of d * omega at or below it give no Kraus operator
 
 
 @dataclass
 class KrausChannel:
-    """A completely positive map given by M Kraus operators of shape d_out x d_in.
+    """A completely positive map on a d-level system given by M Kraus operators of shape d x d.
 
     ``kraus_ops`` may be passed as any sequence of such matrices; it is
-    stored as one complex array of shape (M, d_out, d_in), so ``kraus_ops[m]``
+    stored as one complex array of shape (M, d, d), so ``kraus_ops[m]``
     is K_m and M may be 0.
     """
 
-    d_in: int
-    d_out: int
+    d: int
     kraus_ops: np.ndarray = field(default_factory=list)
 
     def __post_init__(self):
-        shape = (self.d_out, self.d_in)
+        shape = (self.d, self.d)
         try:
             ops = np.asarray(self.kraus_ops, dtype=complex)
         except ValueError:  # operators of unequal shapes
@@ -50,7 +49,6 @@ class KrausChannel:
 
 @dataclass
 class CptniReport:
-    is_cp: bool
     is_tni: bool
     is_tp: bool
     defect: float
@@ -60,32 +58,32 @@ def validate_cptni(ch: KrausChannel) -> CptniReport:
     """Classify a Kraus channel as trace preserving / non-increasing.
 
     ``defect`` is the operator norm of sum K^dagger K - 1, read off the eigenvalues of that
-    Hermitian sum. Kraus form is completely positive by construction, so is_cp is always true.
+    Hermitian sum. Kraus form is completely positive by construction.
     """
-    stacked = ch.kraus_ops.reshape(-1, ch.d_in)  # the K_m on top of each other
+    stacked = ch.kraus_ops.reshape(-1, ch.d)  # the K_m on top of each other
     evs = np.linalg.eigvalsh(stacked.conj().T @ stacked)
     defect = float(max(1 - evs[0], evs[-1] - 1))
     is_tni = bool(evs[-1] <= 1 + CPTNI_TOL)
-    return CptniReport(is_cp=True, is_tni=is_tni, is_tp=defect <= CPTNI_TOL, defect=defect)
+    return CptniReport(is_tni=is_tni, is_tp=defect <= CPTNI_TOL, defect=defect)
 
 
 def apply_channel(ch: KrausChannel, rho: np.ndarray) -> np.ndarray:
     """Evaluate sum_m K_m rho K_m^dagger."""
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (ch.d_in, ch.d_in):
-        raise ValueError(f"state has shape {rho.shape}, channel expects ({ch.d_in}, {ch.d_in})")
+    if rho.shape != (ch.d, ch.d):
+        raise ValueError(f"state has shape {rho.shape}, channel expects ({ch.d}, {ch.d})")
     if not np.all(np.isfinite(rho)):
         raise ValueError("state must be finite")
     return np.sum(ch.kraus_ops @ rho @ ch.kraus_ops.conj().transpose(0, 2, 1), axis=0)
 
 
 def identity_channel(d: int) -> KrausChannel:
-    return KrausChannel(d_in=d, d_out=d, kraus_ops=[np.eye(d, dtype=complex)])
+    return KrausChannel(d=d, kraus_ops=[np.eye(d, dtype=complex)])
 
 
 def unitary_channel(u: np.ndarray) -> KrausChannel:
     """Conjugation by ``u``; a ValueError if u^dagger u is not 1 within ``CPTNI_TOL``."""
-    ch = KrausChannel(d_in=len(u), d_out=len(u), kraus_ops=[u])
+    ch = KrausChannel(d=len(u), kraus_ops=[u])
     rep = validate_cptni(ch)
     if not rep.is_tp:
         raise ValueError(f"matrix is not unitary (defect {rep.defect:.3e})")
@@ -112,15 +110,13 @@ def depolarizing_channel(d: int) -> KrausChannel:
 
 
 def choi_of(ch: KrausChannel) -> np.ndarray:
-    """Choi operator (Lambda (x) id) Phi_d of a channel with d_in = d_out = d.
+    """Choi operator (Lambda (x) id) Phi_d of a channel on a d-level system.
 
     Computed as 1/d sum_m vec(K_m) vec(K_m)^dagger with row-major vec, which
     places the channel output on the first tensor factor and the reference
     on the second.
     """
-    if ch.d_in != ch.d_out:
-        raise ValueError("Choi operator requires d_in = d_out")
-    return gram_choi(ch.kraus_ops.reshape(-1, ch.d_in * ch.d_out), ch.d_in)
+    return gram_choi(ch.kraus_ops.reshape(-1, ch.d * ch.d), ch.d)
 
 
 def channel_from_choi(omega: np.ndarray) -> KrausChannel:
@@ -144,7 +140,7 @@ def channel_from_choi(omega: np.ndarray) -> KrausChannel:
         raise ValueError(f"Choi operator is not PSD (min eigenvalue {vals[0]:.3e})")
     keep = vals > KRAUS_CUTOFF
     ops = (np.sqrt(vals[keep]) * vecs[:, keep]).T.reshape(-1, d, d)
-    return KrausChannel(d_in=d, d_out=d, kraus_ops=ops)
+    return KrausChannel(d=d, kraus_ops=ops)
 
 
 def choi_inverse_action(omega: np.ndarray, rho: np.ndarray) -> np.ndarray:
@@ -170,4 +166,4 @@ def random_cptni_channel(d: int, rng: np.random.Generator, num_kraus: int | None
     g = rng.normal(size=(num_kraus * d, d)) + 1j * rng.normal(size=(num_kraus * d, d))
     v, _ = np.linalg.qr(g)
     scale = 1.0 if rng.random() < 0.5 else float(rng.uniform(0.2, 1.0))
-    return KrausChannel(d_in=d, d_out=d, kraus_ops=np.sqrt(scale) * v.reshape(num_kraus, d, d))
+    return KrausChannel(d=d, kraus_ops=np.sqrt(scale) * v.reshape(num_kraus, d, d))

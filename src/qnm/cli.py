@@ -1,9 +1,8 @@
 """Command-line front end: generate ensembles, certify designs, run attacks, report bounds.
 
-Exit codes: 0 success / certification pass, 1 certification fail,
-2 usage or validation error, 3 I/O failure. Reports go to stdout (or
---out); diagnostics go to stderr. The environment variable QNM_TOL
-overrides the default certification tolerance of 1e-9.
+Exit codes: 0 success / certification pass, 1 certification fail, 2 usage or validation error
+(an input too large for memory included), 3 I/O failure. Reports go to stdout (or --out);
+diagnostics go to stderr. QNM_TOL overrides design.DEFAULT_CERT_TOL, the default tolerance.
 """
 
 import argparse
@@ -81,7 +80,11 @@ def cmd_gen(args) -> int:
 def cmd_certify(args) -> int:
     tol = check_tol(args.tol, "--tol") if args.tol is not None else _default_tol()
     ensemble = files.load_ensemble(args.input)
-    report = certify_design(ensemble, tol=tol)
+    try:
+        report = certify_design(ensemble, tol=tol)
+    except MemoryError:
+        n = ensemble.d**4
+        raise MemoryError(f"certifying d = {ensemble.d} needs d^4 x d^4 = {n} x {n} operators")
     digest = files.file_digest(args.input)
     if _write_json(files.certification_report_to_dict(report, digest), args.out) == EXIT_IO:
         return EXIT_IO
@@ -166,7 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
     cert = sub.add_parser("certify", help="certify an ensemble file as a 2-design")
     cert.add_argument("input", help="ensemble file")
     cert.add_argument("--tol", type=float, default=None,
-                      help="pass/fail tolerance (default QNM_TOL or 1e-9)")
+                      help=f"pass/fail tolerance (default QNM_TOL or {DEFAULT_CERT_TOL})")
     cert.add_argument("--mode", choices=["trace", "multiplicative", "both"], default="trace")
     cert.add_argument("--out", default=None, help="write report here instead of stdout")
 
@@ -194,6 +197,9 @@ def main(argv=None) -> int:
         return handler[args.command](args)
     except (ValueError, FileNotFoundError) as exc:  # ValueError includes unreadable JSON
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:  # an input too large for memory is a usage error, not a verdict
+        print(f"error: out of memory{f': {exc}' if str(exc) else ''}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -26,16 +26,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import check_tol, gram_choi, kron, maximally_mixed, trace_norm
+from .linalg import RANK_TOL, check_tol, gram_choi, kron, maximally_mixed, trace_norm
 
-UNITARY_INGEST_TOL = 1e-8
-WEIGHT_TOL = 1e-12
-DEFAULT_CERT_TOL = 1e-9
-SUPPORT_LEAK_TOL = 1e-9
-RANK_TOL = 1e-10
-"""certify_design counts eigenvalues of A Omega A above d^2 (d^2 - 1) RANK_TOL. Each is t times
-one of Omega's, t in [d^2, d^2 (d^2 - 1)] (Ostrowski), so an eigenvalue of Omega above
-(d^2 - 1) RANK_TOL always counts towards its rank, and one at or below RANK_TOL never does."""
+UNITARY_INGEST_TOL = 1e-8  # the largest allowed entry of U^dagger U - 1, per key
+WEIGHT_TOL = 1e-12  # the bound on |sum of the weights - 1|
+DEFAULT_CERT_TOL = 1e-9  # the default pass/fail bound for every grade (certify's tol)
+SUPPORT_LEAK_TOL = 1e-9  # multiplicative_theta is None (null) when support_leak is above it
 
 
 @dataclass

@@ -130,7 +130,7 @@ def load_kraus_channel(path: str) -> KrausChannel:
     try:
         d = _dimension(obj)
         ops = [pairs_to_matrix(k, f"Kraus operator {m}") for m, k in enumerate(obj["kraus"])]
-        return KrausChannel(d_in=d, d_out=d, kraus_ops=ops)  # it checks each shape against d
+        return KrausChannel(d=d, kraus_ops=ops)  # it checks each shape against d
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{path}: malformed Kraus file ({exc})") from exc
 

@@ -11,7 +11,12 @@ import math
 
 import numpy as np
 
-HERM_TOL = 1e-10
+HERM_TOL = 1e-10  # the largest allowed entry of |m - m^dagger| for a Hermitian m
+RANK_TOL = 1e-10
+"""num_rank counts eigenvalues above RANK_TOL. certify_design counts eigenvalues of A Omega A
+above d^2 (d^2 - 1) RANK_TOL. Each is t times one of Omega's, t in [d^2, d^2 (d^2 - 1)]
+(Ostrowski), so an eigenvalue of Omega above (d^2 - 1) RANK_TOL always counts towards its rank,
+and one at or below RANK_TOL never does."""
 
 
 def dagger(m: np.ndarray) -> np.ndarray:
@@ -43,9 +48,9 @@ def hermitian_defect(m: np.ndarray) -> float:
     return float(np.max(np.abs(m - m.conj().T)))
 
 
-def is_hermitian(m: np.ndarray, tol: float = HERM_TOL) -> bool:
+def is_hermitian(m: np.ndarray) -> bool:
     m = np.asarray(m)
-    return m.ndim == 2 and m.shape[0] == m.shape[1] and hermitian_defect(m) <= tol
+    return m.ndim == 2 and m.shape[0] == m.shape[1] and hermitian_defect(m) <= HERM_TOL
 
 
 def _check_square(m: np.ndarray) -> np.ndarray:
@@ -97,35 +102,31 @@ def trace_norm(m: np.ndarray) -> float:
     return float(np.sum(np.linalg.svd(m, compute_uv=False)))
 
 
-def _check_hermitian(m: np.ndarray, tol: float) -> np.ndarray:
+def _check_hermitian(m: np.ndarray) -> np.ndarray:
     m = _check_square(m)
     dev = hermitian_defect(m)
-    if not dev <= tol:  # a NaN deviation fails too
-        raise ValueError(f"matrix is not Hermitian within {tol} (deviation {dev:.3e})")
+    if not dev <= HERM_TOL:  # a NaN deviation fails too
+        raise ValueError(f"matrix is not Hermitian within {HERM_TOL} (deviation {dev:.3e})")
     return m
 
 
-def herm_eig(m: np.ndarray, tol: float = HERM_TOL):
+def herm_eig(m: np.ndarray):
     """Eigendecomposition of a Hermitian matrix.
 
     Returns (eigenvalues ascending, eigenvector matrix with orthonormal
-    columns). Raises ValueError if the input is not Hermitian within ``tol``.
+    columns). Raises ValueError if the input is not Hermitian within ``HERM_TOL``.
     """
-    return np.linalg.eigh(_check_hermitian(m, tol))
+    return np.linalg.eigh(_check_hermitian(m))
 
 
-def num_rank(m: np.ndarray, tol: float) -> int:
-    """Number of eigenvalues above ``tol`` for a PSD Hermitian matrix.
-
-    Raises ValueError if any eigenvalue lies below ``-tol``, or if ``tol`` is not finite and > 0.
-    """
-    check_tol(tol, "tol")
-    vals = np.linalg.eigvalsh(_check_hermitian(m, HERM_TOL))
-    if vals[0] < -tol:
+def num_rank(m: np.ndarray) -> int:
+    """How many eigenvalues of a PSD Hermitian m exceed RANK_TOL; ValueError if one < -RANK_TOL."""
+    vals = np.linalg.eigvalsh(_check_hermitian(m))
+    if vals[0] < -RANK_TOL:
         raise ValueError(
-            f"matrix is not positive semidefinite within {tol} (min eigenvalue {vals[0]:.3e})"
+            f"matrix is not positive semidefinite within {RANK_TOL} (min eigenvalue {vals[0]:.3e})"
         )
-    return int(np.count_nonzero(vals > tol))
+    return int(np.count_nonzero(vals > RANK_TOL))
 
 
 def gram_choi(rows: np.ndarray, d: int) -> np.ndarray:

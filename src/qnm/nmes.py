@@ -73,15 +73,15 @@ def effective_channel(scheme: EncryptionScheme, adv: KrausChannel) -> KrausChann
     if not rep.is_tni:
         raise ValueError(f"adversary channel is not trace non-increasing (defect {rep.defect:.3e})")
     d = scheme.d
-    if adv.d_in != d or adv.d_out != d:
-        raise ValueError(f"adversary acts on dimension {adv.d_in}, scheme has dimension {d}")
+    if adv.d != d:
+        raise ValueError(f"adversary acts on dimension {adv.d}, scheme has dimension {d}")
     e = scheme.ensemble
     keep = e.weights != 0
     u = e.unitaries[keep, None]  # (N, 1, d, d) against the (M, d, d) Kraus stack
     udag = np.sqrt(e.weights[keep])[:, None, None, None] * u.conj().transpose(0, 1, 3, 2)
     # key-major order: all U_k^dagger K_m U_k of key k before those of key k + 1
     ops = udag @ adv.kraus_ops @ u
-    return KrausChannel(d_in=d, d_out=d, kraus_ops=ops.reshape(-1, d, d))
+    return KrausChannel(d=d, kraus_ops=ops.reshape(-1, d, d))
 
 
 def attack_report(scheme: EncryptionScheme, adv: KrausChannel) -> AttackReport:

@@ -69,7 +69,7 @@ def test_criterion_02_rank_bound():
     details = []
     for p in (2, 3, 5):
         e = clifford_prime(p)
-        rank = num_rank(ensemble_choi(e), 1e-10)
+        rank = num_rank(ensemble_choi(e))
         bound = (p * p - 1) ** 2 + 1
         ok = ok and rank == bound and e.size >= bound
         details.append(f"p={p}: rank={rank}=bound")

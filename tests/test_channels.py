@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -148,8 +150,7 @@ def test_choi_of_is_linear_in_the_channel():
     ch_b = random_cptni_channel(d, rng)
     q = 0.3
     mixed = KrausChannel(
-        d_in=d,
-        d_out=d,
+        d=d,
         kraus_ops=[np.sqrt(q) * k for k in ch_a.kraus_ops]
         + [np.sqrt(1 - q) * k for k in ch_b.kraus_ops],
     )
@@ -159,34 +160,40 @@ def test_choi_of_is_linear_in_the_channel():
 
 def test_validate_cptni_identity():
     rep = validate_cptni(identity_channel(2))
-    assert rep.is_cp and rep.is_tp and rep.is_tni
+    assert rep.is_tp and rep.is_tni
     assert rep.defect <= 1e-14
 
 
+def test_channel_and_report_hold_only_their_fields():
+    assert [f.name for f in dataclasses.fields(KrausChannel)] == ["d", "kraus_ops"]
+    report = validate_cptni(identity_channel(2))
+    assert [f.name for f in dataclasses.fields(report)] == ["is_tni", "is_tp", "defect"]
+
+
 def test_validate_cptni_subnormalized():
-    rep = validate_cptni(KrausChannel(d_in=2, d_out=2, kraus_ops=[0.5 * np.eye(2)]))
+    rep = validate_cptni(KrausChannel(d=2, kraus_ops=[0.5 * np.eye(2)]))
     assert rep.is_tni and not rep.is_tp
     assert abs(rep.defect - 0.75) <= 1e-14
 
 
 def test_validate_cptni_violation():
-    rep = validate_cptni(KrausChannel(d_in=2, d_out=2, kraus_ops=[2.0 * np.eye(2)]))
+    rep = validate_cptni(KrausChannel(d=2, kraus_ops=[2.0 * np.eye(2)]))
     assert not rep.is_tni and not rep.is_tp
 
 
 def test_kraus_shape_validation():
     with pytest.raises(ValueError):
-        KrausChannel(d_in=2, d_out=2, kraus_ops=[np.eye(3)])
+        KrausChannel(d=2, kraus_ops=[np.eye(3)])
     with pytest.raises(ValueError, match=r"Kraus operator 1 has shape \(3, 3\)"):
-        KrausChannel(d_in=2, d_out=2, kraus_ops=[np.eye(2), np.eye(3)])
+        KrausChannel(d=2, kraus_ops=[np.eye(2), np.eye(3)])
     with pytest.raises(ValueError, match=r"Kraus operator 0 has shape \(2, 3\)"):
-        KrausChannel(d_in=2, d_out=2, kraus_ops=[np.ones((2, 3)), np.ones((2, 3))])
+        KrausChannel(d=2, kraus_ops=[np.ones((2, 3)), np.ones((2, 3))])
 
 
 def test_kraus_ops_are_stored_as_one_array():
-    ch = KrausChannel(d_in=3, d_out=2, kraus_ops=[np.ones((2, 3)), np.zeros((2, 3))])
-    assert ch.kraus_ops.shape == (2, 2, 3) and ch.kraus_ops.dtype == complex
-    empty = KrausChannel(d_in=2, d_out=2)
+    ch = KrausChannel(d=2, kraus_ops=[np.ones((2, 2)), np.zeros((2, 2)), np.eye(2)])
+    assert ch.kraus_ops.shape == (3, 2, 2) and ch.kraus_ops.dtype == complex
+    empty = KrausChannel(d=2)
     assert empty.kraus_ops.shape == (0, 2, 2)
     assert np.array_equal(choi_of(empty), np.zeros((4, 4)))
     assert np.array_equal(apply_channel(empty, np.eye(2) / 2), np.zeros((2, 2)))
@@ -197,7 +204,7 @@ def test_kraus_channel_rejects_non_finite_operators(bad):
     k = np.eye(2, dtype=complex)
     k[0, 1] = bad
     with pytest.raises(ValueError, match="Kraus operators must be finite"):
-        KrausChannel(d_in=2, d_out=2, kraus_ops=[np.eye(2), k])
+        KrausChannel(d=2, kraus_ops=[np.eye(2), k])
 
 
 def test_constant_channel_rejects_non_finite_state():

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from qnm import cli, files
+from qnm import cli, construct, files
 from qnm.design import UnitaryEnsemble
 
 from helpers import format1_ensemble_dict, save_format1_ensemble
@@ -617,4 +617,36 @@ def test_dimension_below_two_is_a_usage_error(tmp_path, capsys, d):
     out = tmp_path / "s.json"
     assert run(["gen", "sampled", "--from", "haar", "--d", str(d), "--n", "3", "-o", str(out)]) == 2
     assert f"d must be >= 2, got {d}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+
+def test_certify_out_of_memory_exits_2_naming_d_and_size(tmp_path, monkeypatch, capsys):
+    def certify_design(ensemble, tol):
+        raise MemoryError("Unable to allocate 191. GiB for an array with shape (160000, 160000)")
+
+    path = tmp_path / "c3.json"
+    assert run(["gen", "clifford", "--p", "3", "-o", str(path)]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(cli, "certify_design", certify_design)
+    assert run(["certify", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: out of memory: certifying d = 3 needs d^4 x d^4 = 81 x 81 operators\n"
+    )
+
+
+@pytest.mark.parametrize("message, err", [
+    ("", "error: out of memory\n"),
+    ("Unable to allocate 191. GiB", "error: out of memory: Unable to allocate 191. GiB\n"),
+])
+def test_gen_out_of_memory_exits_2(tmp_path, monkeypatch, capsys, message, err):
+    def sample_design(cfg):
+        raise MemoryError(message)
+
+    out = tmp_path / "big.json"
+    monkeypatch.setattr(construct, "sample_design", sample_design)
+    assert run(["gen", "sampled", "--from", "haar", "--d", "20", "--n", "1", "-o", str(out)]) == 2
+    assert capsys.readouterr().err == err
     assert not out.exists()

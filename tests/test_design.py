@@ -51,7 +51,7 @@ def test_max_entangled_qubit_entries():
 def test_max_entangled_trace_and_rank():
     phi = max_entangled(3)
     assert abs(np.trace(phi) - 1) <= 1e-14
-    assert num_rank(phi, 1e-10) == 1
+    assert num_rank(phi) == 1
 
 
 def test_max_entangled_twirl_symmetry():
@@ -121,7 +121,7 @@ def test_ideal_choi_spectrum_and_rank():
     vals = np.sort(np.linalg.eigvalsh(omega))
     want = np.array([0.0] * 6 + [1 / 12] * 9 + [0.25])
     assert np.max(np.abs(vals - want)) <= 1e-12
-    assert num_rank(omega, 1e-10) == 10
+    assert num_rank(omega) == 10
     assert abs(np.trace(omega) - 1) <= 1e-13
 
 
@@ -132,7 +132,7 @@ def test_ensemble_choi_singleton_is_max_entangled():
 
 
 def test_ensemble_choi_pauli_rank(pauli21):
-    assert num_rank(ensemble_choi(pauli21), 1e-10) == 4
+    assert num_rank(ensemble_choi(pauli21)) == 4
 
 
 def test_ensemble_choi_clifford_matches_ideal(clifford2):

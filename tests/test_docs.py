@@ -2,8 +2,12 @@
 
 import contextlib
 import io
+import json
 import re
+import shlex
 from pathlib import Path
+
+from qnm import cli
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -19,3 +23,29 @@ def test_readme_library_example_prints_the_stated_coordinates():
     (alpha, beta), (residual,) = [[float(x) for x in line.split()] for line in lines]
     assert abs(alpha) <= 1e-12 and abs(beta - 1 / 3) <= 1e-12
     assert abs(residual - 4 / 3) <= 1e-12
+
+
+def test_readme_cli_block_has_the_stated_outcomes(tmp_path, monkeypatch, capsys):
+    text = README.read_text()
+    section = text[text.index("## CLI") :]
+    block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
+    monkeypatch.chdir(tmp_path)
+    outcomes = {}  # command without "qnm " -> (exit code, parsed stdout report or None)
+    for line in block.splitlines():
+        command = line.split("#", 1)[0].strip()
+        if not command or "my_kraus.json" in command:  # no such file ships with the README
+            continue
+        argv = shlex.split(command)
+        assert argv[0] == "qnm"
+        code = cli.main(argv[1:])
+        out = capsys.readouterr().out
+        outcomes[" ".join(argv[1:])] = code, json.loads(out) if out else None
+    assert [c for c, (code, _) in outcomes.items() if code != 0] == ["certify p3.json"]
+
+    code, report = outcomes["certify c2.json"]
+    assert code == 0 and report["passes_two_design"] and report["passes_2design_at"] == 1e-9
+    code, report = outcomes["certify p3.json"]
+    assert code == 1 and report["omega_rank"] == 9 and report["rank_bound"] == 65
+    assert abs(report["two_design_trace_dist"] - 14 / 9) <= 1e-12
+    code, report = outcomes["attack --scheme c2.json --adv weyl:1,0"]
+    assert code == 0 and report["malleability_residual"] <= 1e-12

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from qnm import herm_eig, ideal_choi, is_hermitian, kron, num_rank, partial_trace, trace_norm
+from qnm import design, herm_eig, ideal_choi, is_hermitian, kron, num_rank, partial_trace
+from qnm import trace_norm
 from qnm.design import max_entangled
-from qnm.linalg import gram_choi
+from qnm.linalg import RANK_TOL, gram_choi
 
 from helpers import philox
 
@@ -133,11 +134,11 @@ def test_herm_eig_rejects_non_hermitian():
 
 
 def test_num_rank_rank_one_projector():
-    assert num_rank(max_entangled(5), 1e-10) == 1
+    assert num_rank(max_entangled(5)) == 1
 
 
 def test_num_rank_ideal_choi():
-    assert num_rank(ideal_choi(2), 1e-10) == 10
+    assert num_rank(ideal_choi(2)) == 10
 
 
 def test_num_rank_weyl_second_moment():
@@ -153,12 +154,12 @@ def test_num_rank_weyl_second_moment():
         omega += big @ phi16 @ big.conj().T / 4
     evs = np.linalg.eigvalsh(omega)
     assert int(np.sum(evs > 1e-10)) == 4
-    assert num_rank(omega, 1e-10) == 4
+    assert num_rank(omega) == 4
 
 
 def test_num_rank_rejects_negative_eigenvalue():
     with pytest.raises(ValueError):
-        num_rank(np.diag([1.0, -0.5]), 1e-10)
+        num_rank(np.diag([1.0, -0.5]))
 
 
 def test_real_symmetric_input_stays_real():
@@ -173,7 +174,7 @@ def test_real_symmetric_input_stays_real():
         assert vals.dtype == vecs.dtype == np.float64
         assert np.max(np.abs(vals - cvals)) <= 1e-12
         assert np.max(np.abs(vecs @ np.diag(vals) @ vecs.T - m)) <= 1e-12
-    assert num_rank(psd, 1e-10) == num_rank(psd.astype(complex), 1e-10) == 4
+    assert num_rank(psd) == num_rank(psd.astype(complex)) == 4
 
 
 def test_gram_choi_of_real_rows_is_real_and_exactly_symmetric():
@@ -183,8 +184,9 @@ def test_gram_choi_of_real_rows_is_real_and_exactly_symmetric():
     assert np.max(np.abs(g - rows.T @ rows / 3)) <= 1e-14
 
 
-@pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0, -1e-10])
-def test_num_rank_rejects_a_bad_tol(bad):
-    # with a NaN tol no eigenvalue would count
-    with pytest.raises(ValueError, match="^tol must be finite and > 0"):
-        num_rank(ideal_choi(2), bad)
+def test_num_rank_counts_and_rejects_at_rank_tol():
+    assert design.RANK_TOL is RANK_TOL  # the one rank tolerance, also certify_design's
+    assert num_rank(np.diag([1.0, 1.01 * RANK_TOL, 0.99 * RANK_TOL])) == 2
+    assert num_rank(np.diag([1.0, -0.99 * RANK_TOL])) == 1
+    with pytest.raises(ValueError, match="not positive semidefinite"):
+        num_rank(np.diag([1.0, -1.01 * RANK_TOL]))

@@ -88,7 +88,7 @@ def test_effective_channel_traceless_unitary(clifford_scheme):
 
 
 def test_effective_channel_rejects_trace_increasing(clifford_scheme):
-    bad = KrausChannel(d_in=2, d_out=2, kraus_ops=[2.0 * np.eye(2)])
+    bad = KrausChannel(d=2, kraus_ops=[2.0 * np.eye(2)])
     with pytest.raises(ValueError):
         effective_channel(clifford_scheme, bad)
 
@@ -99,8 +99,7 @@ def test_effective_channel_linear_in_adversary(clifford_scheme):
     ch_b = random_cptni_channel(2, rng)
     q = 0.4
     mixed = KrausChannel(
-        d_in=2,
-        d_out=2,
+        d=2,
         kraus_ops=[np.sqrt(q) * k for k in ch_a.kraus_ops]
         + [np.sqrt(1 - q) * k for k in ch_b.kraus_ops],
     )
@@ -185,7 +184,7 @@ def test_attack_report_flags_non_one_design_scheme():
 
 
 def test_subnormalized_adversary_scales_cone_coefficients(clifford_scheme):
-    half = KrausChannel(d_in=2, d_out=2, kraus_ops=[np.sqrt(0.5) * np.eye(2)])
+    half = KrausChannel(d=2, kraus_ops=[np.sqrt(0.5) * np.eye(2)])
     report = attack_report(clifford_scheme, half)
     assert abs(report.decomposition.alpha - 0.5) <= 1e-12
     assert report.malleability_residual <= 1e-12

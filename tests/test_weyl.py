@@ -126,7 +126,7 @@ def test_pauli_ensemble_is_not_a_two_design(p, n):
     report = certify_design(e)
     assert report.two_design_trace_dist > 0.1
     d = p**n
-    assert num_rank(ensemble_choi(e), 1e-10) == d * d
+    assert num_rank(ensemble_choi(e)) == d * d
     assert d * d < (d * d - 1) ** 2 + 1
 
 
