@@ -9,9 +9,7 @@ __version__ = "0.1.0"
 
 from .channels import (
     KrausChannel,
-    apply_channel,
     channel_from_choi,
-    choi_inverse_action,
     choi_of,
     constant_channel,
     depolarizing_channel,
@@ -20,7 +18,7 @@ from .channels import (
     unitary_channel,
     validate_cptni,
 )
-from .construct import SamplerConfig, clifford_prime, haar_unitary, recommended_n, sample_design
+from .construct import SamplerConfig, clifford_prime, recommended_n, sample_design
 from .design import (
     CertificationReport,
     IsotropicDecomposition,
@@ -36,17 +34,7 @@ from .design import (
     multiplicative_theta,
     one_design_distance,
     rank_bound,
-    support_leak,
 )
-from .linalg import (
-    dagger,
-    herm_eig,
-    is_hermitian,
-    kron,
-    maximally_mixed,
-    num_rank,
-    partial_trace,
-    trace_norm,
-)
+from .linalg import herm_eig, is_hermitian, maximally_mixed, num_rank, trace_norm
 from .nmes import AttackReport, EncryptionScheme, attack_report, effective_channel, pauli_attack
-from .weyl import is_prime, pauli_ensemble, weyl, weyl_commutation_phase, weyl_labels
+from .weyl import is_prime, pauli_ensemble, weyl

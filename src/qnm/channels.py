@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import gram_choi, is_hermitian, maximally_mixed, partial_trace
+from .linalg import gram_choi, is_hermitian, maximally_mixed
 
 CPTNI_TOL = 1e-10  # for sum K^dagger K - 1 (TP, TNI), Choi negativity and a state's trace
 KRAUS_CUTOFF = 1e-12  # eigenvalues of d * omega at or below it give no Kraus operator
@@ -65,16 +65,6 @@ def validate_cptni(ch: KrausChannel) -> CptniReport:
     defect = float(max(1 - evs[0], evs[-1] - 1))
     is_tni = bool(evs[-1] <= 1 + CPTNI_TOL)
     return CptniReport(is_tni=is_tni, is_tp=defect <= CPTNI_TOL, defect=defect)
-
-
-def apply_channel(ch: KrausChannel, rho: np.ndarray) -> np.ndarray:
-    """Evaluate sum_m K_m rho K_m^dagger."""
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (ch.d, ch.d):
-        raise ValueError(f"state has shape {rho.shape}, channel expects ({ch.d}, {ch.d})")
-    if not np.all(np.isfinite(rho)):
-        raise ValueError("state must be finite")
-    return np.sum(ch.kraus_ops @ rho @ ch.kraus_ops.conj().transpose(0, 2, 1), axis=0)
 
 
 def identity_channel(d: int) -> KrausChannel:
@@ -141,17 +131,6 @@ def channel_from_choi(omega: np.ndarray) -> KrausChannel:
     keep = vals > KRAUS_CUTOFF
     ops = (np.sqrt(vals[keep]) * vecs[:, keep]).T.reshape(-1, d, d)
     return KrausChannel(d=d, kraus_ops=ops)
-
-
-def choi_inverse_action(omega: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """Channel action d tr_2((1 (x) rho^T) omega), straight from the Choi operator."""
-    omega = np.asarray(omega, dtype=complex)
-    rho = np.asarray(rho, dtype=complex)
-    d = rho.shape[0]
-    if omega.shape != (d * d, d * d):
-        raise ValueError("Choi operator and state dimensions disagree")
-    lifted = np.kron(np.eye(d), rho.T) @ omega
-    return d * partial_trace(lifted, (d, d), keep=(0,))
 
 
 def random_cptni_channel(d: int, rng: np.random.Generator, num_kraus: int | None = None) -> KrausChannel:

@@ -9,6 +9,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 
 import numpy as np
@@ -53,6 +54,10 @@ def _write_json(obj: dict, out_path: str | None) -> int:
 
 
 def cmd_gen(args) -> int:
+    reads = {"pauli": ("p", "n"), "clifford": ("p",), "sampled": ("d", "n", "seed", "source")}
+    for dest in ("p", "n", "d", "seed", "source"):
+        if getattr(args, dest) is not None and dest not in reads[args.kind]:
+            raise ValueError(f"gen {args.kind} does not read --{'from' if dest == 'source' else dest}")
     if args.kind in ("pauli", "clifford") and args.p is None:
         raise ValueError(f"gen {args.kind} requires --p")
     if args.kind == "pauli":
@@ -65,9 +70,10 @@ def cmd_gen(args) -> int:
     else:
         if args.d is None or args.n is None:
             raise ValueError("gen sampled requires --d and --n")
-        cfg = construct.SamplerConfig(args.d, args.n, args.seed, args.source)
-        ensemble = construct.sample_design(cfg)
-        meta = {"source": args.source, "seed": args.seed, "n": args.n}
+        seed = 0 if args.seed is None else args.seed
+        source = args.source or "clifford"
+        ensemble = construct.sample_design(construct.SamplerConfig(args.d, args.n, seed, source))
+        meta = {"source": source, "seed": seed, "n": args.n}
     try:
         files.save_ensemble(args.out, ensemble, meta)
     except OSError as exc:
@@ -102,10 +108,10 @@ def _parse_adversary(selector: str, d: int):
         arg = selector.split(":", 1)[1]
         if arg == "tau":
             return depolarizing_channel(d)
-        if arg.isdigit():
+        if re.fullmatch(r"[+-]?[0-9]+", arg):
             j = int(arg)
-            if j >= d:
-                raise ValueError(f"replacement basis state {j} out of range for d={d}")
+            if not 0 <= j < d:
+                raise ValueError(f"replacement basis state {j} out of range 0..{d - 1}")
             return constant_channel(np.diag(np.eye(d)[j]))
         return constant_channel(files.load_matrix(arg, "state"))
     if selector.startswith("weyl:"):
@@ -161,9 +167,9 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--p", type=int, help="prime (pauli, clifford)")
     gen.add_argument("--n", type=int, help="qudit count (pauli) or sample count (sampled)")
     gen.add_argument("--d", type=int, help="dimension (sampled)")
-    gen.add_argument("--seed", type=int, default=0, help="sampler seed (sampled)")
+    gen.add_argument("--seed", type=int, help="sampler seed (sampled; default 0)")
     gen.add_argument("--from", dest="source", choices=["clifford", "haar"],
-                     default="clifford", help="sampling source (sampled)")
+                     help="sampling source (sampled; default clifford)")
     gen.add_argument("-o", "--out", required=True, help="output ensemble file")
 
     cert = sub.add_parser("certify", help="certify an ensemble file as a 2-design")

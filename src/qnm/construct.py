@@ -101,29 +101,13 @@ def clifford_prime(p: int) -> UnitaryEnsemble:
     return UnitaryEnsemble.uniform(p, _clifford_elements(p).copy())
 
 
-def haar_unitary(d: int, rng) -> np.ndarray:
-    """One Haar-distributed d x d unitary.
-
-    ``rng`` is either an integer seed (a fresh counter-based generator is
-    created, so equal seeds give equal matrices) or a numpy Generator to
-    draw from. Uses QR of a complex Gaussian matrix with the diagonal phase
-    correction that makes the distribution exactly Haar.
-    """
-    return _haar_unitaries(d, 1, rng)[0]
-
-
-def _haar_unitaries(d: int, n: int, rng) -> np.ndarray:
-    """n Haar unitaries from one draw and one stacked QR, bit-identical to n haar_unitary calls."""
-    g = _as_generator(rng).normal(size=(n, 2, d, d))
+def _haar_unitaries(d: int, n: int, rng: np.random.Generator) -> np.ndarray:
+    """n Haar unitaries from one draw of ``rng`` and one stacked QR with the diagonal phase fix that
+    makes them exactly Haar; bit-identical to drawing them one by one (the test reference loop_haar)."""
+    g = rng.normal(size=(n, 2, d, d))
     q, r = np.linalg.qr(g[:, 0] + 1j * g[:, 1])
     diag = np.diagonal(r, axis1=1, axis2=2)
     return q * (diag / np.abs(diag))[:, None, :]
-
-
-def _as_generator(rng) -> np.random.Generator:
-    if isinstance(rng, np.random.Generator):
-        return rng
-    return np.random.Generator(np.random.Philox(int(rng)))
 
 
 def sample_design(cfg: SamplerConfig) -> UnitaryEnsemble:
@@ -132,7 +116,7 @@ def sample_design(cfg: SamplerConfig) -> UnitaryEnsemble:
     Deterministic given the seed; draws are with repetition. Source
     'clifford' requires a prime dimension within the enumeration cap.
     """
-    rng = _as_generator(cfg.seed)
+    rng = np.random.Generator(np.random.Philox(cfg.seed))
     if cfg.source == "clifford":
         pool = clifford_prime(cfg.d).unitaries
         unitaries = pool[rng.integers(0, len(pool), size=cfg.n_samples)]

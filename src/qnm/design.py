@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import RANK_TOL, check_tol, gram_choi, kron, maximally_mixed, trace_norm
+from .linalg import RANK_TOL, check_tol, gram_choi, maximally_mixed, trace_norm
 
 UNITARY_INGEST_TOL = 1e-8  # the largest allowed entry of U^dagger U - 1, per key
 WEIGHT_TOL = 1e-12  # the bound on |sum of the weights - 1|
@@ -203,7 +203,7 @@ def one_design_distance(e: UnitaryEnsemble) -> float:
     d = e.d
     tau = maximally_mixed(d)
     rows = np.sqrt(e.weights)[:, None] * e.unitaries.reshape(e.size, -1)
-    return trace_norm(gram_choi(rows, d) - kron(tau, tau))
+    return trace_norm(gram_choi(rows, d) - np.kron(tau, tau))
 
 
 def frame_potential(e: UnitaryEnsemble, omega: np.ndarray | None = None) -> float:
@@ -279,23 +279,14 @@ def _sandwich_spectrum(x: np.ndarray, h: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(x[np.ix_(h > 0, h > 0)] * s[:, None] * s)
 
 
-def support_leak(omega: np.ndarray, d: int) -> float:
-    """tr Omega - tr((P1 + P2) Omega), the weight outside the support of Omega_haar.
-
-    It is the sum of the 2 (d^2 - 1) mixed diagonal entries of Omega in the adjoint frame, zero
-    up to rounding for the Omega of any ensemble, whose keys act there as 1 (+) R_k.
-    """
-    return _haar_deviation(omega, d)[2]
-
-
 def multiplicative_theta(omega: np.ndarray, d: int) -> float | None:
     """Largest relative eigenvalue deviation of Omega on the ideal support.
 
     In the adjoint frame Omega_haar = diag(h), so its pseudo-inverse square root is A = diag(s),
     s = h^(-1/2) on P1 + P2 and 0 on the mixed entries. The result, max |eig(A (Omega -
     Omega_haar) A)|, is the smallest theta with (1-theta) Omega_haar <= Omega <= (1+theta)
-    Omega_haar when Omega lies inside P1 + P2; it is None if :func:`support_leak` exceeds
-    ``SUPPORT_LEAK_TOL``, as in :func:`certify_design`.
+    Omega_haar when Omega lies inside P1 + P2; it is None, as in :func:`certify_design`, if the
+    support leak tr Omega - tr((P1 + P2) Omega) exceeds ``SUPPORT_LEAK_TOL``.
     """
     x, h, leak = _haar_deviation(omega, d)
     return None if leak > SUPPORT_LEAK_TOL else float(np.max(np.abs(_sandwich_spectrum(x, h))))
@@ -307,7 +298,7 @@ def certify_design(e: UnitaryEnsemble, tol: float = DEFAULT_CERT_TOL) -> Certifi
     The additive grade is the trace norm ||Omega - Omega_haar||_1 on second-moment operators;
     d^2 times it upper-bounds the diamond distance of the corresponding twirls. The
     multiplicative grade is the operator sandwich deviation (see :func:`multiplicative_theta`),
-    next to the :func:`support_leak` that decides whether it exists. The rank of Omega (at
+    next to the support leak that decides whether it exists. The rank of Omega (at
     ``RANK_TOL``) comes from the same support eigensolve as theta. Frame potential (FP = d^4 tr
     Omega^2, read off the same Omega) and key-entropy diagnostics are filled in alongside;
     nothing held grows with N^2. ``tol`` must be finite and > 0.

@@ -1,12 +1,10 @@
 """Dense linear algebra primitives used throughout the package.
 
 All operators are plain square ``numpy`` arrays; real input stays real and
-takes numpy's real LAPACK and BLAS paths. Tensor factor structure is described
-by a tuple of factor dimensions where needed. Everything here is a pure
-function of its inputs.
+takes numpy's real LAPACK and BLAS paths. Everything here is a pure function
+of its inputs.
 """
 
-import functools
 import math
 
 import numpy as np
@@ -17,18 +15,6 @@ RANK_TOL = 1e-10
 above d^2 (d^2 - 1) RANK_TOL. Each is t times one of Omega's, t in [d^2, d^2 (d^2 - 1)]
 (Ostrowski), so an eigenvalue of Omega above (d^2 - 1) RANK_TOL always counts towards its rank,
 and one at or below RANK_TOL never does."""
-
-
-def dagger(m: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return np.asarray(m).conj().T
-
-
-def kron(*ops) -> np.ndarray:
-    """Kronecker product of one or more operators, left factor first."""
-    if not ops:
-        raise ValueError("kron needs at least one operand")
-    return functools.reduce(np.kron, [np.asarray(op, dtype=complex) for op in ops])
 
 
 def maximally_mixed(d: int) -> np.ndarray:
@@ -59,35 +45,6 @@ def _check_square(m: np.ndarray) -> np.ndarray:
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     return m
-
-
-def partial_trace(m: np.ndarray, dims, keep) -> np.ndarray:
-    """Trace out the tensor factors of ``m`` that are not listed in ``keep``.
-
-    ``dims`` gives the dimension of every factor (their product must equal
-    the matrix dimension); ``keep`` is a nonempty collection of factor
-    indices. Kept factors retain their original order.
-    """
-    m = _check_square(m)
-    dims = tuple(int(x) for x in dims)
-    if any(d < 1 for d in dims):
-        raise ValueError(f"factor dimensions must be positive, got {dims}")
-    if math.prod(dims) != m.shape[0]:
-        raise ValueError(
-            f"factor dims {dims} do not multiply to matrix dimension {m.shape[0]}"
-        )
-    keep = sorted(set(int(k) for k in keep))
-    n = len(dims)
-    if not keep or keep[0] < 0 or keep[-1] >= n:
-        raise ValueError(f"keep={keep} is not a nonempty subset of factor indices 0..{n - 1}")
-
-    t = m.reshape(dims + dims)
-    row_sub = list(range(n))
-    col_sub = [n + i if i in keep else i for i in range(n)]
-    out_sub = [i for i in keep] + [n + i for i in keep]
-    reduced = np.einsum(t, row_sub + col_sub, out_sub)
-    dk = math.prod(dims[i] for i in keep)
-    return reduced.reshape(dk, dk)
 
 
 def trace_norm(m: np.ndarray) -> float:

@@ -1,4 +1,4 @@
-"""Encryption scheme execution and adversarial attack simulation.
+"""Encryption schemes and adversarial attack simulation.
 
 Encryption under key k is conjugation by U_k, decryption by U_k^dagger. An
 adversary acting on the ciphertext with a channel Lambda induces the
@@ -17,7 +17,6 @@ import numpy as np
 
 from .channels import KrausChannel, choi_of, unitary_channel, validate_cptni
 from .design import IsotropicDecomposition, UnitaryEnsemble, iso_project, one_design_distance
-from .linalg import dagger
 from .weyl import weyl
 
 
@@ -30,23 +29,6 @@ class EncryptionScheme:
     @property
     def d(self) -> int:
         return self.ensemble.d
-
-    @property
-    def num_keys(self) -> int:
-        return self.ensemble.size
-
-    def _key_unitary(self, k: int) -> np.ndarray:
-        if not 0 <= k < self.num_keys:
-            raise IndexError(f"key index {k} out of range 0..{self.num_keys - 1}")
-        return self.ensemble.unitaries[k]
-
-    def encrypt(self, k: int, rho: np.ndarray) -> np.ndarray:
-        u = self._key_unitary(k)
-        return u @ np.asarray(rho, dtype=complex) @ dagger(u)
-
-    def decrypt(self, k: int, sigma: np.ndarray) -> np.ndarray:
-        u = self._key_unitary(k)
-        return dagger(u) @ np.asarray(sigma, dtype=complex) @ u
 
 
 @dataclass

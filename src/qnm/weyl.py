@@ -33,20 +33,6 @@ def weyl(d: int, a: int, b: int) -> np.ndarray:
     return w
 
 
-def weyl_commutation_phase(d: int, a: int, b: int, a2: int, b2: int) -> complex:
-    """Phase zeta with W(a,b) W(a2,b2) = zeta * W(a2,b2) W(a,b).
-
-    Equals exp(2 pi i (a2 b - a b2) / d); for d = 2 this reproduces the
-    anticommutation of the Pauli X and Z.
-    """
-    return complex(np.exp(2j * np.pi * ((a2 * b - a * b2) % d) / d))
-
-
-def weyl_labels(d: int):
-    """All d^2 index pairs (a, b) in row-major order."""
-    return [(a, b) for a in range(d) for b in range(d)]
-
-
 def pauli_ensemble(p: int, n: int = 1) -> UnitaryEnsemble:
     """Uniform ensemble of the p^{2n} tensor-product Weyl operators on d = p^n.
 

@@ -37,6 +37,26 @@ def loop_haar(d: int, count: int, rng: np.random.Generator) -> np.ndarray:
     return np.array(out)
 
 
+def apply_channel(ch, rho: np.ndarray) -> np.ndarray:
+    """sum_m K_m rho K_m^dagger over the Kraus operators of ``ch``."""
+    rho = np.asarray(rho, dtype=complex)
+    if rho.shape != (ch.d, ch.d):
+        raise ValueError(f"state has shape {rho.shape}, channel expects ({ch.d}, {ch.d})")
+    if not np.all(np.isfinite(rho)):
+        raise ValueError("state must be finite")
+    return np.sum(ch.kraus_ops @ rho @ ch.kraus_ops.conj().transpose(0, 2, 1), axis=0)
+
+
+def choi_inverse_action(omega: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """Channel action d tr_2((1 (x) rho^T) omega), straight from the Choi operator.
+
+    With omega[i, c, j, a] over (output, reference) x (output, reference), the result's
+    (i, j) entry is d sum_{a, c} rho[c, a] omega[i, c, j, a].
+    """
+    d = len(rho)
+    return d * np.einsum("icja,ca->ij", np.asarray(omega).reshape(d, d, d, d), rho)
+
+
 def random_density(d: int, rng: np.random.Generator, rank: int | None = None) -> np.ndarray:
     """Random full-rank (by default) density matrix from a Wishart draw."""
     rank = rank or d

@@ -13,10 +13,8 @@ import numpy as np
 import qnm
 from qnm import (
     EncryptionScheme,
-    apply_channel,
     attack_report,
     certify_design,
-    choi_inverse_action,
     choi_of,
     channel_from_choi,
     clifford_prime,
@@ -39,7 +37,7 @@ from qnm import (
 )
 from qnm.construct import SamplerConfig, _clifford_elements, sample_design
 
-from helpers import philox, random_density
+from helpers import apply_channel, choi_inverse_action, philox, random_density
 
 
 def _report(criterion: int, ok: bool, detail: str):

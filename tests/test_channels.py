@@ -5,14 +5,11 @@ import pytest
 
 from qnm import (
     KrausChannel,
-    apply_channel,
     channel_from_choi,
-    choi_inverse_action,
     choi_of,
     constant_channel,
     depolarizing_channel,
     identity_channel,
-    kron,
     random_cptni_channel,
     unitary_channel,
     validate_cptni,
@@ -20,7 +17,7 @@ from qnm import (
 )
 from qnm.design import max_entangled
 
-from helpers import philox, random_density
+from helpers import apply_channel, choi_inverse_action, philox, random_density
 
 
 def test_apply_identity():
@@ -60,12 +57,12 @@ def test_choi_of_identity_is_max_entangled():
 def test_choi_of_depolarizing_is_tau_tau():
     d = 3
     tau = np.eye(d) / d
-    assert np.max(np.abs(choi_of(depolarizing_channel(d)) - kron(tau, tau))) <= 1e-14
+    assert np.max(np.abs(choi_of(depolarizing_channel(d)) - np.kron(tau, tau))) <= 1e-14
 
 
 def test_choi_of_pauli_x_conjugation():
     x = weyl(2, 1, 0)
-    xk = kron(x, np.eye(2))
+    xk = np.kron(x, np.eye(2))
     want = xk @ max_entangled(2) @ xk.conj().T
     got = choi_of(unitary_channel(x))
     assert np.max(np.abs(got - want)) <= 1e-14
@@ -77,7 +74,7 @@ def test_choi_of_constant_channel():
     rng = philox(33)
     eta = random_density(2, rng)
     got = choi_of(constant_channel(eta))
-    assert np.max(np.abs(got - kron(eta, np.eye(2) / 2))) <= 1e-13
+    assert np.max(np.abs(got - np.kron(eta, np.eye(2) / 2))) <= 1e-13
 
 
 def test_constant_channel_action():
@@ -103,7 +100,7 @@ def test_channel_from_choi_identity():
 def test_channel_from_choi_depolarizing():
     d = 2
     tau = np.eye(d) / d
-    ch = channel_from_choi(kron(tau, tau))
+    ch = channel_from_choi(np.kron(tau, tau))
     rho = random_density(d, philox(35))
     assert np.max(np.abs(apply_channel(ch, rho) - tau)) <= 1e-13
 

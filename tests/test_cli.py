@@ -74,6 +74,33 @@ def test_gen_requires_params(tmp_path):
     assert run(["gen", "sampled", "--d", "2", "-o", str(tmp_path / "x.json")]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["pauli", "--p", "3", "--d", "9"], "--d"),
+        (["clifford", "--p", "2", "--n", "7"], "--n"),
+        (["clifford", "--p", "3", "--seed", "4"], "--seed"),
+        (["clifford", "--p", "3", "--from", "haar"], "--from"),
+        (["sampled", "--d", "3", "--n", "4", "--p", "5"], "--p"),
+    ],
+    ids=["pauli", "clifford", "clifford-seed", "clifford-from", "sampled"],
+)
+def test_gen_rejects_an_option_its_kind_does_not_read(tmp_path, capsys, argv, option):
+    out = tmp_path / "x.json"
+    assert run(["gen", *argv, "-o", str(out)]) == 2
+    assert f"error: gen {argv[0]} does not read {option}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_gen_sampled_defaults_to_seed_0_from_clifford(tmp_path):
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    assert run(["gen", "sampled", "--d", "2", "--n", "5", "-o", str(a)]) == 0
+    argv = ["gen", "sampled", "--d", "2", "--n", "5", "--seed", "0", "--from", "clifford"]
+    assert run(argv + ["-o", str(b)]) == 0
+    assert a.read_bytes() == b.read_bytes()
+    assert json.loads(a.read_text())["meta"] == {"source": "clifford", "seed": 0, "n": 5}
+
+
 def test_gen_io_failure(tmp_path):
     missing_dir = tmp_path / "no" / "such" / "dir" / "x.json"
     assert run(["gen", "clifford", "--p", "2", "-o", str(missing_dir)]) == 3
@@ -246,6 +273,24 @@ def test_attack_invalid_adversary(tmp_path):
     run(["gen", "clifford", "--p", "2", "-o", str(scheme)])
     assert run(["attack", "--scheme", str(scheme), "--adv", "weyl:banana"]) == 2
     assert run(["attack", "--scheme", str(scheme), "--adv", "replace:9"]) == 2
+
+
+@pytest.mark.parametrize("index", ["-1", "2", "+2", "9"])
+def test_attack_replace_index_out_of_range(tmp_path, capsys, index):
+    scheme = tmp_path / "c2.json"
+    run(["gen", "clifford", "--p", "2", "-o", str(scheme)])
+    assert run(["attack", "--scheme", str(scheme), "--adv", f"replace:{index}"]) == 2
+    err = capsys.readouterr().err
+    assert f"error: replacement basis state {int(index)} out of range 0..1" in err
+
+
+def test_attack_replace_non_ascii_digits_name_a_file(tmp_path, capsys):
+    scheme = tmp_path / "c2.json"
+    run(["gen", "clifford", "--p", "2", "-o", str(scheme)])
+    capsys.readouterr()
+    assert run(["attack", "--scheme", str(scheme), "--adv", "replace:\u00b2"]) == 2
+    err = capsys.readouterr().err
+    assert "No such file or directory: '\u00b2'" in err and "invalid literal" not in err
 
 
 def test_bounds_output(capsys):

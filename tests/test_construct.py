@@ -5,7 +5,6 @@ from qnm import (
     SamplerConfig,
     certify_design,
     clifford_prime,
-    haar_unitary,
     recommended_n,
     sample_design,
     weyl,
@@ -91,11 +90,15 @@ def test_clifford_certifies_as_two_design(p):
     assert report.passes_multiplicative
 
 
+def _haar_draw(d: int, seed: int) -> np.ndarray:
+    return sample_design(SamplerConfig(d=d, n_samples=1, seed=seed, source="haar")).unitaries[0]
+
+
 def test_haar_unitary_is_unitary_and_deterministic():
-    u = haar_unitary(4, 123)
+    u = _haar_draw(4, 123)
     assert np.max(np.abs(u.conj().T @ u - np.eye(4))) <= 1e-12
-    assert np.array_equal(u, haar_unitary(4, 123))
-    assert not np.allclose(u, haar_unitary(4, 124))
+    assert np.array_equal(u, _haar_draw(4, 123))
+    assert not np.allclose(u, _haar_draw(4, 124))
 
 
 def test_haar_first_moments():
@@ -115,7 +118,7 @@ def test_haar_left_invariance():
     # multiplying by a fixed unitary leaves the distribution unchanged
     rng = philox(91)
     u = haar_batch(2, 50_000, rng)
-    v = haar_unitary(2, 999)
+    v = _haar_draw(2, 999)
     vu = np.einsum("ij,bjk->bik", v, u)
     m = np.abs(vu[:, 0, 0]) ** 2
     assert abs(m.mean() - 0.5) <= 3 * m.std() / np.sqrt(len(m))
@@ -140,9 +143,6 @@ def test_sample_design_deterministic_and_seed_sensitive():
 @pytest.mark.parametrize("seed", [0, 31])
 def test_batched_haar_draws_match_the_per_key_loop_bit_for_bit(d, seed):
     e = sample_design(SamplerConfig(d=d, n_samples=60, seed=seed, source="haar"))
-    rng = philox(seed)
-    looped = np.array([haar_unitary(d, rng) for _ in range(60)])
-    assert e.unitaries.tobytes() == looped.tobytes()
     assert e.unitaries.tobytes() == loop_haar(d, 60, philox(seed)).tobytes()
 
 

@@ -12,11 +12,9 @@ from qnm import (
     frame_potential,
     ideal_choi,
     iso_project,
-    kron,
     max_entangled,
     multiplicative_theta,
     num_rank,
-    support_leak,
     trace_norm,
 )
 from qnm import design
@@ -58,7 +56,7 @@ def test_max_entangled_twirl_symmetry():
     rng = philox(60)
     for d in (2, 3):
         u = haar_batch(d, 1, rng)[0]
-        big = kron(u, u.conj())
+        big = np.kron(u, u.conj())
         phi = max_entangled(d)
         assert np.max(np.abs(big @ phi @ big.conj().T - phi)) <= 1e-13
 
@@ -213,6 +211,18 @@ def test_frame_potential_matches_pairwise_reference(name, request):
     assert frame_potential(e) == frame_potential(e, ensemble_choi(e))
 
 
+@pytest.mark.parametrize("name", ["pauli21", "clifford2", "clifford3", "haar3_50"])
+def test_frame_potential_identity(name, request):
+    # FP - 2 = d^4 ||Omega - Omega_haar||_F^2, against the closed-form Omega_haar
+    if name == "haar3_50":
+        e = UnitaryEnsemble.uniform(3, haar_batch(3, 50, philox(34)))
+    else:
+        e = request.getfixturevalue(name)
+    fp = frame_potential(e)
+    deviation = ensemble_choi(e) - ideal_choi(e.d)
+    assert abs(fp - 2 - e.d**4 * np.sum(deviation**2)) <= 1e-12 * fp
+
+
 def test_entropy_bound_value():
     assert abs(entropy_bound(2, 0.0) - 3.188721875540867) <= 1e-12
 
@@ -324,8 +334,8 @@ def test_closed_form_theta_and_rank_match_eigh_reference(name, request):
 def test_multiplicative_theta_reports_support_leak():
     # Phi (x) (1 - Phi) / (d^2 - 1) lies wholly outside the support of Omega_haar
     phi = max_entangled(2)
-    outside = kron(phi, np.eye(4) - phi) / 3
-    assert abs(support_leak(outside, 2) - 1) <= 1e-14
+    outside = np.kron(phi, np.eye(4) - phi) / 3
+    assert abs(design._haar_deviation(outside, 2)[2] - 1) <= 1e-14
     assert multiplicative_theta(outside, 2) is None
     assert eigh_theta(outside, 2) is None
     assert projector_theta(outside, 2) is None
@@ -415,10 +425,10 @@ def test_frame_grades_match_dense_projectors_off_the_ensemble_manifold(d):
     support = p1 + p2
     want = float(np.real(np.trace(omega) - np.trace(support @ omega)))
     assert want >= 0.1
-    assert abs(support_leak(omega, d) - want) <= 1e-12
+    assert abs(design._haar_deviation(omega, d)[2] - want) <= 1e-12
     assert multiplicative_theta(omega, d) is None and projector_theta(omega, d) is None
     inside = support @ omega @ support
-    assert abs(support_leak(inside, d)) <= 1e-12
+    assert abs(design._haar_deviation(inside, d)[2]) <= 1e-12
     theta = multiplicative_theta(inside, d)
     assert theta >= 0.1 and abs(theta - projector_theta(inside, d)) <= 1e-12
 

@@ -1,15 +1,19 @@
-"""The README's library example runs against the library and prints what it says."""
+"""The README's examples run against the library and print what they say, and every public
+name has a user outside the package's own exports."""
 
 import contextlib
+import inspect
 import io
 import json
 import re
 import shlex
 from pathlib import Path
 
+import qnm
 from qnm import cli
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 
 def test_readme_library_example_prints_the_stated_coordinates():
@@ -49,3 +53,18 @@ def test_readme_cli_block_has_the_stated_outcomes(tmp_path, monkeypatch, capsys)
     assert abs(report["two_design_trace_dist"] - 14 / 9) <= 1e-12
     code, report = outcomes["attack --scheme c2.json --adv weyl:1,0"]
     assert code == 0 and report["malleability_residual"] <= 1e-12
+
+
+def test_every_public_name_has_a_user():
+    # a public name stays only while the CLI, the README or the benchmark uses it
+    names = [n for n in dir(qnm) if not n.startswith("_") and not inspect.ismodule(getattr(qnm, n))]
+    src = [p for p in (ROOT / "src" / "qnm").glob("*.py") if p.name != "__init__.py"]
+    texts = [p.read_text() for p in src + [README] + sorted((ROOT / "bench").glob("*.py"))]
+    lines = [line for text in texts for line in text.splitlines()]
+
+    def used(name):
+        own = re.compile(rf"\s*(def|class) {name}\b")  # the name's own definition line
+        word = re.compile(rf"\b{name}\b")
+        return any(word.search(line) and not own.match(line) for line in lines)
+
+    assert [n for n in names if not used(n)] == []

@@ -1,16 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from qnm import (
-    certify_design,
-    num_rank,
-    one_design_distance,
-    pauli_ensemble,
-    weyl,
-    weyl_commutation_phase,
-)
+from qnm import certify_design, num_rank, one_design_distance, pauli_ensemble, weyl
 from qnm.design import ensemble_choi
-from qnm.weyl import is_prime, weyl_labels
+from qnm.weyl import is_prime
 
 from helpers import loop_pauli_unitaries
 
@@ -28,34 +23,48 @@ def test_weyl_qubit_product_convention():
     assert np.allclose(weyl(2, 1, 1), [[0, -1], [1, 0]])
 
 
+def _labels(d: int):
+    return itertools.product(range(d), repeat=2)
+
+
+def _commutation_phase(d: int, a: int, b: int, a2: int, b2: int) -> complex:
+    """zeta with W(a, b) W(a2, b2) = zeta W(a2, b2) W(a, b): exp(2 pi i (a2 b - a b2) / d)."""
+    return np.exp(2j * np.pi * ((a2 * b - a * b2) % d) / d)
+
+
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
 def test_weyl_unitary(d):
-    for a, b in weyl_labels(d):
+    for a, b in _labels(d):
         w = weyl(d, a, b)
         assert np.max(np.abs(w.conj().T @ w - np.eye(d))) <= 1e-12
 
 
 def test_commutation_phase_qubit_anticommute():
-    assert abs(weyl_commutation_phase(2, 1, 0, 0, 1) - (-1)) <= 1e-14
+    x, z = weyl(2, 1, 0), weyl(2, 0, 1)
+    assert np.max(np.abs(x @ z + z @ x)) <= 1e-14
 
 
 def test_commutation_phase_qutrit_defining_relation():
     # Z X = omega X Z
     omega = np.exp(2j * np.pi / 3)
-    assert abs(weyl_commutation_phase(3, 0, 1, 1, 0) - omega) <= 1e-14
+    x, z = weyl(3, 1, 0), weyl(3, 0, 1)
+    assert np.max(np.abs(z @ x - omega * x @ z)) <= 1e-14
 
 
 def test_commutation_phase_self():
+    # W(1, 1) commutes with W(k, k), which is proportional to its k-th power
     for d in (2, 3, 5):
-        assert abs(weyl_commutation_phase(d, 1, 1, 1, 1) - 1) <= 1e-14
+        for k in range(d):
+            w, wk = weyl(d, 1, 1), weyl(d, k, k)
+            assert np.max(np.abs(w @ wk - wk @ w)) <= 1e-14
 
 
 @pytest.mark.parametrize("d", [2, 3, 5])
 def test_commutation_phase_matches_matrices(d):
-    for a, b in weyl_labels(d):
-        for a2, b2 in weyl_labels(d):
+    for a, b in _labels(d):
+        for a2, b2 in _labels(d):
             lhs = weyl(d, a, b) @ weyl(d, a2, b2)
-            rhs = weyl_commutation_phase(d, a, b, a2, b2) * weyl(d, a2, b2) @ weyl(d, a, b)
+            rhs = _commutation_phase(d, a, b, a2, b2) * weyl(d, a2, b2) @ weyl(d, a, b)
             assert np.max(np.abs(lhs - rhs)) <= 1e-12
 
 
@@ -72,7 +81,7 @@ def test_group_law_up_to_phase(d):
         # swapping the factors changes the extracted phase by the commutation phase
         prod_swapped = weyl(d, a2, b2) @ weyl(d, a, b)
         phase_swapped = np.trace(target.conj().T @ prod_swapped) / d
-        zeta = weyl_commutation_phase(d, a, b, a2, b2)
+        zeta = _commutation_phase(d, a, b, a2, b2)
         assert abs(phase / phase_swapped - zeta) <= 1e-12
 
 
