@@ -1,8 +1,9 @@
 """Command-line front end: generate ensembles, certify designs, run attacks, report bounds.
 
-Exit codes: 0 success / certification pass, 1 certification fail, 2 usage or validation error
-(an input too large for memory included), 3 I/O failure. Reports go to stdout (or --out);
-diagnostics go to stderr. QNM_TOL overrides design.DEFAULT_CERT_TOL, the default tolerance.
+Exit codes, set by main alone: 0 success / certification pass, 1 only a failed certification
+grade, 2 usage or validation error (a missing input file or an input too large for memory
+included), 3 any other read or write failure. Reports go to stdout (or --out); diagnostics go
+to stderr. QNM_TOL overrides design.DEFAULT_CERT_TOL, the default tolerance.
 """
 
 import argparse
@@ -38,19 +39,14 @@ def _default_tol() -> float:
     return check_tol(tol, "QNM_TOL")
 
 
-def _write_json(obj: dict, out_path: str | None) -> int:
-    """Write a report to ``out_path`` (stdout if None); EXIT_IO if that fails, else EXIT_OK."""
+def _write_json(obj: dict, out_path: str | None):
+    """Write a report to ``out_path`` (stdout if None)."""
     text = json.dumps(obj, indent=1) + "\n"
-    try:
-        if out_path:
-            with open(out_path, "w") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
-    except OSError as exc:
-        print(f"error: cannot write report: {exc}", file=sys.stderr)
-        return EXIT_IO
-    return EXIT_OK
+    if out_path:
+        with open(out_path, "w") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
 
 
 def cmd_gen(args) -> int:
@@ -74,11 +70,7 @@ def cmd_gen(args) -> int:
         source = args.source or "clifford"
         ensemble = construct.sample_design(construct.SamplerConfig(args.d, args.n, seed, source))
         meta = {"source": source, "seed": seed, "n": args.n}
-    try:
-        files.save_ensemble(args.out, ensemble, meta)
-    except OSError as exc:
-        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-        return EXIT_IO
+    files.save_ensemble(args.out, ensemble, meta)
     print(f"wrote {ensemble.size} unitaries (d={ensemble.d}) to {args.out}", file=sys.stderr)
     return EXIT_OK
 
@@ -92,8 +84,7 @@ def cmd_certify(args) -> int:
         n = ensemble.d**4
         raise MemoryError(f"certifying d = {ensemble.d} needs d^4 x d^4 = {n} x {n} operators")
     digest = files.file_digest(args.input)
-    if _write_json(files.certification_report_to_dict(report, digest), args.out) == EXIT_IO:
-        return EXIT_IO
+    _write_json(files.certification_report_to_dict(report, digest), args.out)
     if args.mode in ("trace", "both") and not report.passes_two_design:
         return EXIT_CERT_FAIL
     if args.mode in ("multiplicative", "both") and not report.passes_multiplicative:
@@ -102,24 +93,24 @@ def cmd_certify(args) -> int:
 
 
 def _parse_adversary(selector: str, d: int):
+    integer = r"[+-]?[0-9]+"  # ASCII only: int() would also read "\u0661", " 1 " and "1_0"
     if selector == "identity":
         return identity_channel(d)
     if selector.startswith("replace:"):
         arg = selector.split(":", 1)[1]
         if arg == "tau":
             return depolarizing_channel(d)
-        if re.fullmatch(r"[+-]?[0-9]+", arg):
+        if re.fullmatch(integer, arg):
             j = int(arg)
             if not 0 <= j < d:
                 raise ValueError(f"replacement basis state {j} out of range 0..{d - 1}")
             return constant_channel(np.diag(np.eye(d)[j]))
         return constant_channel(files.load_matrix(arg, "state"))
     if selector.startswith("weyl:"):
-        try:
-            a, b = (int(x) for x in selector.split(":", 1)[1].split(","))
-        except ValueError:
+        ab = re.fullmatch(f"weyl:({integer}),({integer})", selector)
+        if not ab:
             raise ValueError(f"weyl adversary needs 'weyl:<a>,<b>', got {selector!r}")
-        return unitary_channel(weyl(d, a, b))
+        return unitary_channel(weyl(d, int(ab[1]), int(ab[2])))
     if selector.startswith("unitary:"):
         return unitary_channel(files.load_matrix(selector.split(":", 1)[1], "matrix"))
     return files.load_kraus_channel(selector)
@@ -130,7 +121,8 @@ def cmd_attack(args) -> int:
     adversary = _parse_adversary(args.adv, scheme.d)
     report = attack_report(scheme, adversary)
     digest = files.file_digest(args.scheme)
-    return _write_json(files.attack_report_to_dict(report, digest), args.out)
+    _write_json(files.attack_report_to_dict(report, digest), args.out)
+    return EXIT_OK
 
 
 def cmd_bounds(args) -> int:
@@ -148,11 +140,10 @@ def cmd_bounds(args) -> int:
         recommended_n=construct.recommended_n(d, theta, delta) if 0 < theta <= 0.5 else None,
         entropy_bound_bits=entropy_bound(d, theta) if entropy_ok else None,
     )
-    status = _write_json(report, args.out)
-    if status == EXIT_OK and not entropy_ok:
-        print(f"error: entropy bound needs theta <= 1/e, got {theta}", file=sys.stderr)
-        return EXIT_USAGE
-    return status
+    _write_json(report, args.out)
+    if not entropy_ok:  # raised after the write, so the other fields are still reported
+        raise ValueError(f"entropy bound needs theta <= 1/e, got {theta}")
+    return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -201,13 +192,13 @@ def main(argv=None) -> int:
     handler = {"gen": cmd_gen, "certify": cmd_certify, "attack": cmd_attack, "bounds": cmd_bounds}
     try:
         return handler[args.command](args)
-    except (ValueError, FileNotFoundError) as exc:  # ValueError includes unreadable JSON
+    except ValueError as exc:  # ValueError includes unreadable JSON and a missing input file
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except MemoryError as exc:  # an input too large for memory is a usage error, not a verdict
         print(f"error: out of memory{f': {exc}' if str(exc) else ''}", file=sys.stderr)
         return EXIT_USAGE
-    except OSError as exc:
+    except OSError as exc:  # any other read or write failure; its text names the path
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
 

@@ -40,7 +40,7 @@ class SamplerConfig:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.source not in ("clifford", "haar"):
             raise ValueError(f"source must be 'clifford' or 'haar', got {self.source!r}")
-        if self.source == "clifford" and not (is_prime(self.d) and self.d <= CLIFFORD_PRIME_CAP):
+        if self.source == "clifford" and not (self.d <= CLIFFORD_PRIME_CAP and is_prime(self.d)):
             raise ValueError(f"d must be a prime <= {CLIFFORD_PRIME_CAP} for clifford, got {self.d}")
 
 
@@ -96,7 +96,7 @@ def clifford_prime(p: int) -> UnitaryEnsemble:
     unitary 2-design. The cap p <= 5 guards certify, not the enumeration (p = 7 takes
     under a second): certify's N x d^4 rows at p = 7 would hold 16464 * 2401 reals, 316 MB.
     """
-    if not is_prime(p) or p > CLIFFORD_PRIME_CAP:
+    if p > CLIFFORD_PRIME_CAP or not is_prime(p):  # the cap first: trial division is slow
         raise ValueError(f"p must be a prime <= {CLIFFORD_PRIME_CAP}, got {p}")
     return UnitaryEnsemble.uniform(p, _clifford_elements(p).copy())
 
@@ -138,5 +138,11 @@ def recommended_n(d: int, theta: float, delta: float) -> int:
         raise ValueError(f"theta must lie in (0, 1/2], got {theta}")
     if not 0 < delta < 1:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
-    mu = 1.0 / (d * d * (d * d - 1))
-    return math.ceil(2.0 / (theta * theta * mu) * math.log(2 * rank_bound(d) / delta))
+    log_term = math.log(2 * rank_bound(d)) - math.log(delta)
+    try:  # 2 / (theta^2 mu) * log(2 r / delta), ordered so that no underflow divides by 0
+        n = 2.0 / theta / theta * d * d * (d * d - 1) * log_term
+    except OverflowError:  # d, or d^2 - 1, beyond a float
+        n = math.inf
+    if not math.isfinite(n):
+        raise ValueError(f"recommended_n overflows at d = {d}, theta = {theta}, delta = {delta}")
+    return math.ceil(n)

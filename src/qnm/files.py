@@ -66,12 +66,14 @@ def _check_format(obj: dict, path: str, versions=(FORMAT_VERSION,)) -> int:
 
 
 def _read_json(path: str):
-    """json.load of ``path``; a parse failure, deep nesting included, is a ValueError naming it."""
-    with open(path) as fh:
-        try:
+    """json.load of ``path``; a missing file or a parse failure (deep nesting too) is a ValueError."""
+    try:
+        with open(path) as fh:
             return json.load(fh)
-        except (RecursionError, ValueError) as exc:  # ValueError: not JSON, or not UTF-8
-            raise ValueError(f"{path}: not readable as JSON ({exc})") from exc
+    except FileNotFoundError as exc:  # a missing input is a usage error, not an I/O failure
+        raise ValueError(str(exc)) from exc
+    except (RecursionError, ValueError) as exc:  # ValueError: not JSON, or not UTF-8
+        raise ValueError(f"{path}: not readable as JSON ({exc})") from exc
 
 
 def _unpack_unitaries(text, n: int, d: int) -> np.ndarray:

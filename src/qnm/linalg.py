@@ -39,32 +39,21 @@ def is_hermitian(m: np.ndarray) -> bool:
     return m.ndim == 2 and m.shape[0] == m.shape[1] and hermitian_defect(m) <= HERM_TOL
 
 
-def _check_square(m: np.ndarray) -> np.ndarray:
+def _check_hermitian(m: np.ndarray) -> np.ndarray:
     m = np.asarray(m)
     m = m.astype(np.result_type(m, np.float64), copy=False)  # real input stays real
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    return m
-
-
-def trace_norm(m: np.ndarray) -> float:
-    """Sum of singular values (unnormalized trace norm).
-
-    Hermitian inputs are routed through the eigendecomposition for accuracy;
-    everything else falls back to a full SVD.
-    """
-    m = _check_square(m)
-    if is_hermitian(m):
-        return float(np.sum(np.abs(np.linalg.eigvalsh(m))))
-    return float(np.sum(np.linalg.svd(m, compute_uv=False)))
-
-
-def _check_hermitian(m: np.ndarray) -> np.ndarray:
-    m = _check_square(m)
     dev = hermitian_defect(m)
     if not dev <= HERM_TOL:  # a NaN deviation fails too
         raise ValueError(f"matrix is not Hermitian within {HERM_TOL} (deviation {dev:.3e})")
     return m
+
+
+def trace_norm(m: np.ndarray) -> float:
+    """Sum of |eigenvalues| of a Hermitian matrix, its unnormalized trace norm; ValueError if m is
+    not Hermitian within ``HERM_TOL``."""
+    return float(np.sum(np.abs(np.linalg.eigvalsh(_check_hermitian(m)))))
 
 
 def herm_eig(m: np.ndarray):

@@ -69,6 +69,23 @@ def test_gen_sampled_clifford_names_d_and_the_cap(tmp_path, capsys, d):
     assert run(["gen", "sampled", "--d", d, "--n", "5", "--from", "haar", "-o", str(out)]) == 0
 
 
+@pytest.mark.parametrize(
+    "argv", [["clifford", "--p"], ["sampled", "--n", "5", "--d"]], ids=["clifford", "sampled"]
+)
+def test_gen_checks_the_clifford_cap_before_primality(tmp_path, monkeypatch, capsys, argv):
+    is_prime = construct.is_prime
+
+    def capped_is_prime(n):
+        assert n <= construct.CLIFFORD_PRIME_CAP, f"trial division of {n}"
+        return is_prime(n)
+
+    monkeypatch.setattr(construct, "is_prime", capped_is_prime)
+    out = tmp_path / "x.json"
+    assert run(["gen", *argv, "100000000000000000039", "-o", str(out)]) == 2
+    assert "must be a prime <= 5" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_gen_requires_params(tmp_path):
     assert run(["gen", "clifford", "-o", str(tmp_path / "x.json")]) == 2
     assert run(["gen", "sampled", "--d", "2", "-o", str(tmp_path / "x.json")]) == 2
@@ -284,6 +301,18 @@ def test_attack_replace_index_out_of_range(tmp_path, capsys, index):
     assert f"error: replacement basis state {int(index)} out of range 0..1" in err
 
 
+@pytest.mark.parametrize(
+    "arg", ["\u0661,\u0662", " 1 , 2", "1_0,2"], ids=["arabic-indic", "spaces", "underscore"]
+)
+def test_attack_weyl_reads_only_ascii_integers(tmp_path, capsys, arg):
+    scheme = tmp_path / "c2.json"
+    run(["gen", "clifford", "--p", "2", "-o", str(scheme)])
+    capsys.readouterr()
+    assert run(["attack", "--scheme", str(scheme), "--adv", f"weyl:{arg}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "weyl adversary needs 'weyl:<a>,<b>'" in captured.err
+
+
 def test_attack_replace_non_ascii_digits_name_a_file(tmp_path, capsys):
     scheme = tmp_path / "c2.json"
     run(["gen", "clifford", "--p", "2", "-o", str(scheme)])
@@ -291,6 +320,31 @@ def test_attack_replace_non_ascii_digits_name_a_file(tmp_path, capsys):
     assert run(["attack", "--scheme", str(scheme), "--adv", "replace:\u00b2"]) == 2
     err = capsys.readouterr().err
     assert "No such file or directory: '\u00b2'" in err and "invalid literal" not in err
+
+
+@pytest.mark.parametrize(
+    "d, theta, delta",
+    [("2", "1e-200", "0.01"), ("2", "1e-160", "0.01"), (str(10**80), "0.1", "0.01"),
+     (str(10**400), "0.1", "0.01")],
+    ids=["theta-1e-200", "theta-1e-160", "d-1e80", "d-1e400"],
+)
+def test_bounds_recommended_n_overflow_is_a_usage_error(capsys, d, theta, delta):
+    assert run(["bounds", "--d", d, "--theta", theta, "--delta", delta]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"recommended_n overflows at d = {d}, theta = {float(theta)}, delta = {delta}" in (
+        captured.err
+    )
+
+
+@pytest.mark.parametrize(
+    "d, theta, delta, n", [("2", "0.1", "1e-320", 1775576), ("3", "0.3", "5e-324", 1198893)],
+    ids=["delta-1e-320", "delta-5e-324"],
+)
+def test_bounds_recommended_n_is_finite_for_a_subnormal_delta(capsys, d, theta, delta, n):
+    # log(delta) is finite, so the count is too: exit 0, where 2 r / delta used to overflow
+    assert run(["bounds", "--d", d, "--theta", theta, "--delta", delta]) == 0
+    assert json.loads(capsys.readouterr().out)["recommended_n"] == n
 
 
 def test_bounds_output(capsys):
@@ -695,3 +749,40 @@ def test_gen_out_of_memory_exits_2(tmp_path, monkeypatch, capsys, message, err):
     assert run(["gen", "sampled", "--from", "haar", "--d", "20", "--n", "1", "-o", str(out)]) == 2
     assert capsys.readouterr().err == err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        ("gen clifford --p 2 -o {nodir}", 3),
+        ("certify {c2} --out {nodir}", 3),
+        ("attack --scheme {c2} --adv identity --out {nodir}", 3),
+        ("bounds --d 2 --out {nodir}", 3),
+        ("certify {missing}", 2),
+        ("attack --scheme {missing} --adv identity", 2),
+        ("attack --scheme {c2} --adv {missing}", 2),
+        ("attack --scheme {c2} --adv replace:{missing}", 2),
+        ("attack --scheme {c2} --adv unitary:{missing}", 2),
+        ("certify {p3}", 1),
+        ("certify {p3} --mode multiplicative", 1),
+        ("attack --scheme {p3} --adv weyl:1,2", 0),
+        ("bounds --d 3 --theta 0.5", 2),
+    ],
+    ids=["gen-io", "certify-io", "attack-io", "bounds-io", "missing-ensemble",
+         "missing-scheme", "missing-kraus", "missing-replace", "missing-unitary",
+         "certify-fail", "certify-fail-multiplicative", "malleable-attack", "bounds-domain"],
+)
+def test_exit_code_table(tmp_path, capsys, argv, code):
+    # 1 is only certify's verdict; a missing input is a usage error (2); a failed write is 3
+    paths = {name: str(tmp_path / f"{name}.json") for name in ("c2", "p3", "missing")}
+    paths["nodir"] = str(tmp_path / "no" / "dir" / "out.json")
+    assert run(["gen", "clifford", "--p", "2", "-o", paths["c2"]]) == 0
+    assert run(["gen", "pauli", "--p", "3", "-o", paths["p3"]]) == 0
+    capsys.readouterr()
+    assert run(argv.format(**paths).split()) == code
+    captured = capsys.readouterr()
+    if code == 3:
+        assert captured.out == "" and captured.err.startswith("error: ")
+        assert paths["nodir"] in captured.err
+    if code == 2 and "{missing}" in argv:
+        assert f"No such file or directory: '{paths['missing']}'" in captured.err

@@ -39,15 +39,23 @@ def test_trace_norm_ideal_choi():
     assert abs(trace_norm(ideal_choi(2)) - 1.0) <= 1e-12
 
 
+def _random_hermitian(rng, d):
+    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    return g + g.conj().T
+
+
 def test_trace_norm_triangle_and_unitary_invariance():
     rng = philox(4)
     for _ in range(10):
-        a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        b = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        a, b = _random_hermitian(rng, 3), _random_hermitian(rng, 3)
         assert trace_norm(a + b) <= trace_norm(a) + trace_norm(b) + 1e-10
         q, _ = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
-        v, _ = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
-        assert abs(trace_norm(q @ a @ v) - trace_norm(a)) <= 1e-10
+        assert abs(trace_norm(q @ a @ q.conj().T) - trace_norm(a)) <= 1e-10
+
+
+def test_trace_norm_rejects_a_non_hermitian_matrix():
+    with pytest.raises(ValueError, match="not Hermitian"):
+        trace_norm(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 def test_trace_norm_rejects_non_square():
