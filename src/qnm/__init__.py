@@ -12,8 +12,6 @@ from .channels import (
     channel_from_choi,
     choi_of,
     constant_channel,
-    depolarizing_channel,
-    identity_channel,
     random_cptni_channel,
     unitary_channel,
     validate_cptni,
@@ -35,6 +33,6 @@ from .design import (
     one_design_distance,
     rank_bound,
 )
-from .linalg import herm_eig, is_hermitian, maximally_mixed, num_rank, trace_norm
-from .nmes import AttackReport, EncryptionScheme, attack_report, effective_channel, pauli_attack
+from .linalg import herm_eig, maximally_mixed, num_rank, trace_norm
+from .nmes import AttackReport, EncryptionScheme, attack_report, effective_channel
 from .weyl import is_prime, pauli_ensemble, weyl

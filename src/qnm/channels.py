@@ -9,11 +9,11 @@ one way from a PSD operator to Kraus operators: the replacement attack
 rho -> eta tr(rho) is the channel whose Choi operator is eta (x) tau.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import gram_choi, is_hermitian, maximally_mixed
+from .linalg import HERM_TOL, gram_choi, hermitian_defect, maximally_mixed
 
 CPTNI_TOL = 1e-10  # for sum K^dagger K - 1 (TP, TNI), Choi negativity and a state's trace
 KRAUS_CUTOFF = 1e-12  # eigenvalues of d * omega at or below it give no Kraus operator
@@ -29,7 +29,7 @@ class KrausChannel:
     """
 
     d: int
-    kraus_ops: np.ndarray = field(default_factory=list)
+    kraus_ops: np.ndarray
 
     def __post_init__(self):
         shape = (self.d, self.d)
@@ -67,10 +67,6 @@ def validate_cptni(ch: KrausChannel) -> CptniReport:
     return CptniReport(is_tni=is_tni, is_tp=defect <= CPTNI_TOL, defect=defect)
 
 
-def identity_channel(d: int) -> KrausChannel:
-    return KrausChannel(d=d, kraus_ops=[np.eye(d, dtype=complex)])
-
-
 def unitary_channel(u: np.ndarray) -> KrausChannel:
     """Conjugation by ``u``; a ValueError if u^dagger u is not 1 within ``CPTNI_TOL``."""
     ch = KrausChannel(d=len(u), kraus_ops=[u])
@@ -92,11 +88,6 @@ def constant_channel(eta0: np.ndarray) -> KrausChannel:
         return channel_from_choi(np.kron(eta0, maximally_mixed(d)))
     except ValueError as exc:
         raise ValueError(f"replacement state must be Hermitian and PSD ({exc})") from None
-
-
-def depolarizing_channel(d: int) -> KrausChannel:
-    """The completely forgetful channel rho -> tau * tr(rho)."""
-    return constant_channel(maximally_mixed(d))
 
 
 def choi_of(ch: KrausChannel) -> np.ndarray:
@@ -123,7 +114,7 @@ def channel_from_choi(omega: np.ndarray) -> KrausChannel:
         raise ValueError(f"Choi operator must be d^2 x d^2, got shape {omega.shape}")
     if not np.all(np.isfinite(omega)):
         raise ValueError("Choi operator must be finite")
-    if not is_hermitian(omega):
+    if not hermitian_defect(omega) <= HERM_TOL:
         raise ValueError("Choi operator must be Hermitian")
     vals, vecs = np.linalg.eigh(omega * d)
     if vals[0] < -CPTNI_TOL:

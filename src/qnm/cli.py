@@ -16,9 +16,9 @@ import sys
 import numpy as np
 
 from . import construct, files
-from .channels import constant_channel, depolarizing_channel, identity_channel, unitary_channel
+from .channels import constant_channel, unitary_channel
 from .design import DEFAULT_CERT_TOL, certify_design, entropy_bound, rank_bound
-from .linalg import check_tol
+from .linalg import check_tol, maximally_mixed
 from .nmes import EncryptionScheme, attack_report
 from .weyl import pauli_ensemble, weyl
 
@@ -95,11 +95,11 @@ def cmd_certify(args) -> int:
 def _parse_adversary(selector: str, d: int):
     integer = r"[+-]?[0-9]+"  # ASCII only: int() would also read "\u0661", " 1 " and "1_0"
     if selector == "identity":
-        return identity_channel(d)
+        return unitary_channel(np.eye(d))
     if selector.startswith("replace:"):
         arg = selector.split(":", 1)[1]
         if arg == "tau":
-            return depolarizing_channel(d)
+            return constant_channel(maximally_mixed(d))
         if re.fullmatch(integer, arg):
             j = int(arg)
             if not 0 <= j < d:

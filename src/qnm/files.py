@@ -110,9 +110,9 @@ def ensemble_from_dict(obj: dict, path: str = "<memory>") -> UnitaryEnsemble:
             unitaries = pairs_to_matrix(obj["unitaries"], "unitaries")
         else:
             unitaries = _unpack_unitaries(obj["unitaries"], weights.size, d)
+        return UnitaryEnsemble(d=d, weights=weights, unitaries=unitaries)  # it checks the keys
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{path}: malformed ensemble file ({exc})") from exc
-    return UnitaryEnsemble(d=d, weights=weights, unitaries=unitaries)
 
 
 def save_ensemble(path: str, e: UnitaryEnsemble, meta: dict | None = None):

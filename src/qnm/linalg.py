@@ -34,11 +34,6 @@ def hermitian_defect(m: np.ndarray) -> float:
     return float(np.max(np.abs(m - m.conj().T)))
 
 
-def is_hermitian(m: np.ndarray) -> bool:
-    m = np.asarray(m)
-    return m.ndim == 2 and m.shape[0] == m.shape[1] and hermitian_defect(m) <= HERM_TOL
-
-
 def _check_hermitian(m: np.ndarray) -> np.ndarray:
     m = np.asarray(m)
     m = m.astype(np.result_type(m, np.float64), copy=False)  # real input stays real

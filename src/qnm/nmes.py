@@ -15,9 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import KrausChannel, choi_of, unitary_channel, validate_cptni
+from .channels import KrausChannel, choi_of, validate_cptni
 from .design import IsotropicDecomposition, UnitaryEnsemble, iso_project, one_design_distance
-from .weyl import weyl
 
 
 @dataclass
@@ -79,13 +78,3 @@ def attack_report(scheme: EncryptionScheme, adv: KrausChannel) -> AttackReport:
         diamond_upper_bound=d * residual,
         scheme_one_design_dist=one_design_distance(scheme.ensemble),
     )
-
-
-def pauli_attack(scheme: EncryptionScheme, a: int, b: int) -> AttackReport:
-    """Attack the scheme by conjugating the ciphertext with the Weyl operator W(a, b).
-
-    For schemes whose keys are themselves Weyl operators, the commutation
-    phases cancel and the effective channel is exactly conjugation by
-    W(a, b) (the one-time pad is malleable).
-    """
-    return attack_report(scheme, unitary_channel(weyl(scheme.d, a, b)))

@@ -12,6 +12,8 @@ import numpy as np
 
 from .design import UnitaryEnsemble
 
+PAULI_MAX_ENTRIES = 2**22  # most complex entries p^{4n} pauli_ensemble builds (64 MiB)
+
 
 def is_prime(n: int) -> bool:
     return n >= 2 and all(n % f for f in range(2, math.isqrt(n) + 1))
@@ -41,10 +43,13 @@ def pauli_ensemble(p: int, n: int = 1) -> UnitaryEnsemble:
     p^{-2n}. This is a perfect 1-design (the quantum one-time pad) but never
     a 2-design.
     """
-    if not is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
     if n < 1:
         raise ValueError(f"n must be a positive integer, got {n}")
+    # the bound before trial division, which is slow for a huge p; logarithms never form p^{4n}
+    if p >= 2 and n > math.log(PAULI_MAX_ENTRIES) / (4 * math.log(p)):
+        raise ValueError(f"p^(4n) must be <= {PAULI_MAX_ENTRIES} entries, got p = {p}, n = {n}")
+    if not is_prime(p):
+        raise ValueError(f"p must be prime, got {p}")
     singles = np.array([weyl(p, digit % p, digit // p) for digit in range(p * p)])
     u = np.ones((1, 1, 1), dtype=complex)
     for _ in range(n):  # the next factor's digit is the slow axis: u[digit, key] = u[key] (x) W

@@ -24,11 +24,9 @@ from qnm import (
     ensemble_entropy,
     entropy_bound,
     frame_potential,
-    identity_channel,
     maximally_mixed,
     multiplicative_theta,
     num_rank,
-    pauli_attack,
     pauli_ensemble,
     random_cptni_channel,
     trace_norm,
@@ -116,8 +114,8 @@ def test_criterion_04_effective_channel_formulas():
                 worst = max(worst, float(np.max(np.abs(got - want))))
         ok = ok and worst <= 1e-9
         id_dist = trace_norm(
-            choi_of(effective_channel(scheme, identity_channel(d)))
-            - choi_of(identity_channel(d))
+            choi_of(effective_channel(scheme, unitary_channel(np.eye(d))))
+            - choi_of(unitary_channel(np.eye(d)))
         )
         eta = random_density(d, philox(140 + p))
         rep_dist = trace_norm(
@@ -138,8 +136,9 @@ def test_criterion_05_one_time_pad_malleability():
             for b in range(p):
                 if a == b == 0:
                     continue
-                rep = pauli_attack(scheme, a, b)
-                expected = choi_of(unitary_channel(weyl(p, a, b)))
+                attack = unitary_channel(weyl(p, a, b))
+                rep = attack_report(scheme, attack)
+                expected = choi_of(attack)
                 dev = float(np.max(np.abs(rep.effective_choi - expected)))
                 worst = max(worst, dev)
                 ok = ok and dev <= 1e-12

@@ -8,8 +8,7 @@ from qnm import (
     channel_from_choi,
     choi_of,
     constant_channel,
-    depolarizing_channel,
-    identity_channel,
+    maximally_mixed,
     random_cptni_channel,
     unitary_channel,
     validate_cptni,
@@ -23,13 +22,14 @@ from helpers import apply_channel, choi_inverse_action, philox, random_density
 def test_apply_identity():
     rng = philox(30)
     rho = random_density(3, rng)
-    assert np.allclose(apply_channel(identity_channel(3), rho), rho)
+    assert np.allclose(apply_channel(unitary_channel(np.eye(3)), rho), rho)
 
 
 def test_apply_depolarizing():
     rng = philox(31)
     rho = random_density(2, rng)
-    assert np.allclose(apply_channel(depolarizing_channel(2), rho), np.eye(2) / 2, atol=1e-13)
+    out = apply_channel(constant_channel(maximally_mixed(2)), rho)
+    assert np.allclose(out, np.eye(2) / 2, atol=1e-13)
 
 
 def test_apply_single_kraus_flip():
@@ -51,13 +51,13 @@ def test_apply_channel_trace_non_increasing_and_psd():
 
 
 def test_choi_of_identity_is_max_entangled():
-    assert np.max(np.abs(choi_of(identity_channel(3)) - max_entangled(3))) <= 1e-14
+    assert np.max(np.abs(choi_of(unitary_channel(np.eye(3))) - max_entangled(3))) <= 1e-14
 
 
 def test_choi_of_depolarizing_is_tau_tau():
     d = 3
     tau = np.eye(d) / d
-    assert np.max(np.abs(choi_of(depolarizing_channel(d)) - np.kron(tau, tau))) <= 1e-14
+    assert np.max(np.abs(choi_of(constant_channel(tau)) - np.kron(tau, tau))) <= 1e-14
 
 
 def test_choi_of_pauli_x_conjugation():
@@ -156,14 +156,14 @@ def test_choi_of_is_linear_in_the_channel():
 
 
 def test_validate_cptni_identity():
-    rep = validate_cptni(identity_channel(2))
+    rep = validate_cptni(unitary_channel(np.eye(2)))
     assert rep.is_tp and rep.is_tni
     assert rep.defect <= 1e-14
 
 
 def test_channel_and_report_hold_only_their_fields():
     assert [f.name for f in dataclasses.fields(KrausChannel)] == ["d", "kraus_ops"]
-    report = validate_cptni(identity_channel(2))
+    report = validate_cptni(unitary_channel(np.eye(2)))
     assert [f.name for f in dataclasses.fields(report)] == ["is_tni", "is_tp", "defect"]
 
 
@@ -190,7 +190,7 @@ def test_kraus_shape_validation():
 def test_kraus_ops_are_stored_as_one_array():
     ch = KrausChannel(d=2, kraus_ops=[np.ones((2, 2)), np.zeros((2, 2)), np.eye(2)])
     assert ch.kraus_ops.shape == (3, 2, 2) and ch.kraus_ops.dtype == complex
-    empty = KrausChannel(d=2)
+    empty = KrausChannel(d=2, kraus_ops=[])
     assert empty.kraus_ops.shape == (0, 2, 2)
     assert np.array_equal(choi_of(empty), np.zeros((4, 4)))
     assert np.array_equal(apply_channel(empty, np.eye(2) / 2), np.zeros((2, 2)))
@@ -215,7 +215,7 @@ def test_apply_channel_rejects_non_finite_state(bad):
     rho = np.eye(2, dtype=complex) / 2
     rho[0, 1] = bad
     with pytest.raises(ValueError, match="state must be finite"):
-        apply_channel(identity_channel(2), rho)
+        apply_channel(unitary_channel(np.eye(2)), rho)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -228,4 +228,4 @@ def test_channel_from_choi_rejects_non_finite_operator(bad):
 
 def test_apply_channel_dimension_mismatch():
     with pytest.raises(ValueError):
-        apply_channel(identity_channel(2), np.eye(3) / 3)
+        apply_channel(unitary_channel(np.eye(2)), np.eye(3) / 3)

@@ -1,4 +1,5 @@
 import base64
+import importlib
 import json
 
 import numpy as np
@@ -83,6 +84,27 @@ def test_gen_checks_the_clifford_cap_before_primality(tmp_path, monkeypatch, cap
     out = tmp_path / "x.json"
     assert run(["gen", *argv, "100000000000000000039", "-o", str(out)]) == 2
     assert "must be a prime <= 5" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "p, n", [("100000000000000000039", "1"), ("2", "7"), ("2", "1" + "0" * 400)],
+    ids=["huge-p", "4.3GB", "huge-n"],
+)
+def test_gen_pauli_checks_the_size_bound_before_primality(tmp_path, monkeypatch, capsys, p, n):
+    weyl = importlib.import_module("qnm.weyl")  # the name qnm.weyl is the function
+    is_prime = weyl.is_prime
+
+    def bounded_is_prime(q):
+        assert q**4 <= weyl.PAULI_MAX_ENTRIES, f"trial division of {q}"
+        return is_prime(q)
+
+    monkeypatch.setattr(weyl, "is_prime", bounded_is_prime)
+    out = tmp_path / "x.json"
+    assert run(["gen", "pauli", "--p", p, "--n", n, "-o", str(out)]) == 2
+    assert f"p^(4n) must be <= {weyl.PAULI_MAX_ENTRIES} entries, got p = {p}, n = {n}" in (
+        capsys.readouterr().err
+    )
     assert not out.exists()
 
 
@@ -438,6 +460,59 @@ def test_attack_replace_state_file(tmp_path, capsys):
     rep = json.loads(capsys.readouterr().out)
     # any replacement decrypts to tau under a 1-design scheme
     assert abs(rep["alpha"] - 0.25) <= 1e-9 and abs(rep["beta"] - 0.25) <= 1e-9
+
+
+@pytest.mark.parametrize(
+    "adv, twin", [("identity", "weyl:0,0"), ("replace:tau", "replace:{tau}")], ids=["id", "tau"]
+)
+def test_rerouted_selectors_give_byte_identical_reports(tmp_path, capsys, adv, twin):
+    scheme, tau = str(tmp_path / "c2.json"), tmp_path / "tau.json"
+    run(["gen", "clifford", "--p", "2", "-o", scheme])
+    state = files.matrix_to_pairs(np.eye(2) / 2)
+    tau.write_text(json.dumps({"format": 1, "d": 2, "state": state}))
+    capsys.readouterr()
+    reports = []
+    for selector in (adv, twin.format(tau=tau)):
+        assert run(["attack", "--scheme", scheme, "--adv", selector]) == 0
+        reports.append(capsys.readouterr().out)
+    assert reports[0] == reports[1]
+
+
+def _scaled_key(obj, u):
+    u = u.copy()
+    u[3] *= 1.001
+    obj["unitaries"] = base64.b64encode(np.ascontiguousarray(u, "<c16")).decode("ascii")
+
+
+def _negative_weight(obj, u):
+    obj["weights"][0] = -0.1
+
+
+def _nested_weights(obj, u):
+    obj["weights"] = [[w] for w in obj["weights"]]
+
+
+@pytest.mark.parametrize(
+    "command", [["certify"], ["attack", "--adv", "identity", "--scheme"]], ids=["certify", "attack"]
+)
+@pytest.mark.parametrize(
+    "spoil, error",
+    [
+        (_scaled_key, "ensemble element 3 is not unitary (deviation 2.001e-03)"),
+        (_negative_weight, "weights must be nonnegative"),
+        (_nested_weights, "weights and unitaries disagree on ensemble size"),
+    ],
+    ids=["scaled-key", "negative-weight", "nested-weights"],
+)
+def test_ensemble_content_error_names_the_file(tmp_path, capsys, clifford2, command, spoil, error):
+    path = tmp_path / "c2.json"
+    obj = files.ensemble_to_dict(clifford2)
+    spoil(obj, clifford2.unitaries)
+    path.write_text(json.dumps(obj))
+    assert run([*command, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path}: malformed ensemble file ({error})\n"
 
 
 def test_ensemble_file_round_trip(tmp_path):

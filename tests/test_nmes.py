@@ -8,9 +8,7 @@ from qnm import (
     choi_of,
     constant_channel,
     effective_channel,
-    identity_channel,
     maximally_mixed,
-    pauli_attack,
     random_cptni_channel,
     trace_norm,
     unitary_channel,
@@ -32,8 +30,8 @@ def clifford_scheme(clifford2):
 
 
 def test_effective_channel_identity_adversary(clifford_scheme):
-    eff = effective_channel(clifford_scheme, identity_channel(2))
-    dist = trace_norm(choi_of(eff) - choi_of(identity_channel(2)))
+    eff = effective_channel(clifford_scheme, unitary_channel(np.eye(2)))
+    dist = trace_norm(choi_of(eff) - choi_of(unitary_channel(np.eye(2))))
     assert dist <= 1e-12
 
 
@@ -99,7 +97,7 @@ def test_attack_on_two_design_stays_isotropic(d, clifford2, clifford3):
 
 
 def test_attack_identity_is_alpha_one(clifford_scheme):
-    report = attack_report(clifford_scheme, identity_channel(2))
+    report = attack_report(clifford_scheme, unitary_channel(np.eye(2)))
     assert abs(report.decomposition.alpha - 1) <= 1e-12
     assert abs(report.decomposition.beta) <= 1e-12
     assert report.malleability_residual <= 1e-12
@@ -114,9 +112,9 @@ def test_pauli_scheme_is_malleable(pauli_scheme):
 
 
 def test_pauli_attack_exact_forwarding(pauli_scheme, pauli31):
-    report = pauli_attack(pauli_scheme, 1, 0)
+    report = attack_report(pauli_scheme, unitary_channel(weyl(2, 1, 0)))
     assert np.max(np.abs(report.effective_choi - choi_of(unitary_channel(weyl(2, 1, 0))))) <= 1e-12
-    report3 = pauli_attack(EncryptionScheme(pauli31), 1, 2)
+    report3 = attack_report(EncryptionScheme(pauli31), unitary_channel(weyl(3, 1, 2)))
     assert np.max(np.abs(report3.effective_choi - choi_of(unitary_channel(weyl(3, 1, 2))))) <= 1e-12
 
 
@@ -127,19 +125,20 @@ def test_pauli_attack_forwards_every_weyl_operator_on_the_pad(p):
     scheme = EncryptionScheme(pauli_ensemble(p, 1))
     for a in range(p):
         for b in range(p):
-            expected = choi_of(unitary_channel(weyl(p, a, b)))
-            assert np.max(np.abs(pauli_attack(scheme, a, b).effective_choi - expected)) <= 1e-12
+            attack = unitary_channel(weyl(p, a, b))
+            report = attack_report(scheme, attack)
+            assert np.max(np.abs(report.effective_choi - choi_of(attack))) <= 1e-12
 
 
 def test_pauli_attack_identity_index(pauli_scheme):
-    report = pauli_attack(pauli_scheme, 0, 0)
+    report = attack_report(pauli_scheme, unitary_channel(weyl(2, 0, 0)))
     assert report.malleability_residual <= 1e-12
     assert abs(report.decomposition.alpha - 1) <= 1e-12
 
 
 def test_pauli_attack_on_clifford_scheme(clifford_scheme):
     # non-Weyl keys: no exact forwarding, the attack is depolarized instead
-    report = pauli_attack(clifford_scheme, 1, 0)
+    report = attack_report(clifford_scheme, unitary_channel(weyl(2, 1, 0)))
     assert report.malleability_residual <= 1e-9
     assert abs(report.decomposition.alpha) <= 1e-9
     assert abs(report.decomposition.beta - 1 / 3) <= 1e-9
@@ -149,7 +148,7 @@ def test_attack_report_flags_non_one_design_scheme():
     lone = EncryptionScheme(
         __import__("qnm").UnitaryEnsemble.uniform(2, np.eye(2, dtype=complex)[None])
     )
-    report = attack_report(lone, identity_channel(2))
+    report = attack_report(lone, unitary_channel(np.eye(2)))
     assert report.scheme_one_design_dist > 1.0
 
 
@@ -176,7 +175,7 @@ def test_pauli_attack_on_two_qudit_pad_is_not_forwarded():
     # single-qudit Weyl on d=4 is not in the two-qubit key group, so the
     # exact-forwarding identity must not be asserted (and does not hold)
     scheme = EncryptionScheme(pauli_ensemble(2, 2))
-    report = pauli_attack(scheme, 1, 0)
+    report = attack_report(scheme, unitary_channel(weyl(4, 1, 0)))
     assert np.max(np.abs(report.effective_choi - choi_of(unitary_channel(weyl(4, 1, 0))))) > 1e-6
 
 
