@@ -7,6 +7,8 @@ design / non-malleability bounds numerically at small dimension.
 
 __version__ = "0.1.0"
 
+import sys
+
 from .channels import (
     KrausChannel,
     channel_from_choi,
@@ -35,4 +37,5 @@ from .design import (
 )
 from .linalg import herm_eig, maximally_mixed, num_rank, trace_norm
 from .nmes import AttackReport, EncryptionScheme, attack_report, effective_channel
-from .weyl import is_prime, pauli_ensemble, weyl
+from .pauli import is_prime, pauli_ensemble, weyl
+sys.modules[f"{__name__}.weyl"] = sys.modules[f"{__name__}.pauli"]  # the module's former path

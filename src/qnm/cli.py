@@ -20,7 +20,7 @@ from .channels import constant_channel, unitary_channel
 from .design import DEFAULT_CERT_TOL, certify_design, entropy_bound, rank_bound
 from .linalg import check_tol, maximally_mixed
 from .nmes import EncryptionScheme, attack_report
-from .weyl import pauli_ensemble, weyl
+from .pauli import pauli_ensemble, weyl
 
 EXIT_OK = 0
 EXIT_CERT_FAIL = 1

@@ -15,7 +15,7 @@ from functools import lru_cache
 import numpy as np
 
 from .design import UnitaryEnsemble, rank_bound
-from .weyl import is_prime, weyl
+from .pauli import is_prime, weyl
 
 CLIFFORD_PRIME_CAP = 5
 _PHASE_PICK_TOL = 0.1

@@ -169,7 +169,7 @@ def ideal_choi(d: int) -> np.ndarray:
     return _adjoint_frame(np.diag(_haar_diagonal(d)), d)
 
 
-_ROW_BLOCK = 1 << 18  # complex entries per key block of ensemble_choi's intermediate
+_ROW_BLOCK = 1 << 18  # complex entries per key block of ensemble_choi and effective_channel
 
 
 def ensemble_choi(e: UnitaryEnsemble) -> np.ndarray:

@@ -75,12 +75,13 @@ def gram_choi(rows: np.ndarray, d: int) -> np.ndarray:
 
     Rows sqrt(p_k) vec(W_k) (row-major vec) give the Choi operator of
     rho -> sum_k p_k W_k rho W_k^dagger, as (W (x) 1) Phi_d (...)^dagger = vec(W) vec(W)^dagger / d.
-    Real rows stay real: ``conj()`` returns them uncopied, so numpy takes its syrk path.
+    One real syrk: a complex row x + iy is read, uncopied, as the real row of pairs (x, y), so
+    Re g = xx^T + yy^T and Im g = yx^T - xy^T come out exactly symmetric and antisymmetric.
     """
-    rows = np.asarray(rows)
-    g = rows.T @ rows.conj()
-    if np.iscomplexobj(g):  # a real product comes from syrk, exactly symmetric already
-        g += g.conj().T
-        d *= 2
+    rows = np.ascontiguousarray(rows, dtype=np.result_type(rows, np.float64))
+    v = rows.view(np.float64)
+    g = v.T @ v
+    if np.iscomplexobj(rows):
+        g = g[0::2, 0::2] + g[1::2, 1::2] + 1j * (g[1::2, 0::2] - g[0::2, 1::2])
     g /= d
     return g

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import KrausChannel, choi_of, validate_cptni
-from .design import IsotropicDecomposition, UnitaryEnsemble, iso_project, one_design_distance
+from .design import _ROW_BLOCK, IsotropicDecomposition, UnitaryEnsemble, iso_project
+from .design import one_design_distance
 
 
 @dataclass
@@ -49,20 +50,28 @@ class AttackReport:
 
 
 def effective_channel(scheme: EncryptionScheme, adv: KrausChannel) -> KrausChannel:
-    """Kraus form of the plaintext channel induced by an adversary on the ciphertext."""
+    """Kraus form of the plaintext channel induced by an adversary on the ciphertext: the
+    sqrt(p_k) U_k^dagger K_m U_k, key-major over the keys of nonzero weight. Per key block, one
+    GEMM gives every U_k^dagger K_m, and one batched matmul multiplies each by its U_k."""
     rep = validate_cptni(adv)
     if not rep.is_tni:
         raise ValueError(f"adversary channel is not trace non-increasing (defect {rep.defect:.3e})")
     d = scheme.d
     if adv.d != d:
         raise ValueError(f"adversary acts on dimension {adv.d}, scheme has dimension {d}")
-    e = scheme.ensemble
-    keep = e.weights != 0
-    u = e.unitaries[keep, None]  # (N, 1, d, d) against the (M, d, d) Kraus stack
-    udag = np.sqrt(e.weights[keep])[:, None, None, None] * u.conj().transpose(0, 1, 3, 2)
-    # key-major order: all U_k^dagger K_m U_k of key k before those of key k + 1
-    ops = udag @ adv.kraus_ops @ u
-    return KrausChannel(d=d, kraus_ops=ops.reshape(-1, d, d))
+    w = scheme.ensemble.weights
+    u = scheme.ensemble.unitaries[w != 0]
+    udag = np.sqrt(w[w != 0])[:, None, None] * u.conj().transpose(0, 2, 1)
+    n, m = len(u), len(adv.kraus_ops)
+    kraus = adv.kraus_ops.transpose(1, 0, 2).reshape(d, m * d)  # [j, (m, c)] = K_m[j, c]
+    ops = np.empty((n, m, d, d), dtype=complex)
+    step = max(1, _ROW_BLOCK // max(1, m * d * d))
+    for k in range(0, n, step):
+        b = min(step, n - k)
+        left = udag[k : k + b].reshape(b * d, d) @ kraus  # [(k, i), (m, c)]
+        prod = left.reshape(b, d * m, d) @ u[k : k + b]  # [k, (i, m), e]
+        ops[k : k + b] = prod.reshape(b, d, m, d).transpose(0, 2, 1, 3)
+    return KrausChannel(d=d, kraus_ops=ops.reshape(n * m, d, d))
 
 
 def attack_report(scheme: EncryptionScheme, adv: KrausChannel) -> AttackReport:

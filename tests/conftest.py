@@ -1,6 +1,6 @@
 import pytest
 
-from qnm import clifford_prime, pauli_ensemble
+from qnm import SamplerConfig, clifford_prime, pauli_ensemble, sample_design
 
 
 @pytest.fixture(scope="session")
@@ -21,3 +21,8 @@ def pauli21():
 @pytest.fixture(scope="session")
 def pauli31():
     return pauli_ensemble(3, 1)
+
+
+@pytest.fixture
+def sampled3():
+    return sample_design(SamplerConfig(d=3, n_samples=300, seed=11, source="clifford"))

@@ -11,7 +11,7 @@ import numpy as np
 
 from qnm.construct import _KEY_DECIMALS, _PHASE_PICK_TOL, _clifford_generators
 from qnm.files import matrix_to_pairs
-from qnm.weyl import weyl
+from qnm.pauli import weyl
 
 
 def philox(seed: int) -> np.random.Generator:
@@ -179,6 +179,22 @@ def loop_effective_kraus(weights, unitaries, kraus_ops) -> list:
         for k in kraus_ops:
             ops.append(math.sqrt(p) * (u.conj().T @ k @ u))
     return ops
+
+
+def loop_attack_reference(weights, unitaries, kraus_ops, d: int):
+    """(alpha, beta, residual, Choi operator) of the effective channel, from the per-key loop.
+
+    The Choi operator is the dense complex Gram sum_r vec(E_r) vec(E_r)^dagger / d over the
+    loop's operators E_r; the isotropic coordinates and the residual come from Phi_d directly.
+    """
+    ops = loop_effective_kraus(weights, unitaries, kraus_ops)
+    rows = np.array(ops).reshape(len(ops), d * d)
+    choi = rows.T @ rows.conj() / d
+    phi = np.outer(np.eye(d).reshape(-1), np.eye(d).reshape(-1)) / d
+    alpha = float(np.real(np.trace(choi @ phi)))
+    beta = (float(np.real(np.trace(choi))) - alpha) / (d * d - 1)
+    off = choi - alpha * phi - beta * (np.eye(d * d) - phi)
+    return alpha, beta, float(np.sum(np.abs(np.linalg.eigvalsh(off)))), choi
 
 
 def pairwise_frame_potential(weights, unitaries) -> float:

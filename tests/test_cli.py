@@ -92,17 +92,17 @@ def test_gen_checks_the_clifford_cap_before_primality(tmp_path, monkeypatch, cap
     ids=["huge-p", "4.3GB", "huge-n"],
 )
 def test_gen_pauli_checks_the_size_bound_before_primality(tmp_path, monkeypatch, capsys, p, n):
-    weyl = importlib.import_module("qnm.weyl")  # the name qnm.weyl is the function
-    is_prime = weyl.is_prime
+    pauli = importlib.import_module("qnm.pauli")
+    is_prime = pauli.is_prime
 
     def bounded_is_prime(q):
-        assert q**4 <= weyl.PAULI_MAX_ENTRIES, f"trial division of {q}"
+        assert q**4 <= pauli.PAULI_MAX_ENTRIES, f"trial division of {q}"
         return is_prime(q)
 
-    monkeypatch.setattr(weyl, "is_prime", bounded_is_prime)
+    monkeypatch.setattr(pauli, "is_prime", bounded_is_prime)
     out = tmp_path / "x.json"
     assert run(["gen", "pauli", "--p", p, "--n", n, "-o", str(out)]) == 2
-    assert f"p^(4n) must be <= {weyl.PAULI_MAX_ENTRIES} entries, got p = {p}, n = {n}" in (
+    assert f"p^(4n) must be <= {pauli.PAULI_MAX_ENTRIES} entries, got p = {p}, n = {n}" in (
         capsys.readouterr().err
     )
     assert not out.exists()

@@ -311,11 +311,6 @@ def test_ensemble_names_first_non_unitary_element():
 
 
 @pytest.fixture
-def sampled3():
-    return sample_design(SamplerConfig(d=3, n_samples=300, seed=11, source="clifford"))
-
-
-@pytest.fixture
 def haar4():
     return UnitaryEnsemble.uniform(4, haar_batch(4, 100, philox(12)))  # N = 100 < d^4 = 256
 

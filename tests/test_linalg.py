@@ -144,6 +144,18 @@ def test_gram_choi_of_real_rows_is_real_and_exactly_symmetric():
     assert np.max(np.abs(g - rows.T @ rows / 3)) <= 1e-14
 
 
+def test_gram_choi_of_complex_rows_is_exactly_hermitian():
+    rng = philox(12)
+    wide = (rng.normal(size=(40, 18)) + 1j * rng.normal(size=(40, 18))) / np.sqrt(40)
+    rows = wide[:, :9]
+    g = gram_choi(rows, 3)
+    assert g.dtype == np.complex128 and np.array_equal(g, g.conj().T)
+    assert np.max(np.abs(g - rows.T @ rows.conj() / 3)) <= 1e-14
+    for part in (wide[:, ::2], wide[::3, 5:14]):  # strided slices, not copies
+        assert not part.flags.c_contiguous
+        assert np.array_equal(gram_choi(part, 3), gram_choi(part.copy(), 3))
+
+
 def test_num_rank_counts_and_rejects_at_rank_tol():
     assert design.RANK_TOL is RANK_TOL  # the one rank tolerance, also certify_design's
     assert num_rank(np.diag([1.0, 1.01 * RANK_TOL, 0.99 * RANK_TOL])) == 2

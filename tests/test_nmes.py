@@ -9,6 +9,7 @@ from qnm import (
     constant_channel,
     effective_channel,
     maximally_mixed,
+    nmes,
     random_cptni_channel,
     trace_norm,
     unitary_channel,
@@ -16,7 +17,14 @@ from qnm import (
 )
 from qnm.design import UnitaryEnsemble, max_entangled
 
-from helpers import apply_channel, haar_batch, loop_effective_kraus, philox, random_density
+from helpers import (
+    apply_channel,
+    haar_batch,
+    loop_attack_reference,
+    loop_effective_kraus,
+    philox,
+    random_density,
+)
 
 
 @pytest.fixture
@@ -179,12 +187,53 @@ def test_pauli_attack_on_two_qudit_pad_is_not_forwarded():
     assert np.max(np.abs(report.effective_choi - choi_of(unitary_channel(weyl(4, 1, 0))))) > 1e-6
 
 
-def test_batched_effective_channel_matches_per_key_loop():
+def _blocked_scheme(monkeypatch, rng, num_kraus):
+    """11 Haar keys at d = 3, two of zero weight, and blocks of 4 keys for M = num_kraus."""
+    weights = rng.random(11)
+    weights[[2, 7]] = 0
+    ensemble = UnitaryEnsemble(d=3, weights=weights / weights.sum(), unitaries=haar_batch(3, 11, rng))
+    # the nine kept keys fill blocks of 4, 4 and 1
+    monkeypatch.setattr(nmes, "_ROW_BLOCK", 4 * max(9 * num_kraus, 1))
+    return EncryptionScheme(ensemble)
+
+
+def test_batched_effective_channel_matches_per_key_loop(monkeypatch):
     rng = philox(21)
-    weights = np.array([0.4, 0.0, 0.35, 0.25])
-    ensemble = UnitaryEnsemble(d=3, weights=weights, unitaries=haar_batch(3, 4, rng))
+    scheme = _blocked_scheme(monkeypatch, rng, 5)
     adversary = random_cptni_channel(3, rng, num_kraus=5)
-    ops = effective_channel(EncryptionScheme(ensemble), adversary).kraus_ops
-    expected = loop_effective_kraus(weights, ensemble.unitaries, adversary.kraus_ops)
-    assert ops.shape == (3 * 5, 3, 3) and len(expected) == 3 * 5
-    assert np.max(np.abs(ops - np.array(expected))) <= 1e-12
+    ops = effective_channel(scheme, adversary).kraus_ops
+    e = scheme.ensemble
+    expected = loop_effective_kraus(e.weights, e.unitaries, adversary.kraus_ops)
+    assert ops.shape == (9 * 5, 3, 3) and len(expected) == 9 * 5
+    assert np.max(np.abs(ops - np.array(expected))) <= 1e-12  # key-major, as the loop
+
+
+def test_effective_channel_of_no_kraus_operators_is_zero(monkeypatch):
+    scheme = _blocked_scheme(monkeypatch, philox(22), 0)
+    adversary = KrausChannel(d=3, kraus_ops=np.zeros((0, 3, 3)))
+    effective = effective_channel(scheme, adversary)
+    assert effective.kraus_ops.shape == (0, 3, 3)
+    assert np.array_equal(choi_of(effective), np.zeros((9, 9)))
+    report = attack_report(scheme, adversary)
+    assert report.decomposition.alpha == report.decomposition.beta == 0
+    assert report.malleability_residual == 0
+
+
+@pytest.mark.parametrize("scheme_name", ["clifford3", "sampled3"])
+@pytest.mark.parametrize("adversary", ["replace:tau", "replace:0", "weyl:1,0", "kraus5"])
+def test_attack_report_matches_the_loop_reference(request, scheme_name, adversary):
+    ensemble = request.getfixturevalue(scheme_name)
+    adv = {
+        "replace:tau": lambda: constant_channel(maximally_mixed(3)),
+        "replace:0": lambda: constant_channel(np.diag([1.0, 0.0, 0.0])),
+        "weyl:1,0": lambda: unitary_channel(weyl(3, 1, 0)),
+        "kraus5": lambda: random_cptni_channel(3, philox(31), num_kraus=5),
+    }[adversary]()
+    report = attack_report(EncryptionScheme(ensemble), adv)
+    alpha, beta, residual, choi = loop_attack_reference(
+        ensemble.weights, ensemble.unitaries, adv.kraus_ops, 3
+    )
+    got = report.decomposition
+    assert abs(got.alpha - alpha) <= 1e-12 and abs(got.beta - beta) <= 1e-12
+    assert abs(report.malleability_residual - residual) <= 1e-12
+    assert np.max(np.abs(report.effective_choi - choi)) <= 1e-12

@@ -1,11 +1,13 @@
+import importlib
 import itertools
 
 import numpy as np
 import pytest
 
+import qnm
 from qnm import certify_design, num_rank, one_design_distance, pauli_ensemble, weyl
 from qnm.design import ensemble_choi
-from qnm.weyl import is_prime
+from qnm.pauli import is_prime
 
 from helpers import loop_pauli_unitaries
 
@@ -21,6 +23,15 @@ def test_weyl_qubit_phase():
 def test_weyl_qubit_product_convention():
     # X^a Z^b ordering: W(1,1) = X Z
     assert np.allclose(weyl(2, 1, 1), [[0, -1], [1, 0]])
+
+
+def test_pauli_module_is_patchable_and_qnm_weyl_stays_the_function(monkeypatch):
+    pauli = importlib.import_module("qnm.pauli")
+    assert qnm.pauli is pauli and importlib.import_module("qnm.weyl") is pauli
+    monkeypatch.setattr(pauli, "is_prime", lambda n: False)
+    with pytest.raises(ValueError, match="p must be prime, got 3"):
+        pauli_ensemble(3)
+    assert np.array_equal(qnm.weyl(2, 1, 0), [[0, 1], [1, 0]])
 
 
 def _labels(d: int):
