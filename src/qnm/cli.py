@@ -1,13 +1,14 @@
 """Command-line front end: generate ensembles, certify designs, run attacks, report bounds.
 
-Exit codes, set by main alone: 0 success / certification pass, 1 only a failed certification
-grade, 2 usage or validation error (a missing input file or an input too large for memory
-included), 3 any other read or write failure. Reports go to stdout (or --out); diagnostics go
-to stderr. QNM_TOL overrides design.DEFAULT_CERT_TOL, the default tolerance.
+argparse declares every option, each gen kind only its own. Every file and report is one line of
+JSON from files.write_json, to -o/--out (which gen requires) or else stdout; diagnostics go to
+stderr. Exit codes, all returned by main (argparse's too): 0 success, -h or certification pass,
+1 only a failed certification grade, 2 usage or validation error (a missing input file or an
+input too large for memory included), 3 any other read or write failure. QNM_TOL overrides
+design.DEFAULT_CERT_TOL, the default tolerance.
 """
 
 import argparse
-import json
 import math
 import os
 import re
@@ -39,37 +40,17 @@ def _default_tol() -> float:
     return check_tol(tol, "QNM_TOL")
 
 
-def _write_json(obj: dict, out_path: str | None):
-    """Write a report to ``out_path`` (stdout if None)."""
-    text = json.dumps(obj, indent=1) + "\n"
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 def cmd_gen(args) -> int:
-    reads = {"pauli": ("p", "n"), "clifford": ("p",), "sampled": ("d", "n", "seed", "source")}
-    for dest in ("p", "n", "d", "seed", "source"):
-        if getattr(args, dest) is not None and dest not in reads[args.kind]:
-            raise ValueError(f"gen {args.kind} does not read --{'from' if dest == 'source' else dest}")
-    if args.kind in ("pauli", "clifford") and args.p is None:
-        raise ValueError(f"gen {args.kind} requires --p")
     if args.kind == "pauli":
-        n = 1 if args.n is None else args.n
-        ensemble = pauli_ensemble(args.p, n)
-        meta = {"source": "pauli", "p": args.p, "n": n}
+        ensemble = pauli_ensemble(args.p, args.n)
+        meta = {"source": "pauli", "p": args.p, "n": args.n}
     elif args.kind == "clifford":
         ensemble = construct.clifford_prime(args.p)
         meta = {"source": "clifford", "p": args.p}
     else:
-        if args.d is None or args.n is None:
-            raise ValueError("gen sampled requires --d and --n")
-        seed = 0 if args.seed is None else args.seed
-        source = args.source or "clifford"
-        ensemble = construct.sample_design(construct.SamplerConfig(args.d, args.n, seed, source))
-        meta = {"source": source, "seed": seed, "n": args.n}
+        cfg = construct.SamplerConfig(args.d, args.n, args.seed, args.source)
+        ensemble = construct.sample_design(cfg)
+        meta = {"source": args.source, "seed": args.seed, "n": args.n}
     files.save_ensemble(args.out, ensemble, meta)
     print(f"wrote {ensemble.size} unitaries (d={ensemble.d}) to {args.out}", file=sys.stderr)
     return EXIT_OK
@@ -84,7 +65,7 @@ def cmd_certify(args) -> int:
         n = ensemble.d**4
         raise MemoryError(f"certifying d = {ensemble.d} needs d^4 x d^4 = {n} x {n} operators")
     digest = files.file_digest(args.input)
-    _write_json(files.certification_report_to_dict(report, digest), args.out)
+    files.write_json(files.certification_report_to_dict(report, digest), args.out)
     if args.mode in ("trace", "both") and not report.passes_two_design:
         return EXIT_CERT_FAIL
     if args.mode in ("multiplicative", "both") and not report.passes_multiplicative:
@@ -121,7 +102,7 @@ def cmd_attack(args) -> int:
     adversary = _parse_adversary(args.adv, scheme.d)
     report = attack_report(scheme, adversary)
     digest = files.file_digest(args.scheme)
-    _write_json(files.attack_report_to_dict(report, digest), args.out)
+    files.write_json(files.attack_report_to_dict(report, digest), args.out)
     return EXIT_OK
 
 
@@ -140,7 +121,7 @@ def cmd_bounds(args) -> int:
         recommended_n=construct.recommended_n(d, theta, delta) if 0 < theta <= 0.5 else None,
         entropy_bound_bits=entropy_bound(d, theta) if entropy_ok else None,
     )
-    _write_json(report, args.out)
+    files.write_json(report, args.out)
     if not entropy_ok:  # raised after the write, so the other fields are still reported
         raise ValueError(f"entropy bound needs theta <= 1/e, got {theta}")
     return EXIT_OK
@@ -152,43 +133,50 @@ def build_parser() -> argparse.ArgumentParser:
         description="Build, certify and attack non-malleable quantum encryption schemes.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    gen_out = argparse.ArgumentParser(add_help=False)
+    gen_out.add_argument("-o", "--out", required=True, help="output ensemble file")
+    report_out = argparse.ArgumentParser(add_help=False)
+    report_out.add_argument("-o", "--out", help="write the report here instead of stdout")
 
     gen = sub.add_parser("gen", help="generate an ensemble file")
-    gen.add_argument("kind", choices=["pauli", "clifford", "sampled"])
-    gen.add_argument("--p", type=int, help="prime (pauli, clifford)")
-    gen.add_argument("--n", type=int, help="qudit count (pauli) or sample count (sampled)")
-    gen.add_argument("--d", type=int, help="dimension (sampled)")
-    gen.add_argument("--seed", type=int, help="sampler seed (sampled; default 0)")
-    gen.add_argument("--from", dest="source", choices=["clifford", "haar"],
-                     help="sampling source (sampled; default clifford)")
-    gen.add_argument("-o", "--out", required=True, help="output ensemble file")
+    kinds = gen.add_subparsers(dest="kind", required=True)
+    pauli = kinds.add_parser("pauli", parents=[gen_out], help="Weyl operators on n qudits")
+    pauli.add_argument("--p", type=int, required=True, help="prime")
+    pauli.add_argument("--n", type=int, default=1, help="qudit count (default 1)")
+    clifford = kinds.add_parser("clifford", parents=[gen_out], help="the full Clifford group")
+    clifford.add_argument("--p", type=int, required=True, help="prime")
+    sampled = kinds.add_parser("sampled", parents=[gen_out], help="sampled keys")
+    sampled.add_argument("--d", type=int, required=True, help="dimension")
+    sampled.add_argument("--n", type=int, required=True, help="sample count")
+    sampled.add_argument("--seed", type=int, default=0, help="sampler seed (default 0)")
+    sampled.add_argument("--from", dest="source", choices=["clifford", "haar"],
+                         default="clifford", help="sampling source (default clifford)")
 
-    cert = sub.add_parser("certify", help="certify an ensemble file as a 2-design")
+    cert = sub.add_parser("certify", parents=[report_out], help="certify an ensemble as a 2-design")
     cert.add_argument("input", help="ensemble file")
     cert.add_argument("--tol", type=float, default=None,
                       help=f"pass/fail tolerance (default QNM_TOL or {DEFAULT_CERT_TOL})")
     cert.add_argument("--mode", choices=["trace", "multiplicative", "both"], default="trace")
-    cert.add_argument("--out", default=None, help="write report here instead of stdout")
 
-    atk = sub.add_parser("attack", help="simulate an adversary against a scheme")
+    atk = sub.add_parser("attack", parents=[report_out], help="simulate an attack on a scheme")
     atk.add_argument("--scheme", required=True, help="ensemble file holding the keys")
     atk.add_argument("--adv", required=True,
                      help="identity | replace:<tau|j|file> | weyl:<a>,<b> | "
                           "unitary:<file> | <kraus file>")
-    atk.add_argument("--out", default=None, help="write report here instead of stdout")
 
-    bnd = sub.add_parser("bounds", help="report size and entropy bounds")
+    bnd = sub.add_parser("bounds", parents=[report_out], help="report size and entropy bounds")
     bnd.add_argument("--d", type=int, required=True)
     bnd.add_argument("--theta", type=float, default=0.0)
     bnd.add_argument("--delta", type=float, default=0.01)
-    bnd.add_argument("--out", default=None, help="write report here instead of stdout")
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse has printed a usage error (2) or the help (0)
+        return exc.code
     handler = {"gen": cmd_gen, "certify": cmd_certify, "attack": cmd_attack, "bounds": cmd_bounds}
     try:
         return handler[args.command](args)

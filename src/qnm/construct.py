@@ -10,7 +10,6 @@ multiplicative error theta shrink like 1/sqrt(N).
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -63,7 +62,6 @@ def _canonical(us: np.ndarray) -> tuple:
     return phased, [k.tobytes() for k in parts]
 
 
-@lru_cache(maxsize=None)
 def _clifford_elements(p: int) -> np.ndarray:
     gens = _clifford_generators(p)
     seen, levels = set(), []
@@ -98,7 +96,7 @@ def clifford_prime(p: int) -> UnitaryEnsemble:
     """
     if p > CLIFFORD_PRIME_CAP or not is_prime(p):  # the cap first: trial division is slow
         raise ValueError(f"p must be a prime <= {CLIFFORD_PRIME_CAP}, got {p}")
-    return UnitaryEnsemble.uniform(p, _clifford_elements(p).copy())
+    return UnitaryEnsemble.uniform(p, _clifford_elements(p))
 
 
 def _haar_unitaries(d: int, n: int, rng: np.random.Generator) -> np.ndarray:

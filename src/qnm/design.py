@@ -272,11 +272,13 @@ def _haar_deviation(omega: np.ndarray, d: int):
     return x, h, float(np.real(np.sum(np.diagonal(x)[h == 0])))
 
 
-def _sandwich_spectrum(x: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Ascending eig(A X A) on the support of h, A = diag(h^(-1/2)) there; ``x`` is left as is.
-    A is 0 on the 2 (d^2 - 1) mixed entries, so dropping them drops only zero eigenvalues."""
+def _sandwich_spectrum(xs: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Ascending eig(A X A), A = diag(h^(-1/2)) on the support of h, from X's support block ``xs``
+    (scaled in place). A is 0 on the 2 (d^2 - 1) mixed entries, which drop only zero eigenvalues."""
     s = h[h > 0] ** -0.5
-    return np.linalg.eigvalsh(x[np.ix_(h > 0, h > 0)] * s[:, None] * s)
+    xs *= s[:, None]
+    xs *= s
+    return np.linalg.eigvalsh(xs)
 
 
 def multiplicative_theta(omega: np.ndarray, d: int) -> float | None:
@@ -289,7 +291,8 @@ def multiplicative_theta(omega: np.ndarray, d: int) -> float | None:
     support leak tr Omega - tr((P1 + P2) Omega) exceeds ``SUPPORT_LEAK_TOL``.
     """
     x, h, leak = _haar_deviation(omega, d)
-    return None if leak > SUPPORT_LEAK_TOL else float(np.max(np.abs(_sandwich_spectrum(x, h))))
+    mu = _sandwich_spectrum(x[np.ix_(h > 0, h > 0)], h)
+    return None if leak > SUPPORT_LEAK_TOL else float(np.max(np.abs(mu)))
 
 
 def certify_design(e: UnitaryEnsemble, tol: float = DEFAULT_CERT_TOL) -> CertificationReport:
@@ -310,6 +313,7 @@ def certify_design(e: UnitaryEnsemble, tol: float = DEFAULT_CERT_TOL) -> Certifi
     x, h, leak = _haar_deviation(omega, d)  # a rotated copy: omega itself is left as built
     del omega
     two_dist = float(np.sum(np.abs(np.linalg.eigvalsh(x))))  # x is symmetric by construction
+    x = x[np.ix_(h > 0, h > 0)]  # only the support block: the full copy is freed here
     mu = _sandwich_spectrum(x, h)  # mu + 1 = eig(A Omega A), of Omega's rank (Sylvester)
     theta = None if leak > SUPPORT_LEAK_TOL else float(np.max(np.abs(mu)))
     cut = d * d * (d * d - 1) * RANK_TOL

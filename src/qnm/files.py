@@ -12,6 +12,7 @@ import base64
 import dataclasses
 import hashlib
 import json
+import sys
 
 import numpy as np
 
@@ -51,7 +52,7 @@ def pairs_to_matrix(rows, what: str = "matrix") -> np.ndarray:
 
 def _dimension(obj: dict) -> int:
     d = obj["d"]
-    if isinstance(d, bool) or not isinstance(d, (int, float)) or not float(d).is_integer() or d < 2:
+    if type(d) is not int and not (isinstance(d, float) and d.is_integer()) or d < 2:  # no bool
         raise ValueError(f"d must be an integer >= 2, got {d!r}")
     return int(d)
 
@@ -115,10 +116,18 @@ def ensemble_from_dict(obj: dict, path: str = "<memory>") -> UnitaryEnsemble:
         raise ValueError(f"{path}: malformed ensemble file ({exc})") from exc
 
 
-def save_ensemble(path: str, e: UnitaryEnsemble, meta: dict | None = None):
-    text = json.dumps(ensemble_to_dict(e, meta))  # one dumps, no indent: the C encoder
+def write_json(obj: dict, path: str | None):
+    """Write ``obj`` as one line of JSON to ``path`` (stdout if None): every file qnm writes."""
+    text = json.dumps(obj) + "\n"  # one dumps, no indent: the C encoder
+    if path is None:
+        sys.stdout.write(text)
+        return
     with open(path, "w") as fh:
-        fh.write(text + "\n")
+        fh.write(text)
+
+
+def save_ensemble(path: str, e: UnitaryEnsemble, meta: dict | None = None):
+    write_json(ensemble_to_dict(e, meta), path)
 
 
 def load_ensemble(path: str) -> UnitaryEnsemble:

@@ -33,7 +33,7 @@ from qnm import (
     unitary_channel,
     weyl,
 )
-from qnm.construct import SamplerConfig, _clifford_elements, sample_design
+from qnm.construct import SamplerConfig, sample_design
 
 from helpers import apply_channel, choi_inverse_action, philox, random_density
 
@@ -49,7 +49,6 @@ def test_criterion_01_exact_clifford_designs():
     ok = True
     details = []
     for p in (2, 3, 5):
-        _clifford_elements.cache_clear()
         start = time.perf_counter()
         e = clifford_prime(p)
         dist = trace_norm(ensemble_choi(e) - qnm.ideal_choi(p))

@@ -127,7 +127,7 @@ def test_gen_requires_params(tmp_path):
 def test_gen_rejects_an_option_its_kind_does_not_read(tmp_path, capsys, argv, option):
     out = tmp_path / "x.json"
     assert run(["gen", *argv, "-o", str(out)]) == 2
-    assert f"error: gen {argv[0]} does not read {option}" in capsys.readouterr().err
+    assert f"error: unrecognized arguments: {option} {argv[-1]}\n" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -426,6 +426,62 @@ def test_report_out_flag(tmp_path):
     assert run(["certify", str(scheme), "--out", str(tmp_path / "no" / "dir" / "r.json")]) == 3
 
 
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (["certify"], "the following arguments are required: input"),
+        (["gen", "sampled", "--d", "2"], "the following arguments are required: --n"),
+        (["gen", "pauli", "--p", "3", "--d", "9"], "unrecognized arguments: --d 9"),
+    ],
+    ids=["certify-input", "sampled-n", "pauli-d"],
+)
+def test_argparse_errors_are_returned_as_exit_2(tmp_path, capsys, argv, error):
+    out = tmp_path / "x.json"
+    assert run(argv + ["-o", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"error: {error}\n" in captured.err
+    assert not out.exists()
+
+
+def test_gen_kind_help_is_returned_as_exit_0_and_lists_only_its_options(capsys):
+    assert run(["gen", "clifford", "-h"]) == 0
+    text = capsys.readouterr().out
+    assert "--p" in text and "--out" in text and "--seed" not in text and "--n" not in text
+
+
+def test_reports_written_with_out_equal_the_stdout_reports(tmp_path, capsys):
+    scheme = tmp_path / "c2.json"
+    run(["gen", "clifford", "--p", "2", "-o", str(scheme)])
+    for argv in (["certify", str(scheme), "--mode", "both"],
+                 ["attack", "--scheme", str(scheme), "--adv", "replace:tau"],
+                 ["bounds", "--d", "3", "--theta", "0.1"]):
+        capsys.readouterr()
+        assert run(argv) == 0
+        printed = capsys.readouterr().out
+        path = tmp_path / "report.json"
+        assert run(argv + ["-o", str(path)]) == 0
+        assert capsys.readouterr().out == ""
+        assert path.read_text() == printed
+
+
+def test_every_gen_file_and_report_is_one_line_of_json(tmp_path, capsys):
+    texts = []
+    for argv in (["pauli", "--p", "2"], ["clifford", "--p", "3"],
+                 ["sampled", "--d", "3", "--n", "7", "--from", "haar"]):
+        path = tmp_path / f"{argv[0]}.json"
+        assert run(["gen", *argv, "-o", str(path)]) == 0
+        texts.append(path.read_text())
+    scheme = str(tmp_path / "clifford.json")
+    capsys.readouterr()
+    for argv in (["certify", scheme, "--mode", "both"], ["attack", "--scheme", scheme,
+                 "--adv", "weyl:1,2"], ["bounds", "--d", "2", "--theta", "0.1"]):
+        assert run(argv) == 0
+        texts.append(capsys.readouterr().out)
+    for text in texts:
+        assert text.endswith("\n") and text.count("\n") == 1
+        assert isinstance(json.loads(text), dict)
+
+
 def test_certify_output_is_deterministic(tmp_path, capsys):
     scheme = tmp_path / "c2.json"
     run(["gen", "clifford", "--p", "2", "-o", str(scheme)])
@@ -639,6 +695,29 @@ def test_dimension_field_must_be_an_integer(tmp_path, capsys, d):
     obj["d"] = 2.0  # integral floats are accepted
     bad.write_text(json.dumps(obj))
     assert run(["certify", str(bad)]) == 0
+
+
+@pytest.mark.parametrize("adv", [None, "{kraus}", "unitary:{matrix}"],
+                         ids=["ensemble", "kraus", "unitary"])
+def test_a_dimension_too_large_for_a_float_names_the_file(tmp_path, capsys, adv):
+    scheme = tmp_path / "c2.json"
+    run(["gen", "clifford", "--p", "2", "-o", str(scheme)])
+    huge = 10**400  # float(huge) raises OverflowError
+    obj = json.loads(scheme.read_text())
+    paths = {name: tmp_path / f"{name}.json" for name in ("ensemble", "kraus", "matrix")}
+    paths["ensemble"].write_text(json.dumps({**obj, "d": huge}))
+    pairs = files.matrix_to_pairs(np.eye(2))
+    paths["kraus"].write_text(json.dumps({"format": 1, "d": huge, "kraus": [pairs]}))
+    paths["matrix"].write_text(json.dumps({"format": 1, "d": huge, "matrix": pairs}))
+    capsys.readouterr()
+    if adv is None:
+        argv, bad = ["certify", str(paths["ensemble"])], paths["ensemble"]
+    else:
+        argv = ["attack", "--scheme", str(scheme), "--adv", adv.format(**paths)]
+        bad = paths["kraus" if adv.startswith("{") else "matrix"]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(f"error: {bad}: ")
 
 
 def test_gen_pauli_rejects_zero_qudits(tmp_path, capsys):
