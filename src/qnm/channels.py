@@ -124,7 +124,9 @@ def channel_from_choi(omega: np.ndarray) -> KrausChannel:
     return KrausChannel(d=d, kraus_ops=ops)
 
 
-def random_cptni_channel(d: int, rng: np.random.Generator, num_kraus: int | None = None) -> KrausChannel:
+def random_cptni_channel(
+    d: int, rng: "np.random.Generator", num_kraus: int | None = None
+) -> KrausChannel:
     """A random completely positive trace non-increasing channel.
 
     Draws a Haar-random Stinespring isometry with ``num_kraus`` environment

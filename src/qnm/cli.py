@@ -4,13 +4,12 @@ argparse declares every option, each gen kind only its own. Every file and repor
 JSON from files.write_json, to -o/--out (which gen requires) or else stdout; diagnostics go to
 stderr. Exit codes, all returned by main (argparse's too): 0 success, -h or certification pass,
 1 only a failed certification grade, 2 usage or validation error (a missing input file or an
-input too large for memory included), 3 any other read or write failure. QNM_TOL overrides
-design.DEFAULT_CERT_TOL, the default tolerance.
+input too large for memory included), 3 any other read or write failure. Each input file is read
+once; a report's input_digest is the sha256 of the bytes that were parsed.
 """
 
 import argparse
 import math
-import os
 import re
 import sys
 
@@ -27,17 +26,6 @@ EXIT_OK = 0
 EXIT_CERT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
-
-
-def _default_tol() -> float:
-    raw = os.environ.get("QNM_TOL")
-    if raw is None:
-        return DEFAULT_CERT_TOL
-    try:
-        tol = float(raw)
-    except ValueError:
-        raise ValueError(f"QNM_TOL is not a number: {raw!r}")
-    return check_tol(tol, "QNM_TOL")
 
 
 def cmd_gen(args) -> int:
@@ -57,14 +45,13 @@ def cmd_gen(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    tol = check_tol(args.tol, "--tol") if args.tol is not None else _default_tol()
-    ensemble = files.load_ensemble(args.input)
+    tol = check_tol(args.tol, "--tol")
+    ensemble, digest = files.load_ensemble(args.input)
     try:
         report = certify_design(ensemble, tol=tol)
     except MemoryError:
         n = ensemble.d**4
         raise MemoryError(f"certifying d = {ensemble.d} needs d^4 x d^4 = {n} x {n} operators")
-    digest = files.file_digest(args.input)
     files.write_json(files.certification_report_to_dict(report, digest), args.out)
     if args.mode in ("trace", "both") and not report.passes_two_design:
         return EXIT_CERT_FAIL
@@ -98,10 +85,9 @@ def _parse_adversary(selector: str, d: int):
 
 
 def cmd_attack(args) -> int:
-    scheme = EncryptionScheme(files.load_ensemble(args.scheme))
-    adversary = _parse_adversary(args.adv, scheme.d)
-    report = attack_report(scheme, adversary)
-    digest = files.file_digest(args.scheme)
+    ensemble, digest = files.load_ensemble(args.scheme)
+    adversary = _parse_adversary(args.adv, ensemble.d)
+    report = attack_report(EncryptionScheme(ensemble), adversary)
     files.write_json(files.attack_report_to_dict(report, digest), args.out)
     return EXIT_OK
 
@@ -154,8 +140,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     cert = sub.add_parser("certify", parents=[report_out], help="certify an ensemble as a 2-design")
     cert.add_argument("input", help="ensemble file")
-    cert.add_argument("--tol", type=float, default=None,
-                      help=f"pass/fail tolerance (default QNM_TOL or {DEFAULT_CERT_TOL})")
+    cert.add_argument("--tol", type=float, default=DEFAULT_CERT_TOL,
+                      help=f"pass/fail tolerance (default {DEFAULT_CERT_TOL})")
     cert.add_argument("--mode", choices=["trace", "multiplicative", "both"], default="trace")
 
     atk = sub.add_parser("attack", parents=[report_out], help="simulate an attack on a scheme")
@@ -169,12 +155,16 @@ def build_parser() -> argparse.ArgumentParser:
     bnd.add_argument("--theta", type=float, default=0.0)
     bnd.add_argument("--delta", type=float, default=0.01)
 
+    for leaf in (pauli, clifford, sampled, cert, atk, bnd):
+        leaf.set_defaults(parser=leaf)  # so main reports a stray argument with its own usage line
     return parser
 
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args, extra = build_parser().parse_known_args(argv)
+        if extra:
+            args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
     except SystemExit as exc:  # argparse has printed a usage error (2) or the help (0)
         return exc.code
     handler = {"gen": cmd_gen, "certify": cmd_certify, "attack": cmd_attack, "bounds": cmd_bounds}

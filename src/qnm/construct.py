@@ -99,7 +99,7 @@ def clifford_prime(p: int) -> UnitaryEnsemble:
     return UnitaryEnsemble.uniform(p, _clifford_elements(p))
 
 
-def _haar_unitaries(d: int, n: int, rng: np.random.Generator) -> np.ndarray:
+def _haar_unitaries(d: int, n: int, rng: "np.random.Generator") -> np.ndarray:
     """n Haar unitaries from one draw of ``rng`` and one stacked QR with the diagonal phase fix that
     makes them exactly Haar; bit-identical to drawing them one by one (the test reference loop_haar)."""
     g = rng.normal(size=(n, 2, d, d))

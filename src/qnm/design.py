@@ -119,15 +119,13 @@ def max_entangled(d: int) -> np.ndarray:
     return np.outer(phi, phi) / d
 
 
-def iso_project(x: np.ndarray, d: int):
-    """Project a d^2 x d^2 operator onto the isotropic span.
-
-    Returns (IsotropicDecomposition, projected) where
-    projected = alpha * Phi_d + beta * (1 - Phi_d) with
+def iso_project(x: np.ndarray, d: int) -> IsotropicDecomposition:
+    """Decompose a d^2 x d^2 operator X by its projection alpha * Phi_d + beta * (1 - Phi_d)
+    onto the isotropic span, where
 
         alpha = tr(X Phi_d),   beta = tr(X (1 - Phi_d)) / (d^2 - 1),
 
-    and residual is the trace norm of the off-span part X - projected.
+    and residual is the trace norm of the off-span part, X minus that projection.
     The map coincides with averaging (U (x) conj(U)) X (U (x) conj(U))^dagger
     over the Haar measure.
     """
@@ -139,7 +137,7 @@ def iso_project(x: np.ndarray, d: int):
     beta = float(np.real(np.trace(x)) - alpha) / (d * d - 1)
     projected = alpha * phi + beta * (np.eye(d * d) - phi)
     residual = trace_norm(x - projected)
-    return IsotropicDecomposition(alpha=alpha, beta=beta, residual=residual), projected
+    return IsotropicDecomposition(alpha=alpha, beta=beta, residual=residual)
 
 
 def _adjoint_frame(x: np.ndarray, d: int) -> np.ndarray:

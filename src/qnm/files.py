@@ -6,6 +6,8 @@ are nested lists of [re, im] pairs, row by row. Ensemble files are format 2:
 "unitaries" is the padded base64 of the N*d*d little-endian complex128 values
 in C order (key, row, column), N = len(weights), so no float is parsed or
 printed per entry. Format 1 ensemble files (pairs, as above) still load.
+Every input file is opened once, by read_json, which parses and digests the same bytes;
+every output file is written by write_json.
 """
 
 import base64
@@ -57,24 +59,25 @@ def _dimension(obj: dict) -> int:
     return int(d)
 
 
-def _check_format(obj: dict, path: str, versions=(FORMAT_VERSION,)) -> int:
+def read_json(path: str, versions=(FORMAT_VERSION,)) -> tuple[dict, int, str]:
+    """Open ``path`` once: its JSON object, that object's format version and the ``sha256:`` digest
+    of the very bytes parsed. A missing file, a parse failure (deep nesting too) or a format outside
+    ``versions`` is a ValueError naming the path."""
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    except FileNotFoundError as exc:  # a missing input is a usage error, not an I/O failure
+        raise ValueError(str(exc)) from exc
+    try:
+        obj = json.loads(raw.decode("utf-8"))  # UTF-8 only: json.loads(bytes) would take UTF-16 too
+    except (RecursionError, ValueError) as exc:  # ValueError: not JSON, or not UTF-8
+        raise ValueError(f"{path}: not readable as JSON ({exc})") from exc
     if not isinstance(obj, dict):
         raise ValueError(f"{path}: expected a JSON object at top level")
     version = obj.get("format")
     if isinstance(version, bool) or version not in versions:  # True == 1 in Python
         raise ValueError(f"{path}: unsupported format version {version!r}")
-    return version
-
-
-def _read_json(path: str):
-    """json.load of ``path``; a missing file or a parse failure (deep nesting too) is a ValueError."""
-    try:
-        with open(path) as fh:
-            return json.load(fh)
-    except FileNotFoundError as exc:  # a missing input is a usage error, not an I/O failure
-        raise ValueError(str(exc)) from exc
-    except (RecursionError, ValueError) as exc:  # ValueError: not JSON, or not UTF-8
-        raise ValueError(f"{path}: not readable as JSON ({exc})") from exc
+    return obj, version, "sha256:" + hashlib.sha256(raw).hexdigest()
 
 
 def _unpack_unitaries(text, n: int, d: int) -> np.ndarray:
@@ -102,20 +105,6 @@ def ensemble_to_dict(e: UnitaryEnsemble, meta: dict | None = None) -> dict:
     return out
 
 
-def ensemble_from_dict(obj: dict, path: str = "<memory>") -> UnitaryEnsemble:
-    version = _check_format(obj, path, (FORMAT_VERSION, ENSEMBLE_FORMAT_VERSION))
-    try:
-        d = _dimension(obj)
-        weights = _numbers(obj["weights"], "weights")
-        if version == FORMAT_VERSION:
-            unitaries = pairs_to_matrix(obj["unitaries"], "unitaries")
-        else:
-            unitaries = _unpack_unitaries(obj["unitaries"], weights.size, d)
-        return UnitaryEnsemble(d=d, weights=weights, unitaries=unitaries)  # it checks the keys
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"{path}: malformed ensemble file ({exc})") from exc
-
-
 def write_json(obj: dict, path: str | None):
     """Write ``obj`` as one line of JSON to ``path`` (stdout if None): every file qnm writes."""
     text = json.dumps(obj) + "\n"  # one dumps, no indent: the C encoder
@@ -130,14 +119,25 @@ def save_ensemble(path: str, e: UnitaryEnsemble, meta: dict | None = None):
     write_json(ensemble_to_dict(e, meta), path)
 
 
-def load_ensemble(path: str) -> UnitaryEnsemble:
-    return ensemble_from_dict(_read_json(path), path)
+def load_ensemble(path: str) -> tuple[UnitaryEnsemble, str]:
+    """Read an ensemble file (format 1 or 2): the ensemble and the digest of the bytes it holds."""
+    obj, version, digest = read_json(path, (FORMAT_VERSION, ENSEMBLE_FORMAT_VERSION))
+    try:
+        d = _dimension(obj)
+        weights = _numbers(obj["weights"], "weights")
+        if version == FORMAT_VERSION:
+            unitaries = pairs_to_matrix(obj["unitaries"], "unitaries")
+        else:
+            unitaries = _unpack_unitaries(obj["unitaries"], weights.size, d)
+        ensemble = UnitaryEnsemble(d=d, weights=weights, unitaries=unitaries)  # it checks the keys
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: malformed ensemble file ({exc})") from exc
+    return ensemble, digest
 
 
 def load_kraus_channel(path: str) -> KrausChannel:
     """Read an adversary channel stored as {"format": 1, "d": d, "kraus": [matrix...]}."""
-    obj = _read_json(path)
-    _check_format(obj, path)
+    obj, _, _ = read_json(path)
     try:
         d = _dimension(obj)
         ops = [pairs_to_matrix(k, f"Kraus operator {m}") for m, k in enumerate(obj["kraus"])]
@@ -148,8 +148,7 @@ def load_kraus_channel(path: str) -> KrausChannel:
 
 def load_matrix(path: str, key: str) -> np.ndarray:
     """Read a single d x d matrix file, e.g. {"format": 1, "d": d, "matrix": ...}."""
-    obj = _read_json(path)
-    _check_format(obj, path)
+    obj, _, _ = read_json(path)
     try:
         d = _dimension(obj)
         m = pairs_to_matrix(obj[key], key)
@@ -160,11 +159,6 @@ def load_matrix(path: str, key: str) -> np.ndarray:
     if not np.all(np.isfinite(m)):
         raise ValueError(f"{path}: {key} must be finite")
     return m
-
-
-def file_digest(path: str) -> str:
-    with open(path, "rb") as fh:
-        return "sha256:" + hashlib.sha256(fh.read()).hexdigest()
 
 
 def report_dict(kind: str, **fields) -> dict:

@@ -78,7 +78,7 @@ def attack_report(scheme: EncryptionScheme, adv: KrausChannel) -> AttackReport:
     """Run an attack and grade how far the effective channel leaves the isotropic cone."""
     d = scheme.d
     omega = choi_of(effective_channel(scheme, adv))
-    decomposition, _ = iso_project(omega, d)
+    decomposition = iso_project(omega, d)
     residual = decomposition.residual
     return AttackReport(
         effective_choi=omega,

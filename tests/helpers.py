@@ -99,6 +99,13 @@ def mc_haar_twirl(inputs, d: int, n_samples: int, seed: int, chunk: int = 2000) 
     return out[0] if squeeze else out
 
 
+def isotropic_operator(dec, d: int) -> np.ndarray:
+    """alpha * Phi_d + beta * (1 - Phi_d): the projection an IsotropicDecomposition describes."""
+    vec_one = np.eye(d).reshape(-1)
+    phi = np.outer(vec_one, vec_one) / d
+    return dec.alpha * phi + dec.beta * (np.eye(d * d) - phi)
+
+
 def eigh_theta(omega: np.ndarray, d: int, leak_tol: float = 1e-9):
     """Multiplicative theta from a numerical eigendecomposition of Omega_haar (None on leak).
 

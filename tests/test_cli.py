@@ -1,12 +1,17 @@
 import base64
+import builtins
+import hashlib
 import importlib
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from qnm import cli, construct, files
-from qnm.design import UnitaryEnsemble
+from qnm.design import DEFAULT_CERT_TOL, UnitaryEnsemble
 
 from helpers import format1_ensemble_dict, save_format1_ensemble
 
@@ -15,10 +20,14 @@ def run(argv):
     return cli.main(argv)
 
 
+def _sha256(data: bytes) -> str:
+    return "sha256:" + hashlib.sha256(data).hexdigest()
+
+
 def test_gen_clifford_and_certify(tmp_path, capsys):
     out = tmp_path / "c2.json"
     assert run(["gen", "clifford", "--p", "2", "-o", str(out)]) == 0
-    ensemble = files.load_ensemble(str(out))
+    ensemble, _ = files.load_ensemble(str(out))
     assert ensemble.size == 24 and ensemble.d == 2
     capsys.readouterr()
     assert run(["certify", str(out)]) == 0
@@ -32,7 +41,7 @@ def test_gen_clifford_and_certify(tmp_path, capsys):
 def test_gen_pauli_and_certify_fails(tmp_path, capsys):
     out = tmp_path / "p3.json"
     assert run(["gen", "pauli", "--p", "3", "--n", "1", "-o", str(out)]) == 0
-    assert files.load_ensemble(str(out)).size == 9
+    assert files.load_ensemble(str(out))[0].size == 9
     capsys.readouterr()
     assert run(["certify", str(out)]) == 1
     report = json.loads(capsys.readouterr().out)
@@ -50,7 +59,7 @@ def test_gen_sampled_is_deterministic(tmp_path):
     obj = json.loads(a.read_text())
     assert obj["meta"] == {"source": "clifford", "seed": 7, "n": 50}
     assert obj["format"] == 2 and len(obj["weights"]) == 50
-    assert files.load_ensemble(str(a)).size == 50
+    assert files.load_ensemble(str(a))[0].size == 50
 
 
 def test_gen_sampled_rejects_negative_seed(tmp_path, capsys):
@@ -127,7 +136,9 @@ def test_gen_requires_params(tmp_path):
 def test_gen_rejects_an_option_its_kind_does_not_read(tmp_path, capsys, argv, option):
     out = tmp_path / "x.json"
     assert run(["gen", *argv, "-o", str(out)]) == 2
-    assert f"error: unrecognized arguments: {option} {argv[-1]}\n" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: qnm gen {argv[0]} ")
+    assert f"error: unrecognized arguments: {option} {argv[-1]}\n" in err
     assert not out.exists()
 
 
@@ -155,14 +166,31 @@ def test_certify_malformed_file(tmp_path):
     assert run(["certify", str(tmp_path / "missing.json")]) == 2
 
 
-def test_certify_env_tolerance(tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize(
+    "encode", [lambda t: b"\xef\xbb\xbf" + t, lambda t: t.decode().encode("utf-16")],
+    ids=["utf-8-bom", "utf-16"],
+)
+def test_input_files_are_plain_utf8(tmp_path, capsys, encode):
+    path = tmp_path / "c2.json"
+    run(["gen", "clifford", "--p", "2", "-o", str(path)])
+    path.write_bytes(encode(path.read_bytes()))
+    capsys.readouterr()
+    assert run(["certify", str(path)]) == 2
+    assert f"error: {path}: not readable as JSON" in capsys.readouterr().err
+
+
+def test_certify_ignores_qnm_tol(tmp_path, monkeypatch, capsys):
+    # --tol is the one way to set the tolerance; the environment sets nothing
     out = tmp_path / "c2.json"
     run(["gen", "clifford", "--p", "2", "-o", str(out)])
-    monkeypatch.setenv("QNM_TOL", "1e-18")
     capsys.readouterr()
-    assert run(["certify", str(out)]) == 1
+    assert run(["certify", str(out)]) == 0
+    plain = capsys.readouterr().out
+    monkeypatch.setenv("QNM_TOL", "1e-18")
+    assert run(["certify", str(out)]) == 0
     report = json.loads(capsys.readouterr().out)
-    assert report["passes_2design_at"] == 1e-18
+    assert report["passes_2design_at"] == DEFAULT_CERT_TOL
+    assert report == json.loads(plain)
 
 
 def test_certify_multiplicative_mode(tmp_path, capsys):
@@ -443,6 +471,16 @@ def test_argparse_errors_are_returned_as_exit_2(tmp_path, capsys, argv, error):
     assert not out.exists()
 
 
+def test_a_stray_argument_is_reported_with_its_sub_command_usage(tmp_path, capsys):
+    path = str(tmp_path / "c2.json")
+    run(["gen", "clifford", "--p", "2", "-o", path])
+    capsys.readouterr()
+    assert run(["certify", path, "extra.json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("usage: qnm certify ")
+    assert "qnm certify: error: unrecognized arguments: extra.json\n" in captured.err
+
+
 def test_gen_kind_help_is_returned_as_exit_0_and_lists_only_its_options(capsys):
     assert run(["gen", "clifford", "-h"]) == 0
     text = capsys.readouterr().out
@@ -574,29 +612,69 @@ def test_ensemble_content_error_names_the_file(tmp_path, capsys, clifford2, comm
 def test_ensemble_file_round_trip(tmp_path):
     path = tmp_path / "e.json"
     run(["gen", "sampled", "--d", "2", "--n", "8", "--seed", "5", "--from", "haar", "-o", str(path)])
-    e = files.load_ensemble(str(path))
+    e, _ = files.load_ensemble(str(path))
     assert isinstance(e, UnitaryEnsemble)
-    again = files.ensemble_from_dict(files.ensemble_to_dict(e))
+    files.save_ensemble(str(path), e)
+    again, _ = files.load_ensemble(str(path))
     assert np.array_equal(again.unitaries, e.unitaries)
     assert np.array_equal(again.weights, e.weights)
 
 
-@pytest.mark.parametrize(
-    "env, flag, name",
-    [("nan", [], "QNM_TOL"), ("-1", [], "QNM_TOL"), (None, ["--tol", "nan"], "--tol"),
-     (None, ["--tol", "inf"], "--tol")],
-    ids=["QNM_TOL=nan", "QNM_TOL=-1", "tol-nan", "tol-inf"],
-)
-def test_certify_rejects_bad_tolerance(tmp_path, monkeypatch, capsys, env, flag, name):
+@pytest.mark.parametrize("flag", [["--tol", "nan"], ["--tol", "inf"]], ids=["tol-nan", "tol-inf"])
+def test_certify_rejects_bad_tolerance(tmp_path, capsys, flag):
     out = tmp_path / "c2.json"
     run(["gen", "clifford", "--p", "2", "-o", str(out)])
-    if env is not None:
-        monkeypatch.setenv("QNM_TOL", env)
     capsys.readouterr()
     assert run(["certify", str(out), *flag]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert f"{name} must be finite and > 0" in captured.err
+    assert "--tol must be finite and > 0" in captured.err
+
+
+@pytest.mark.parametrize("argv", [["certify", "{path}", "--mode", "both"],
+                                  ["attack", "--scheme", "{path}", "--adv", "replace:tau"]],
+                         ids=["certify", "attack"])
+def test_an_ensemble_file_is_opened_once(tmp_path, monkeypatch, capsys, argv):
+    path = str(tmp_path / "c2.json")
+    run(["gen", "clifford", "--p", "2", "-o", path])
+    opened = []
+    real_open = builtins.open
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    assert run([a.format(path=path) for a in argv]) == 0
+    assert opened.count(path) == 1
+
+
+def test_input_digest_is_of_the_bytes_certified(tmp_path, monkeypatch, capsys):
+    # the file is replaced while the grade runs: the report must still name what it graded
+    path, other = tmp_path / "c2.json", tmp_path / "p2.json"
+    run(["gen", "clifford", "--p", "2", "-o", str(path)])
+    run(["gen", "pauli", "--p", "2", "-o", str(other)])
+    certified = path.read_bytes()
+    real_certify = cli.certify_design
+
+    def certify_design(ensemble, tol):
+        path.write_bytes(other.read_bytes())
+        return real_certify(ensemble, tol=tol)
+
+    monkeypatch.setattr(cli, "certify_design", certify_design)
+    capsys.readouterr()
+    assert run(["certify", str(path)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["n"] == 24
+    assert report["input_digest"] == _sha256(certified) != _sha256(path.read_bytes())
+
+
+def test_import_leaves_numpy_random_unloaded():
+    # numpy 1.x imports numpy.random itself; the CLI must add nothing numpy did not load
+    code = ("import sys, numpy; before = 'numpy.random' in sys.modules; import qnm.cli; "
+            "assert ('numpy.random' in sys.modules) == before, 'qnm.cli imported numpy.random'")
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)
 
 
 @pytest.mark.parametrize("field", ["weights", "unitaries"])
@@ -646,7 +724,7 @@ def test_matrix_codec_is_byte_identical_to_the_per_entry_encoding(tmp_path):
     run(argv + ["-o", str(path)])
     obj = json.loads(path.read_text())
     again = tmp_path / "again.json"
-    files.save_ensemble(str(again), files.load_ensemble(str(path)), obj["meta"])
+    files.save_ensemble(str(again), files.load_ensemble(str(path))[0], obj["meta"])
     assert again.read_bytes() == path.read_bytes()
 
 
@@ -743,13 +821,13 @@ def test_format2_round_trip_is_bit_exact_and_writable(tmp_path):
     obj = json.loads(path.read_text())
     assert obj["format"] == files.ENSEMBLE_FORMAT_VERSION == 2
     assert base64.b64decode(obj["unitaries"]) == e.unitaries.astype("<c16").tobytes()
-    back = files.load_ensemble(str(path))
+    back, _ = files.load_ensemble(str(path))
     assert back.unitaries.tobytes() == e.unitaries.tobytes()  # keeps -0.0 and subnormals
     assert back.weights.tobytes() == e.weights.tobytes()
     assert back.unitaries.flags.writeable and back.weights.flags.writeable
     back.unitaries[0, 0, 0] = 1.0
     again = tmp_path / "again.json"
-    files.save_ensemble(str(again), files.load_ensemble(str(path)), obj["meta"])
+    files.save_ensemble(str(again), files.load_ensemble(str(path))[0], obj["meta"])
     assert again.read_bytes() == path.read_bytes()
 
 
@@ -832,10 +910,10 @@ def test_format1_file_loads_like_format2(tmp_path, capsys):
     v2 = tmp_path / "v2.json"
     argv = ["gen", "sampled", "--d", "3", "--n", "40", "--seed", "4", "--from", "haar"]
     assert run(argv + ["-o", str(v2)]) == 0
-    e = files.load_ensemble(str(v2))
+    e, _ = files.load_ensemble(str(v2))
     v1 = tmp_path / "v1.json"
     save_format1_ensemble(v1, e)
-    back = files.load_ensemble(str(v1))
+    back, _ = files.load_ensemble(str(v1))
     assert back.unitaries.tobytes() == e.unitaries.tobytes()
     assert back.weights.tobytes() == e.weights.tobytes()
     reports = []
@@ -843,11 +921,12 @@ def test_format1_file_loads_like_format2(tmp_path, capsys):
         capsys.readouterr()
         code = run(["certify", str(path), "--mode", "both"])
         report = json.loads(capsys.readouterr().out)
-        assert report.pop("input_digest") == files.file_digest(str(path))
+        assert report.pop("input_digest") == _sha256(path.read_bytes())
         reports.append((code, report))
     assert reports[0] == reports[1]
     save_format1_ensemble(v1, _edge_ensemble())
-    assert files.load_ensemble(str(v1)).unitaries.tobytes() == _edge_ensemble().unitaries.tobytes()
+    back, _ = files.load_ensemble(str(v1))
+    assert back.unitaries.tobytes() == _edge_ensemble().unitaries.tobytes()
 
 
 @pytest.mark.parametrize("d", [1, 0])

@@ -26,6 +26,7 @@ from helpers import (
     eigh_theta,
     haar_batch,
     haar_projectors,
+    isotropic_operator,
     liouville_t,
     mc_haar_twirl,
     pairwise_frame_potential,
@@ -62,14 +63,16 @@ def test_max_entangled_twirl_symmetry():
 
 
 def test_iso_project_fixed_point():
-    dec, proj = iso_project(max_entangled(2), 2)
+    dec = iso_project(max_entangled(2), 2)
+    proj = isotropic_operator(dec, 2)
     assert abs(dec.alpha - 1) <= 1e-14 and abs(dec.beta) <= 1e-14
     assert dec.residual <= 1e-13
     assert np.max(np.abs(proj - max_entangled(2))) <= 1e-13
 
 
 def test_iso_project_identity_input():
-    dec, proj = iso_project(np.eye(4, dtype=complex), 2)
+    dec = iso_project(np.eye(4, dtype=complex), 2)
+    proj = isotropic_operator(dec, 2)
     assert abs(dec.alpha - 1) <= 1e-14 and abs(dec.beta - 1) <= 1e-14
     assert np.max(np.abs(proj - np.eye(4))) <= 1e-13
 
@@ -77,7 +80,7 @@ def test_iso_project_identity_input():
 def test_iso_project_computational_basis_state():
     x = np.zeros((4, 4), dtype=complex)
     x[0, 0] = 1.0
-    dec, _ = iso_project(x, 2)
+    dec = iso_project(x, 2)
     assert abs(dec.alpha - 0.5) <= 1e-14
     assert abs(dec.beta - 1 / 6) <= 1e-14
 
@@ -86,8 +89,9 @@ def test_iso_project_idempotent():
     rng = philox(61)
     for d in (2, 3):
         x = random_density(d * d, rng)
-        _, proj = iso_project(x, d)
-        dec2, proj2 = iso_project(proj, d)
+        proj = isotropic_operator(iso_project(x, d), d)
+        dec2 = iso_project(proj, d)
+        proj2 = isotropic_operator(dec2, d)
         assert dec2.residual <= 1e-12
         assert np.max(np.abs(proj - proj2)) <= 1e-12
 
@@ -100,7 +104,7 @@ def test_iso_project_dimension_mismatch():
 def test_iso_project_invariant_inputs_have_no_residual():
     phi = max_entangled(3)
     x = 0.4 * phi + 0.05 * (np.eye(9) - phi)
-    dec, _ = iso_project(x, 3)
+    dec = iso_project(x, 3)
     assert dec.residual <= 1e-10
 
 
@@ -110,7 +114,7 @@ def test_iso_project_matches_monte_carlo_twirl(d):
     inputs = np.array([random_density(d * d, rng) for _ in range(10)])
     estimates = mc_haar_twirl(inputs, d, n_samples=100_000, seed=700 + d)
     for x, mc in zip(inputs, estimates):
-        _, proj = iso_project(x, d)
+        proj = isotropic_operator(iso_project(x, d), d)
         assert trace_norm(mc - proj) <= 2e-3
 
 
