@@ -30,7 +30,6 @@ from .design import (
     frame_potential,
     ideal_choi,
     iso_project,
-    max_entangled,
     multiplicative_theta,
     one_design_distance,
     rank_bound,

@@ -69,6 +69,9 @@ def validate_cptni(ch: KrausChannel) -> CptniReport:
 
 def unitary_channel(u: np.ndarray) -> KrausChannel:
     """Conjugation by ``u``; a ValueError if u^dagger u is not 1 within ``CPTNI_TOL``."""
+    u = np.asarray(u, dtype=complex)
+    if u.ndim != 2 or len(u) != u.shape[1]:  # before len(u) is read as d
+        raise ValueError(f"u must be a square matrix, got shape {u.shape}")
     ch = KrausChannel(d=len(u), kraus_ops=[u])
     rep = validate_cptni(ch)
     if not rep.is_tp:
@@ -79,13 +82,14 @@ def unitary_channel(u: np.ndarray) -> KrausChannel:
 def constant_channel(eta0: np.ndarray) -> KrausChannel:
     """The replacement attack rho -> eta0 * tr(rho): the channel with Choi operator eta0 (x) tau."""
     eta0 = np.asarray(eta0, dtype=complex)
+    if eta0.ndim != 2 or len(eta0) != eta0.shape[1]:
+        raise ValueError(f"replacement state eta0 must be a square matrix, got shape {eta0.shape}")
     if not np.all(np.isfinite(eta0)):
         raise ValueError("replacement state must be finite")
-    d = eta0.shape[0]
-    if eta0.shape != (d, d) or not abs(np.trace(eta0) - 1) <= CPTNI_TOL:
+    if not abs(np.trace(eta0) - 1) <= CPTNI_TOL:
         raise ValueError("replacement state must be a square matrix with unit trace")
     try:  # eta0 (x) tau is Hermitian and PSD exactly when eta0 is
-        return channel_from_choi(np.kron(eta0, maximally_mixed(d)))
+        return channel_from_choi(np.kron(eta0, maximally_mixed(len(eta0))))
     except ValueError as exc:
         raise ValueError(f"replacement state must be Hermitian and PSD ({exc})") from None
 

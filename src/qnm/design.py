@@ -17,8 +17,8 @@ which is what :func:`certify_design` measures.
 Omega is held in the real Liouville basis (:func:`ensemble_choi`) and graded, in real
 arithmetic, in the adjoint frame whose first basis element is 1/sqrt(d). There U (x) conj(U)
 is 1 (+) R_U, and Omega_haar, its support and the sandwich A are diagonal, with 0 on the mixed
-entries (Gross, Audenaert and Eisert, J. Math. Phys. 48, 052104 (2007)). Certifying takes one
-d^4 eigensolve (the trace norm) and one on the 1 + (d^2 - 1)^2 support (theta and rank).
+entries (Gross, Audenaert and Eisert, J. Math. Phys. 48, 052104 (2007)). So is Omega, up to a bound
+certify adds: it solves two eigenproblems, both of the 1 + (d^2 - 1)^2 support; no Phi_d is built.
 """
 
 import math
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import RANK_TOL, check_tol, gram_choi, maximally_mixed, trace_norm
+from .linalg import RANK_TOL, check_tol, gram_choi, trace_norm
 
 UNITARY_INGEST_TOL = 1e-8  # the largest allowed entry of U^dagger U - 1, per key
 WEIGHT_TOL = 1e-12  # the bound on |sum of the weights - 1|
@@ -110,34 +110,25 @@ class CertificationReport:
     passes_rank_bound: bool
 
 
-def max_entangled(d: int) -> np.ndarray:
-    """Maximally entangled state Phi_d = 1/d sum_{ij} |ii><jj| on two d-level systems."""
-    if d < 2:
-        raise ValueError("dimension must be at least 2")
-    phi = np.zeros(d * d, dtype=complex)
-    phi[:: d + 1] = 1.0
-    return np.outer(phi, phi) / d
-
-
 def iso_project(x: np.ndarray, d: int) -> IsotropicDecomposition:
     """Decompose a d^2 x d^2 operator X by its projection alpha * Phi_d + beta * (1 - Phi_d)
     onto the isotropic span, where
 
         alpha = tr(X Phi_d),   beta = tr(X (1 - Phi_d)) / (d^2 - 1),
 
-    and residual is the trace norm of the off-span part, X minus that projection.
-    The map coincides with averaging (U (x) conj(U)) X (U (x) conj(U))^dagger
-    over the Haar measure.
+    and residual is the trace norm of the off-span part, X minus that projection. The map coincides
+    with averaging (U (x) conj(U)) X (U (x) conj(U))^dagger over the Haar measure. Phi_d is 1/d on
+    x[::d + 1, ::d + 1], the entries ((i, i), (j, j)), and 0 elsewhere: no Phi_d is built.
     """
-    x = np.asarray(x, dtype=complex)
+    x = np.array(x, dtype=complex)  # a copy: the projection is subtracted in place
     if x.shape != (d * d, d * d):
         raise ValueError(f"expected a {d * d} x {d * d} operator, got shape {x.shape}")
-    phi = max_entangled(d)
-    alpha = float(np.real(np.trace(x @ phi)))
+    block = x[:: d + 1, :: d + 1]  # a view of x
+    alpha = float(np.real(np.sum(block))) / d
     beta = float(np.real(np.trace(x)) - alpha) / (d * d - 1)
-    projected = alpha * phi + beta * (np.eye(d * d) - phi)
-    residual = trace_norm(x - projected)
-    return IsotropicDecomposition(alpha=alpha, beta=beta, residual=residual)
+    x.flat[:: d * d + 1] -= beta  # x - beta 1 - (alpha - beta) Phi_d
+    block -= (alpha - beta) / d
+    return IsotropicDecomposition(alpha=alpha, beta=beta, residual=trace_norm(x))
 
 
 def _adjoint_frame(x: np.ndarray, d: int) -> np.ndarray:
@@ -197,11 +188,12 @@ def ensemble_choi(e: UnitaryEnsemble) -> np.ndarray:
 
 
 def one_design_distance(e: UnitaryEnsemble) -> float:
-    """Trace distance of the average encryption Choi operator from tau (x) tau."""
+    """Trace distance of the average encryption Choi operator from tau (x) tau = 1/d^2."""
     d = e.d
-    tau = maximally_mixed(d)
     rows = np.sqrt(e.weights)[:, None] * e.unitaries.reshape(e.size, -1)
-    return trace_norm(gram_choi(rows, d) - np.kron(tau, tau))
+    g = gram_choi(rows, d)
+    g.flat[:: d * d + 1] -= 1 / d**2
+    return trace_norm(g)
 
 
 def frame_potential(e: UnitaryEnsemble, omega: np.ndarray | None = None) -> float:
@@ -299,8 +291,8 @@ def certify_design(e: UnitaryEnsemble, tol: float = DEFAULT_CERT_TOL) -> Certifi
     The additive grade is the trace norm ||Omega - Omega_haar||_1 on second-moment operators;
     d^2 times it upper-bounds the diamond distance of the corresponding twirls. The
     multiplicative grade is the operator sandwich deviation (see :func:`multiplicative_theta`),
-    next to the support leak that decides whether it exists. The rank of Omega (at
-    ``RANK_TOL``) comes from the same support eigensolve as theta. Frame potential (FP = d^4 tr
+    next to the support leak that decides whether it exists. Each is one eigensolve of the support
+    block; the rank of Omega (at ``RANK_TOL``) comes from theta's. Frame potential (FP = d^4 tr
     Omega^2, read off the same Omega) and key-entropy diagnostics are filled in alongside;
     nothing held grows with N^2. ``tol`` must be finite and > 0.
     """
@@ -310,8 +302,11 @@ def certify_design(e: UnitaryEnsemble, tol: float = DEFAULT_CERT_TOL) -> Certifi
     fp = frame_potential(e, omega)
     x, h, leak = _haar_deviation(omega, d)  # a rotated copy: omega itself is left as built
     del omega
-    two_dist = float(np.sum(np.abs(np.linalg.eigvalsh(x))))  # x is symmetric by construction
+    # Unitary keys act as 1 (+) R_k: x's 2 (d^2 - 1) mixed rows and columns R vanish. Keys only
+    # within UNITARY_INGEST_TOL leave R = O(eps), and ||x||_1 <= ||support block||_1 + ||R||_1:
+    mixed = 2 * math.sqrt(2 * (d * d - 1)) * float(np.linalg.norm(x[h == 0]))  # >= rank^.5 ||R||_F
     x = x[np.ix_(h > 0, h > 0)]  # only the support block: the full copy is freed here
+    two_dist = float(np.sum(np.abs(np.linalg.eigvalsh(x)))) + mixed  # x is symmetric
     mu = _sandwich_spectrum(x, h)  # mu + 1 = eig(A Omega A), of Omega's rank (Sylvester)
     theta = None if leak > SUPPORT_LEAK_TOL else float(np.max(np.abs(mu)))
     cut = d * d * (d * d - 1) * RANK_TOL

@@ -25,6 +25,14 @@ from .nmes import AttackReport
 
 FORMAT_VERSION = 1  # Kraus, matrix and report files, and the ensemble files that still load
 ENSEMBLE_FORMAT_VERSION = 2
+MAX_D = 2**11  # the largest d of an input file (a d x d complex matrix is 64 MiB); gen's <= 45
+
+
+def _dimension(obj: dict) -> int:
+    d = obj["d"]
+    if not (type(d) is int or (isinstance(d, float) and d.is_integer())) or not 2 <= d <= MAX_D:
+        raise ValueError(f"d must be an integer in [2, {MAX_D}]")  # no bool; no echo of a huge d
+    return int(d)
 
 
 def matrix_to_pairs(m: np.ndarray) -> list:
@@ -50,13 +58,6 @@ def pairs_to_matrix(rows, what: str = "matrix") -> np.ndarray:
     if arr.ndim < 3 or arr.shape[-1] != 2:
         raise ValueError(f"{what} must be {form}")
     return arr.view(complex)[..., 0]  # bit-exact: keeps -0.0 and does not mix inf into nan
-
-
-def _dimension(obj: dict) -> int:
-    d = obj["d"]
-    if type(d) is not int and not (isinstance(d, float) and d.is_integer()) or d < 2:  # no bool
-        raise ValueError(f"d must be an integer >= 2, got {d!r}")
-    return int(d)
 
 
 def read_json(path: str, versions=(FORMAT_VERSION,)) -> tuple[dict, int, str]:

@@ -9,6 +9,7 @@ import math
 
 import numpy as np
 
+from qnm import design
 from qnm.construct import _KEY_DECIMALS, _PHASE_PICK_TOL, _clifford_generators
 from qnm.files import matrix_to_pairs
 from qnm.pauli import weyl
@@ -99,11 +100,27 @@ def mc_haar_twirl(inputs, d: int, n_samples: int, seed: int, chunk: int = 2000) 
     return out[0] if squeeze else out
 
 
+def max_entangled(d: int) -> np.ndarray:
+    """Dense Phi_d = 1/d sum_{ij} |ii><jj| on two d-level systems."""
+    if d < 2:
+        raise ValueError("dimension must be at least 2")
+    phi = np.zeros(d * d, dtype=complex)
+    phi[:: d + 1] = 1.0
+    return np.outer(phi, phi) / d
+
+
 def isotropic_operator(dec, d: int) -> np.ndarray:
     """alpha * Phi_d + beta * (1 - Phi_d): the projection an IsotropicDecomposition describes."""
     vec_one = np.eye(d).reshape(-1)
     phi = np.outer(vec_one, vec_one) / d
     return dec.alpha * phi + dec.beta * (np.eye(d * d) - phi)
+
+
+def full_frame_trace_dist(omega: np.ndarray, d: int) -> float:
+    """||Omega - Omega_haar||_1 from one eigensolve of the whole d^4 x d^4 adjoint frame, mixed
+    rows and columns included."""
+    x, _, _ = design._haar_deviation(omega, d)
+    return float(np.sum(np.abs(np.linalg.eigvalsh(x))))
 
 
 def eigh_theta(omega: np.ndarray, d: int, leak_tol: float = 1e-9):

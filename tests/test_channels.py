@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -14,9 +15,8 @@ from qnm import (
     validate_cptni,
     weyl,
 )
-from qnm.design import max_entangled
 
-from helpers import apply_channel, choi_inverse_action, philox, random_density
+from helpers import apply_channel, choi_inverse_action, max_entangled, philox, random_density
 
 
 def test_apply_identity():
@@ -88,6 +88,19 @@ def test_constant_channel_rejects_non_state():
         constant_channel(np.diag([1.0, 1.0]))  # trace 2
     with pytest.raises(ValueError):
         constant_channel(np.diag([1.5, -0.5]))  # negative eigenvalue
+
+
+@pytest.mark.parametrize(
+    "build, arg, name",
+    [(unitary_channel, np.asarray(1.0), "u"),
+     (constant_channel, np.asarray(1.0), "replacement state eta0"),
+     (unitary_channel, np.eye(2)[None], "u")],
+    ids=["unitary-scalar", "constant-scalar", "unitary-stack"],
+)
+def test_channel_builders_name_a_non_square_argument(build, arg, name):
+    want = f"{name} must be a square matrix, got shape {arg.shape}"
+    with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+        build(arg)
 
 
 def test_channel_from_choi_identity():

@@ -775,18 +775,22 @@ def test_dimension_field_must_be_an_integer(tmp_path, capsys, d):
     assert run(["certify", str(bad)]) == 0
 
 
-@pytest.mark.parametrize("adv", [None, "{kraus}", "unitary:{matrix}"],
-                         ids=["ensemble", "kraus", "unitary"])
-def test_a_dimension_too_large_for_a_float_names_the_file(tmp_path, capsys, adv):
+_HUGE = {"": 10**400, "-negative": -(10**400), "-above-max": files.MAX_D + 1}
+
+
+@pytest.mark.parametrize(("adv", "d"), [
+    pytest.param(adv, d, id=kind + suffix)
+    for suffix, d in _HUGE.items()
+    for kind, adv in [("ensemble", None), ("kraus", "{kraus}"), ("unitary", "unitary:{matrix}")]])
+def test_a_dimension_too_large_for_a_float_names_the_file(tmp_path, capsys, adv, d):
     scheme = tmp_path / "c2.json"
     run(["gen", "clifford", "--p", "2", "-o", str(scheme)])
-    huge = 10**400  # float(huge) raises OverflowError
-    obj = json.loads(scheme.read_text())
+    obj = json.loads(scheme.read_text())  # float(10**400) raises OverflowError
     paths = {name: tmp_path / f"{name}.json" for name in ("ensemble", "kraus", "matrix")}
-    paths["ensemble"].write_text(json.dumps({**obj, "d": huge}))
+    paths["ensemble"].write_text(json.dumps({**obj, "d": d}))
     pairs = files.matrix_to_pairs(np.eye(2))
-    paths["kraus"].write_text(json.dumps({"format": 1, "d": huge, "kraus": [pairs]}))
-    paths["matrix"].write_text(json.dumps({"format": 1, "d": huge, "matrix": pairs}))
+    paths["kraus"].write_text(json.dumps({"format": 1, "d": d, "kraus": [pairs]}))
+    paths["matrix"].write_text(json.dumps({"format": 1, "d": d, "matrix": pairs}))
     capsys.readouterr()
     if adv is None:
         argv, bad = ["certify", str(paths["ensemble"])], paths["ensemble"]
@@ -796,6 +800,8 @@ def test_a_dimension_too_large_for_a_float_names_the_file(tmp_path, capsys, adv)
     assert run(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith(f"error: {bad}: ")
+    assert f"d must be an integer in [2, {files.MAX_D}]" in captured.err
+    assert len(captured.err) < 200  # the value of d, up to 401 characters, is not echoed
 
 
 def test_gen_pauli_rejects_zero_qudits(tmp_path, capsys):
@@ -945,7 +951,7 @@ def test_dimension_below_two_is_a_usage_error(tmp_path, capsys, d):
                  ["attack", "--scheme", str(scheme), "--adv", str(kraus)]):
         capsys.readouterr()
         assert run(argv) == 2
-        assert f"d must be an integer >= 2, got {d}" in capsys.readouterr().err
+        assert f"d must be an integer in [2, {files.MAX_D}]" in capsys.readouterr().err
     out = tmp_path / "s.json"
     assert run(["gen", "sampled", "--from", "haar", "--d", str(d), "--n", "3", "-o", str(out)]) == 2
     assert f"d must be >= 2, got {d}" in capsys.readouterr().err

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qnm import (
+    IsotropicDecomposition,
     UnitaryEnsemble,
     certify_design,
     ensemble_choi,
@@ -12,22 +13,25 @@ from qnm import (
     frame_potential,
     ideal_choi,
     iso_project,
-    max_entangled,
     multiplicative_theta,
     num_rank,
+    one_design_distance,
     trace_norm,
 )
 from qnm import design
 from qnm.construct import SamplerConfig, clifford_prime, sample_design
+from qnm.linalg import gram_choi
 
 from helpers import (
     computational_choi,
     eigh_rank,
     eigh_theta,
+    full_frame_trace_dist,
     haar_batch,
     haar_projectors,
     isotropic_operator,
     liouville_t,
+    max_entangled,
     mc_haar_twirl,
     pairwise_frame_potential,
     philox,
@@ -433,7 +437,7 @@ def test_frame_grades_match_dense_projectors_off_the_ensemble_manifold(d):
 
 
 @pytest.mark.parametrize("name", ["clifford3", "haar4"])
-def test_certify_design_makes_one_full_and_one_support_eigensolve(name, request, monkeypatch):
+def test_certify_design_makes_two_support_eigensolves(name, request, monkeypatch):
     e = request.getfixturevalue(name)
     d = e.d
     calls = []
@@ -444,8 +448,8 @@ def test_certify_design_makes_one_full_and_one_support_eigensolve(name, request,
 
         monkeypatch.setattr(np.linalg, kind, counted)
     certify_design(e)
-    assert sorted(c for c in calls if c[1] > d * d) == [("eigvalsh", 1 + (d * d - 1) ** 2),
-                                                        ("eigvalsh", d**4)]
+    # besides the d^2 x d^2 solve of the 1-design distance, only the support block is solved
+    assert sorted(c for c in calls if c[1] > d * d) == [("eigvalsh", 1 + (d * d - 1) ** 2)] * 2
     assert {kind for kind, _ in calls} == {"eigvalsh"}  # no eigh, no svd
 
 
@@ -453,6 +457,65 @@ def test_certify_design_makes_one_full_and_one_support_eigensolve(name, request,
 def repeated3():
     keys = haar_batch(3, 40, philox(34))
     return UnitaryEnsemble.uniform(3, np.concatenate([keys] * 3))  # 120 keys, 40 distinct
+
+
+@pytest.mark.parametrize("name", ["clifford3", "pauli21", "haar4", "weighted3", "repeated3"])
+def test_support_block_grades_match_the_full_frame(name, request):
+    e = request.getfixturevalue(name)
+    omega = ensemble_choi(e)
+    report = certify_design(e)
+    assert abs(report.two_design_trace_dist - full_frame_trace_dist(omega, e.d)) <= 1e-12
+    # the frame-potential identity FP - 2 = d^4 ||X||_F^2, on the support block of X alone
+    x, h, _ = design._haar_deviation(omega, e.d)
+    support = x[np.ix_(h > 0, h > 0)]
+    fp = report.frame_potential
+    assert abs(e.d**4 * np.sum(support**2) - (fp - 2)) <= 1e-12 * fp
+
+
+def test_near_unitary_keys_are_graded_no_lower_than_the_full_frame(clifford2):
+    # U^dagger U - 1 has entries 8e-9, inside UNITARY_INGEST_TOL: the mixed block holds O(delta)
+    keys = clifford2.unitaries @ np.diag([1 + 4e-9, 1 - 4e-9])  # each key times 1 + delta Z
+    e = UnitaryEnsemble(2, clifford2.weights, keys)
+    full = full_frame_trace_dist(ensemble_choi(e), 2)
+    assert full > design.DEFAULT_CERT_TOL
+    report = certify_design(e)
+    assert report.two_design_trace_dist >= full and not report.passes_two_design
+
+
+def _dense_iso_reference(x, d):
+    """(alpha, beta, residual) of the isotropic projection, from a dense Phi_d."""
+    alpha = float(np.real(np.trace(x @ max_entangled(d))))
+    beta = (float(np.real(np.trace(x))) - alpha) / (d * d - 1)
+    projected = isotropic_operator(IsotropicDecomposition(alpha, beta, residual=math.nan), d)
+    return alpha, beta, trace_norm(x - projected)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, "hermitian3"])
+def test_iso_project_matches_the_dense_phi_reference(d):
+    rng = philox(64)
+    if d == "hermitian3":  # Hermitian, trace one, not PSD
+        d = 3
+        g = rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
+        x = g + g.conj().T
+        x /= np.trace(x).real
+        assert np.linalg.eigvalsh(x)[0] < 0
+    else:
+        x = random_density(d * d, rng)
+    before = x.copy()
+    dec = iso_project(x, d)
+    assert np.array_equal(x, before)  # the projection is subtracted from a copy
+    alpha, beta, residual = _dense_iso_reference(x, d)
+    assert abs(dec.alpha - alpha) <= 1e-12 and abs(dec.beta - beta) <= 1e-12
+    assert abs(dec.residual - residual) <= 1e-12
+
+
+@pytest.mark.parametrize("name", ["singleton2", "pauli21", "clifford2", "weighted3", "haar4"])
+def test_one_design_distance_matches_the_kron_reference(name, request):
+    e = request.getfixturevalue(name)
+    tau = np.eye(e.d) / e.d
+    rows = np.sqrt(e.weights)[:, None] * e.unitaries.reshape(e.size, -1)
+    want = trace_norm(gram_choi(rows, e.d) - np.kron(tau, tau))
+    assert abs(one_design_distance(e) - want) <= 1e-15
 
 
 @pytest.mark.parametrize("name, rank", [("singleton2", 1), ("repeated3", 40), ("haar4", 100)])

@@ -3,10 +3,9 @@ import pytest
 
 from qnm import design, herm_eig, ideal_choi, num_rank
 from qnm import trace_norm
-from qnm.design import max_entangled
 from qnm.linalg import HERM_TOL, RANK_TOL, gram_choi, hermitian_defect
 
-from helpers import philox
+from helpers import max_entangled, philox
 
 I2 = np.eye(2)
 X = np.array([[0.0, 1.0], [1.0, 0.0]])

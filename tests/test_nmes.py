@@ -15,13 +15,14 @@ from qnm import (
     unitary_channel,
     weyl,
 )
-from qnm.design import UnitaryEnsemble, max_entangled
+from qnm.design import UnitaryEnsemble
 
 from helpers import (
     apply_channel,
     haar_batch,
     loop_attack_reference,
     loop_effective_kraus,
+    max_entangled,
     philox,
     random_density,
 )
