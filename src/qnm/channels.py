@@ -87,7 +87,7 @@ def constant_channel(eta0: np.ndarray) -> KrausChannel:
     if not np.all(np.isfinite(eta0)):
         raise ValueError("replacement state must be finite")
     if not abs(np.trace(eta0) - 1) <= CPTNI_TOL:
-        raise ValueError("replacement state must be a square matrix with unit trace")
+        raise ValueError(f"replacement state has trace {complex(np.trace(eta0)):.6g}, not 1")
     try:  # eta0 (x) tau is Hermitian and PSD exactly when eta0 is
         return channel_from_choi(np.kron(eta0, maximally_mixed(len(eta0))))
     except ValueError as exc:

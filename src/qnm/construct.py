@@ -13,12 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .design import UnitaryEnsemble, rank_bound
+from .design import MAX_D, UnitaryEnsemble, rank_bound
 from .pauli import is_prime, weyl
 
-CLIFFORD_PRIME_CAP = 5
-_PHASE_PICK_TOL = 0.1
-_KEY_DECIMALS = 6
+CLIFFORD_PRIME_CAP = 5  # the largest Clifford prime: certify's N x d^4 rows at p = 7 are 316 MB
+_PHASE_PICK_TOL = 0.1  # picks the phase entry: Clifford entries have modulus 0 or >= 1/sqrt(5)
+_KEY_DECIMALS = 6  # a key's rounding: far coarser than round-off, far finer than entry gaps
 
 
 @dataclass
@@ -41,6 +41,8 @@ class SamplerConfig:
             raise ValueError(f"source must be 'clifford' or 'haar', got {self.source!r}")
         if self.source == "clifford" and not (self.d <= CLIFFORD_PRIME_CAP and is_prime(self.d)):
             raise ValueError(f"d must be a prime <= {CLIFFORD_PRIME_CAP} for clifford, got {self.d}")
+        if self.d > MAX_D:  # checked before drawing: qnm reads no ensemble file of larger d
+            raise ValueError(f"d must be <= {MAX_D}, the largest d of an ensemble file")
 
 
 def _clifford_generators(p: int) -> np.ndarray:

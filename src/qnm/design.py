@@ -28,6 +28,7 @@ import numpy as np
 
 from .linalg import RANK_TOL, check_tol, gram_choi, trace_norm
 
+MAX_D = 2**11  # the largest d of an input file and of gen sampled: a d x d key is 64 MiB
 UNITARY_INGEST_TOL = 1e-8  # the largest allowed entry of U^dagger U - 1, per key
 WEIGHT_TOL = 1e-12  # the bound on |sum of the weights - 1|
 DEFAULT_CERT_TOL = 1e-9  # the default pass/fail bound for every grade (certify's tol)
@@ -59,7 +60,7 @@ class UnitaryEnsemble:
         if np.any(self.weights < 0):
             raise ValueError("weights must be nonnegative")
         if abs(self.weights.sum() - 1.0) > WEIGHT_TOL:
-            raise ValueError(f"weights must sum to 1, got {self.weights.sum()!r}")
+            raise ValueError(f"weights must sum to 1, got {float(self.weights.sum())!r}")
         gram = self.unitaries.conj().transpose(0, 2, 1) @ self.unitaries
         dev = np.max(np.abs(gram - np.eye(d)), axis=(1, 2))
         bad = np.flatnonzero(dev > UNITARY_INGEST_TOL)

@@ -5,7 +5,7 @@ at double precision. Kraus, matrix and report files are format 1: matrices
 are nested lists of [re, im] pairs, row by row. Ensemble files are format 2:
 "unitaries" is the padded base64 of the N*d*d little-endian complex128 values
 in C order (key, row, column), N = len(weights), so no float is parsed or
-printed per entry. Format 1 ensemble files (pairs, as above) still load.
+printed per entry. Each kind of file has that one format.
 Every input file is opened once, by read_json, which parses and digests the same bytes;
 every output file is written by write_json.
 """
@@ -20,12 +20,11 @@ import numpy as np
 
 from . import __version__
 from .channels import KrausChannel
-from .design import CertificationReport, UnitaryEnsemble
+from .design import MAX_D, CertificationReport, UnitaryEnsemble
 from .nmes import AttackReport
 
-FORMAT_VERSION = 1  # Kraus, matrix and report files, and the ensemble files that still load
+FORMAT_VERSION = 1  # Kraus, matrix and report files
 ENSEMBLE_FORMAT_VERSION = 2
-MAX_D = 2**11  # the largest d of an input file (a d x d complex matrix is 64 MiB); gen's <= 45
 
 
 def _dimension(obj: dict) -> int:
@@ -60,10 +59,10 @@ def pairs_to_matrix(rows, what: str = "matrix") -> np.ndarray:
     return arr.view(complex)[..., 0]  # bit-exact: keeps -0.0 and does not mix inf into nan
 
 
-def read_json(path: str, versions=(FORMAT_VERSION,)) -> tuple[dict, int, str]:
-    """Open ``path`` once: its JSON object, that object's format version and the ``sha256:`` digest
-    of the very bytes parsed. A missing file, a parse failure (deep nesting too) or a format outside
-    ``versions`` is a ValueError naming the path."""
+def read_json(path: str, version: int = FORMAT_VERSION) -> tuple[dict, str]:
+    """Open ``path`` once: its JSON object and the ``sha256:`` digest of the very bytes parsed. A
+    missing file, a parse failure (deep nesting too) or a format other than ``version`` is a
+    ValueError naming the path."""
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
@@ -75,10 +74,10 @@ def read_json(path: str, versions=(FORMAT_VERSION,)) -> tuple[dict, int, str]:
         raise ValueError(f"{path}: not readable as JSON ({exc})") from exc
     if not isinstance(obj, dict):
         raise ValueError(f"{path}: expected a JSON object at top level")
-    version = obj.get("format")
-    if isinstance(version, bool) or version not in versions:  # True == 1 in Python
-        raise ValueError(f"{path}: unsupported format version {version!r}")
-    return obj, version, "sha256:" + hashlib.sha256(raw).hexdigest()
+    found = obj.get("format")
+    if isinstance(found, bool) or found != version:  # True == 1 in Python
+        raise ValueError(f"{path}: unsupported format version {found!r}")
+    return obj, "sha256:" + hashlib.sha256(raw).hexdigest()
 
 
 def _unpack_unitaries(text, n: int, d: int) -> np.ndarray:
@@ -121,15 +120,12 @@ def save_ensemble(path: str, e: UnitaryEnsemble, meta: dict | None = None):
 
 
 def load_ensemble(path: str) -> tuple[UnitaryEnsemble, str]:
-    """Read an ensemble file (format 1 or 2): the ensemble and the digest of the bytes it holds."""
-    obj, version, digest = read_json(path, (FORMAT_VERSION, ENSEMBLE_FORMAT_VERSION))
+    """Read an ensemble file: the ensemble and the digest of the bytes it holds."""
+    obj, digest = read_json(path, ENSEMBLE_FORMAT_VERSION)
     try:
         d = _dimension(obj)
         weights = _numbers(obj["weights"], "weights")
-        if version == FORMAT_VERSION:
-            unitaries = pairs_to_matrix(obj["unitaries"], "unitaries")
-        else:
-            unitaries = _unpack_unitaries(obj["unitaries"], weights.size, d)
+        unitaries = _unpack_unitaries(obj["unitaries"], weights.size, d)
         ensemble = UnitaryEnsemble(d=d, weights=weights, unitaries=unitaries)  # it checks the keys
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{path}: malformed ensemble file ({exc})") from exc
@@ -138,7 +134,7 @@ def load_ensemble(path: str) -> tuple[UnitaryEnsemble, str]:
 
 def load_kraus_channel(path: str) -> KrausChannel:
     """Read an adversary channel stored as {"format": 1, "d": d, "kraus": [matrix...]}."""
-    obj, _, _ = read_json(path)
+    obj, _ = read_json(path)
     try:
         d = _dimension(obj)
         ops = [pairs_to_matrix(k, f"Kraus operator {m}") for m, k in enumerate(obj["kraus"])]
@@ -149,7 +145,7 @@ def load_kraus_channel(path: str) -> KrausChannel:
 
 def load_matrix(path: str, key: str) -> np.ndarray:
     """Read a single d x d matrix file, e.g. {"format": 1, "d": d, "matrix": ...}."""
-    obj, _, _ = read_json(path)
+    obj, _ = read_json(path)
     try:
         d = _dimension(obj)
         m = pairs_to_matrix(obj[key], key)

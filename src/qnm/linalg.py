@@ -25,7 +25,7 @@ def maximally_mixed(d: int) -> np.ndarray:
 def check_tol(tol: float, name: str) -> float:
     """``tol`` itself if it is a finite number > 0; else a ValueError naming ``name``."""
     if not (math.isfinite(tol) and tol > 0):
-        raise ValueError(f"{name} must be finite and > 0, got {tol!r}")
+        raise ValueError(f"{name} must be finite and > 0, got {float(tol)!r}")
     return tol
 
 

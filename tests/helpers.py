@@ -4,14 +4,12 @@ These deliberately avoid the library's projection formulas and batched
 kernels so they can serve as independent cross-checks.
 """
 
-import json
 import math
 
 import numpy as np
 
 from qnm import design
 from qnm.construct import _KEY_DECIMALS, _PHASE_PICK_TOL, _clifford_generators
-from qnm.files import matrix_to_pairs
 from qnm.pauli import weyl
 
 
@@ -234,26 +232,6 @@ def pairwise_frame_potential(weights, unitaries) -> float:
         gram = a[i0 : i0 + block].conj() @ a.T  # gram[i, j] = tr(U_i^dagger U_j)
         total += float(np.sum(w[i0 : i0 + block, None] * w[None, :] * np.abs(gram) ** 4))
     return total
-
-
-def format1_ensemble_dict(e, meta: dict | None = None) -> dict:
-    """The format-1 ensemble encoding: every key entry as its own [re, im] pair."""
-    out = {
-        "format": 1,
-        "d": int(e.d),
-        "weights": e.weights.tolist(),
-        "unitaries": matrix_to_pairs(e.unitaries),
-    }
-    if meta:
-        out["meta"] = meta
-    return out
-
-
-def save_format1_ensemble(path, e, meta: dict | None = None):
-    """Write ``e`` as the format-1 writer did: one json.dump with indent=1."""
-    with open(path, "w") as fh:
-        json.dump(format1_ensemble_dict(e, meta), fh, indent=1)
-        fh.write("\n")
 
 
 def loop_pauli_unitaries(p: int, n: int) -> np.ndarray:

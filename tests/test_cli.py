@@ -13,8 +13,6 @@ import pytest
 from qnm import cli, construct, files
 from qnm.design import DEFAULT_CERT_TOL, UnitaryEnsemble
 
-from helpers import format1_ensemble_dict, save_format1_ensemble
-
 
 def run(argv):
     return cli.main(argv)
@@ -272,7 +270,7 @@ def test_attack_rejects_a_non_unitary_matrix(tmp_path, capsys):
         (np.ones((2, 3)) / 2, "{path}: state must be d x d = 2 x 2, got shape (2, 3)"),
         (np.array([[0.5, 0.1], [0.0, 0.5]]), "replacement state must be Hermitian and PSD"),
         (np.diag([1.5, -0.5]), "replacement state must be Hermitian and PSD"),
-        (np.eye(2), "replacement state must be a square matrix with unit trace"),
+        (np.eye(2), "replacement state has trace 2+0j, not 1"),
     ],
     ids=["non-square", "non-hermitian", "non-psd", "trace-2"],
 )
@@ -301,6 +299,28 @@ def test_matrix_file_must_hold_a_d_by_d_matrix(tmp_path, capsys, prefix, key, d,
     captured = capsys.readouterr()
     shape = f"{d} x {d}, got shape {m.shape}"
     assert captured.out == "" and f"error: {path}: {key} must be d x d = {shape}" in captured.err
+
+
+@pytest.mark.parametrize(
+    "adv", ["{kraus}", "unitary:{unitary}", "replace:{state}"], ids=["kraus", "unitary", "replace"]
+)
+def test_an_adversary_of_another_dimension_is_a_usage_error(tmp_path, capsys, adv):
+    scheme = tmp_path / "c2.json"
+    run(["gen", "clifford", "--p", "2", "-o", str(scheme)])
+    eye = files.matrix_to_pairs(np.eye(3))
+    paths = {key: tmp_path / f"{key}.json" for key in ("kraus", "unitary", "state")}
+    paths["kraus"].write_text(json.dumps({"format": 1, "d": 3, "kraus": [eye]}))
+    paths["unitary"].write_text(json.dumps({"format": 1, "d": 3, "matrix": eye}))
+    tau3 = files.matrix_to_pairs(np.eye(3) / 3)
+    paths["state"].write_text(json.dumps({"format": 1, "d": 3, "state": tau3}))
+    out = tmp_path / "report.json"
+    capsys.readouterr()
+    argv = ["attack", "--scheme", str(scheme), "--adv", adv.format(**paths), "-o", str(out)]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: adversary acts on dimension 3, scheme has dimension 2\n"
+    assert not out.exists()
 
 
 def test_kraus_file_shape_error_names_the_file(tmp_path, capsys):
@@ -557,16 +577,22 @@ def test_attack_replace_state_file(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "adv, twin", [("identity", "weyl:0,0"), ("replace:tau", "replace:{tau}")], ids=["id", "tau"]
+    "adv, twin",
+    [("identity", "weyl:0,0"), ("replace:tau", "replace:{tau}"), ("replace:1", "replace:{e1}")],
+    ids=["id", "tau", "basis-1"],
 )
 def test_rerouted_selectors_give_byte_identical_reports(tmp_path, capsys, adv, twin):
-    scheme, tau = str(tmp_path / "c2.json"), tmp_path / "tau.json"
+    scheme = str(tmp_path / "c2.json")
     run(["gen", "clifford", "--p", "2", "-o", scheme])
-    state = files.matrix_to_pairs(np.eye(2) / 2)
-    tau.write_text(json.dumps({"format": 1, "d": 2, "state": state}))
+    states = {"tau": np.eye(2) / 2, "e1": np.diag([0.0, 1.0])}  # e1 is |1><1|
+    paths = {name: tmp_path / f"{name}.json" for name in states}
+    for name, state in states.items():
+        paths[name].write_text(
+            json.dumps({"format": 1, "d": 2, "state": files.matrix_to_pairs(state)})
+        )
     capsys.readouterr()
     reports = []
-    for selector in (adv, twin.format(tau=tau)):
+    for selector in (adv, twin.format(**paths)):
         assert run(["attack", "--scheme", scheme, "--adv", selector]) == 0
         reports.append(capsys.readouterr().out)
     assert reports[0] == reports[1]
@@ -680,13 +706,13 @@ def test_import_leaves_numpy_random_unloaded():
 @pytest.mark.parametrize("field", ["weights", "unitaries"])
 def test_non_finite_ensemble_file_is_a_usage_error(tmp_path, capsys, clifford2, field):
     path = tmp_path / "c2.json"
-    save_format1_ensemble(path, clifford2)
-    obj = json.loads(path.read_text())
+    weights, unitaries = clifford2.weights.copy(), clifford2.unitaries.copy()
     if field == "weights":
-        obj["weights"][0] = float("nan")
+        weights[0] = np.nan
     else:
-        obj["unitaries"][0][0][0][0] = float("nan")
-    path.write_text(json.dumps(obj))
+        unitaries[0, 0, 0] = complex(np.nan, 0.0)
+    _write_format2(path, clifford2, weights=weights.tolist(),
+                   unitaries=base64.b64encode(unitaries.astype("<c16").tobytes()).decode())
     capsys.readouterr()
     assert run(["certify", str(path)]) == 2
     assert f"{field} must be finite" in capsys.readouterr().err
@@ -718,6 +744,9 @@ def test_matrix_codec_is_byte_identical_to_the_per_entry_encoding(tmp_path):
     back = files.pairs_to_matrix(files.matrix_to_pairs(m))
     assert np.array_equal(np.signbit(back.real), np.signbit(m.real))
     assert np.array_equal(np.signbit(back.imag), np.signbit(m.imag))
+    matrix = tmp_path / "m.json"  # and through a matrix file
+    matrix.write_text(json.dumps({"format": 1, "d": 2, "matrix": files.matrix_to_pairs(m)}))
+    assert files.load_matrix(str(matrix), "matrix").tobytes() == m.tobytes()
 
     path = tmp_path / "s.json"
     argv = ["gen", "sampled", "--d", "3", "--n", "20", "--seed", "4", "--from", "haar"]
@@ -731,14 +760,13 @@ def test_matrix_codec_is_byte_identical_to_the_per_entry_encoding(tmp_path):
 @pytest.mark.parametrize(
     "entry", [[1.0, 0.0, 5.0], [1.0], ["1.0", "0.0"]], ids=["three", "one", "strings"]
 )
-def test_matrix_entries_must_be_pairs_of_numbers(tmp_path, capsys, clifford2, entry):
+def test_matrix_entries_must_be_pairs_of_numbers(tmp_path, capsys, entry):
     scheme = tmp_path / "c2.json"
     run(["gen", "clifford", "--p", "2", "-o", str(scheme)])
-    save_format1_ensemble(tmp_path / "c2-format1.json", clifford2)
-    obj = json.loads((tmp_path / "c2-format1.json").read_text())
-    obj["unitaries"][3][1][0] = entry
+    matrix = files.matrix_to_pairs(np.eye(2))
+    matrix[1][0] = entry
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(obj))
+    bad.write_text(json.dumps({"format": 1, "d": 2, "matrix": matrix}))
     ops = [files.matrix_to_pairs(np.eye(2) / np.sqrt(2)) for _ in range(2)]
     ops[1][0][1] = entry
     kraus = tmp_path / "kraus.json"
@@ -746,7 +774,7 @@ def test_matrix_entries_must_be_pairs_of_numbers(tmp_path, capsys, clifford2, en
     state = tmp_path / "state.json"
     state.write_text(json.dumps({"format": 1, "d": 2, "state": ops[1]}))
     capsys.readouterr()
-    assert run(["certify", str(bad)]) == 2
+    assert run(["attack", "--scheme", str(scheme), "--adv", f"unitary:{bad}"]) == 2
     assert str(bad) in capsys.readouterr().err
     assert run(["attack", "--scheme", str(scheme), "--adv", str(kraus)]) == 2
     err = capsys.readouterr().err
@@ -802,6 +830,26 @@ def test_a_dimension_too_large_for_a_float_names_the_file(tmp_path, capsys, adv,
     assert captured.out == "" and captured.err.startswith(f"error: {bad}: ")
     assert f"d must be an integer in [2, {files.MAX_D}]" in captured.err
     assert len(captured.err) < 200  # the value of d, up to 401 characters, is not echoed
+
+
+def test_gen_sampled_rejects_a_dimension_no_reader_takes(tmp_path, capsys):
+    out = tmp_path / "big.json"
+    argv = ["gen", "sampled", "--from", "haar", "--d", str(files.MAX_D + 1), "--n", "1"]
+    assert run(argv + ["-o", str(out)]) == 2
+    assert f"error: d must be <= {files.MAX_D}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_an_unnormalized_weight_error_prints_a_plain_float(tmp_path, capsys, clifford2):
+    weights = clifford2.weights.copy()
+    weights[0] = 0.0
+    path = tmp_path / "c2.json"
+    _write_format2(path, clifford2, weights=weights.tolist())
+    capsys.readouterr()
+    assert run(["certify", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"weights must sum to 1, got {float(weights.sum())!r})" in err
+    assert "np.float64" not in err
 
 
 def test_gen_pauli_rejects_zero_qudits(tmp_path, capsys):
@@ -912,27 +960,18 @@ def test_kraus_and_matrix_files_stay_at_format_1(tmp_path, capsys):
             assert f"unsupported format version {version!r}" in capsys.readouterr().err
 
 
-def test_format1_file_loads_like_format2(tmp_path, capsys):
-    v2 = tmp_path / "v2.json"
-    argv = ["gen", "sampled", "--d", "3", "--n", "40", "--seed", "4", "--from", "haar"]
-    assert run(argv + ["-o", str(v2)]) == 0
-    e, _ = files.load_ensemble(str(v2))
+def test_a_format1_ensemble_is_refused(tmp_path, capsys, clifford2):
+    # the older ensemble encoding: each key entry as its own [re, im] pair
     v1 = tmp_path / "v1.json"
-    save_format1_ensemble(v1, e)
-    back, _ = files.load_ensemble(str(v1))
-    assert back.unitaries.tobytes() == e.unitaries.tobytes()
-    assert back.weights.tobytes() == e.weights.tobytes()
-    reports = []
-    for path in (v2, v1):
+    v1.write_text(json.dumps({"format": 1, "d": 2, "weights": clifford2.weights.tolist(),
+                              "unitaries": files.matrix_to_pairs(clifford2.unitaries)}))
+    out = tmp_path / "report.json"
+    for argv in (["certify", str(v1)], ["attack", "--scheme", str(v1), "--adv", "identity"]):
         capsys.readouterr()
-        code = run(["certify", str(path), "--mode", "both"])
-        report = json.loads(capsys.readouterr().out)
-        assert report.pop("input_digest") == _sha256(path.read_bytes())
-        reports.append((code, report))
-    assert reports[0] == reports[1]
-    save_format1_ensemble(v1, _edge_ensemble())
-    back, _ = files.load_ensemble(str(v1))
-    assert back.unitaries.tobytes() == _edge_ensemble().unitaries.tobytes()
+        assert run(argv + ["-o", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {v1}: unsupported format version 1\n"
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("d", [1, 0])
@@ -940,14 +979,11 @@ def test_dimension_below_two_is_a_usage_error(tmp_path, capsys, d):
     one = UnitaryEnsemble(d=1, weights=np.array([1.0]), unitaries=np.ones((1, 1, 1)))
     v2 = tmp_path / "v2.json"
     _write_format2(v2, one, d=d)
-    v1 = tmp_path / "v1.json"
-    v1.write_text(json.dumps({**format1_ensemble_dict(one), "d": d}))
     kraus = tmp_path / "kraus.json"
     kraus.write_text(json.dumps({"format": 1, "d": d, "kraus": [files.matrix_to_pairs(np.eye(2))]}))
     scheme = tmp_path / "c2.json"
     run(["gen", "clifford", "--p", "2", "-o", str(scheme)])
-    for argv in (["certify", str(v2)], ["certify", str(v1)],
-                 ["attack", "--scheme", str(v1), "--adv", "identity"],
+    for argv in (["certify", str(v2)], ["attack", "--scheme", str(v2), "--adv", "identity"],
                  ["attack", "--scheme", str(scheme), "--adv", str(kraus)]):
         capsys.readouterr()
         assert run(argv) == 2

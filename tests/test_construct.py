@@ -10,6 +10,7 @@ from qnm import (
     weyl,
 )
 from qnm.construct import _canonical, _clifford_elements
+from qnm.design import MAX_D
 
 from helpers import (
     haar_batch,
@@ -164,6 +165,8 @@ def test_sampler_config_validation():
     for d in (1, 0):
         with pytest.raises(ValueError, match=f"d must be >= 2, got {d}"):
             SamplerConfig(d=d, n_samples=3, seed=1, source="haar")
+    with pytest.raises(ValueError, match=f"d must be <= {MAX_D}"):
+        SamplerConfig(d=MAX_D + 1, n_samples=1, seed=1, source="haar")
     with pytest.raises(ValueError):
         SamplerConfig(d=2, n_samples=0, seed=1, source="clifford")
     with pytest.raises(ValueError):

@@ -3,7 +3,7 @@ import pytest
 
 from qnm import design, herm_eig, ideal_choi, num_rank
 from qnm import trace_norm
-from qnm.linalg import HERM_TOL, RANK_TOL, gram_choi, hermitian_defect
+from qnm.linalg import HERM_TOL, RANK_TOL, check_tol, gram_choi, hermitian_defect
 
 from helpers import max_entangled, philox
 
@@ -161,3 +161,13 @@ def test_num_rank_counts_and_rejects_at_rank_tol():
     assert num_rank(np.diag([1.0, -0.99 * RANK_TOL])) == 1
     with pytest.raises(ValueError, match="not positive semidefinite"):
         num_rank(np.diag([1.0, -1.01 * RANK_TOL]))
+
+
+@pytest.mark.parametrize(
+    "bad", [np.float64(np.nan), np.float64(0.0), np.float32(-1.0)], ids=["nan", "zero", "negative"]
+)
+def test_check_tol_prints_a_numpy_scalar_as_a_plain_float(bad):
+    with pytest.raises(ValueError) as info:
+        check_tol(bad, "tol")
+    assert str(info.value) == f"tol must be finite and > 0, got {float(bad)!r}"
+    assert "np." not in str(info.value)
