@@ -93,6 +93,7 @@ class CertificationReport:
 
     d: int
     n: int
+    distinct_keys: int
     one_design_dist: float
     two_design_trace_dist: float
     two_design_diamond_upper: float
@@ -286,6 +287,19 @@ def multiplicative_theta(omega: np.ndarray, d: int) -> float | None:
     return None if leak > SUPPORT_LEAK_TOL else float(np.max(np.abs(mu)))
 
 
+def _merge_equal_keys(e: UnitaryEnsemble) -> UnitaryEnsemble:
+    """``e`` with keys of equal complex128 bytes merged, weights summed, in first-occurrence order
+    (``e`` itself if no two are equal). No tolerance: a bit, a -0.0 or a phase keeps keys apart."""
+    keys = np.ascontiguousarray(e.unitaries).reshape(e.size, -1)
+    keys = keys.view(np.dtype((np.void, keys[0].nbytes)))[:, 0]  # one byte string per key
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    if len(first) == e.size:
+        return e
+    order = np.argsort(first)
+    weights = np.bincount(inverse, weights=e.weights)[order]
+    return UnitaryEnsemble(e.d, weights, e.unitaries[first[order]])
+
+
 def certify_design(e: UnitaryEnsemble, tol: float = DEFAULT_CERT_TOL) -> CertificationReport:
     """Grade an ensemble as an encryption scheme (1-design) and 2-design.
 
@@ -296,11 +310,16 @@ def certify_design(e: UnitaryEnsemble, tol: float = DEFAULT_CERT_TOL) -> Certifi
     block; the rank of Omega (at ``RANK_TOL``) comes from theta's. Frame potential (FP = d^4 tr
     Omega^2, read off the same Omega) and key-entropy diagnostics are filled in alongside;
     nothing held grows with N^2. ``tol`` must be finite and > 0.
+
+    Omega, FP and the 1-design distance are built from the ``distinct_keys`` keys left when keys of
+    equal complex128 bytes are merged, weights summed: equal keys give equal rows, so the sums are
+    unchanged and the merge is exact. ``n`` and ``entropy_bits`` describe the keys of ``e``.
     """
     check_tol(tol, "tol")
     d = e.d
-    omega = ensemble_choi(e)
-    fp = frame_potential(e, omega)
+    merged = _merge_equal_keys(e)
+    omega = ensemble_choi(merged)
+    fp = frame_potential(merged, omega)
     x, h, leak = _haar_deviation(omega, d)  # a rotated copy: omega itself is left as built
     del omega
     # Unitary keys act as 1 (+) R_k: x's 2 (d^2 - 1) mixed rows and columns R vanish. Keys only
@@ -314,11 +333,12 @@ def certify_design(e: UnitaryEnsemble, tol: float = DEFAULT_CERT_TOL) -> Certifi
     if mu[0] + 1 < -cut:
         raise ValueError(f"Omega is not positive semidefinite (min eig(A Omega A) {mu[0] + 1:.3e})")
     rank = int(np.count_nonzero(mu + 1 > cut))
-    one_dist = one_design_distance(e)
+    one_dist = one_design_distance(merged)
     bound = rank_bound(d)
     return CertificationReport(
         d=d,
         n=e.size,
+        distinct_keys=merged.size,
         one_design_dist=one_dist,
         two_design_trace_dist=two_dist,
         two_design_diamond_upper=d * d * two_dist,

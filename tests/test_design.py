@@ -570,3 +570,70 @@ def test_certify_design_rejects_a_bad_tol(bad, pauli21):
     # at tol = inf the one-time pad would pass as a 2-design
     with pytest.raises(ValueError, match="^tol must be finite and > 0"):
         certify_design(pauli21, tol=bad)
+
+
+def _clifford2_repeats():
+    """One d = 2 Clifford key at three unequal weights, plus zero-weight copies of two others."""
+    keys = clifford_prime(2).unitaries
+    unitaries = np.concatenate([keys, keys[[5, 5, 5, 7, 9, 9]]])
+    weights = np.concatenate([np.full(24, 0.75 / 24), [0.125, 0.0625, 0.0625, 0.0, 0.0, 0.0]])
+    return UnitaryEnsemble(2, weights, unitaries)
+
+
+MERGE_CASES = {
+    "sampled300": lambda: sample_design(SamplerConfig(3, 300, 5)),
+    "clifford2_repeats": _clifford2_repeats,
+    "one_key_copies": lambda: UnitaryEnsemble.uniform(
+        3, np.repeat(haar_batch(3, 1, philox(37)), 50, axis=0)),
+}
+
+
+def _merged_and_unmerged(e, monkeypatch):
+    """certify_design's report on ``e``, and the one built from every key with no merge; Omega
+    must be built once per report, from its ``distinct_keys`` keys."""
+    built, sizes = design.ensemble_choi, []
+
+    def counted(ensemble):
+        sizes.append(ensemble.size)
+        return built(ensemble)
+
+    monkeypatch.setattr(design, "ensemble_choi", counted)
+    merged = certify_design(e)
+    with monkeypatch.context() as m:
+        m.setattr(design, "_merge_equal_keys", lambda e: e)
+        unmerged = certify_design(e)
+    assert sizes == [merged.distinct_keys, e.size]
+    return merged, unmerged
+
+
+@pytest.mark.parametrize("name", sorted(MERGE_CASES))
+def test_certify_merges_equal_keys_with_the_grades_of_every_key(name, monkeypatch):
+    e = MERGE_CASES[name]()
+    merged, unmerged = _merged_and_unmerged(e, monkeypatch)
+    distinct = len({u.tobytes() for u in e.unitaries})
+    assert merged.distinct_keys == distinct < e.size and unmerged.distinct_keys == e.size
+    for field in ("one_design_dist", "two_design_trace_dist", "two_design_diamond_upper",
+                  "multiplicative_theta", "support_leak", "frame_potential", "entropy_bound_bits"):
+        a, b = getattr(merged, field), getattr(unmerged, field)
+        assert (a is None) == (b is None), field
+        assert a is None or abs(a - b) <= 1e-12, (field, a, b)
+    for field in ("d", "n", "entropy_bits", "omega_rank", "rank_bound", "passes_one_design",
+                  "passes_two_design", "passes_multiplicative", "passes_rank_bound"):
+        assert getattr(merged, field) == getattr(unmerged, field), field
+    # independent of Omega: the N^2 pairwise traces over every unmerged key
+    want = pairwise_frame_potential(e.weights, e.unitaries)
+    assert abs(merged.frame_potential - want) <= 1e-12 * want
+
+
+def test_certify_merges_only_byte_equal_keys(monkeypatch):
+    key = clifford_prime(2).unitaries[3].copy()
+    zero = tuple(np.argwhere(key == 0)[0])  # a zero entry, whose sign bit is flipped below
+    negzero = key.copy()
+    negzero[zero] = complex(-0.0, 0.0)
+    assert np.array_equal(negzero, key) and negzero.tobytes() != key.tobytes()
+    keys = np.stack([key, np.exp(0.3j) * key, negzero, key])
+    merged, unmerged = _merged_and_unmerged(UnitaryEnsemble.uniform(2, keys), monkeypatch)
+    assert merged.distinct_keys == 3  # only the two exact copies of key are one
+    fp = unmerged.frame_potential
+    assert abs(merged.frame_potential - fp) <= 1e-12 * fp
+
