@@ -18,7 +18,15 @@ from .channels import (
     unitary_channel,
     validate_cptni,
 )
-from .construct import SamplerConfig, clifford_prime, recommended_n, sample_design
+from .construct import (
+    SamplerConfig,
+    clifford_prime,
+    is_prime,
+    pauli_ensemble,
+    recommended_n,
+    sample_design,
+    weyl,
+)
 from .design import (
     CertificationReport,
     IsotropicDecomposition,
@@ -36,5 +44,4 @@ from .design import (
 )
 from .linalg import herm_eig, maximally_mixed, num_rank, trace_norm
 from .nmes import AttackReport, EncryptionScheme, attack_report, effective_channel
-from .pauli import is_prime, pauli_ensemble, weyl
-sys.modules[f"{__name__}.weyl"] = sys.modules[f"{__name__}.pauli"]  # the module's former path
+sys.modules[f"{__name__}.weyl"] = sys.modules[f"{__name__}.construct"]  # weyl's former module path

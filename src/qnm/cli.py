@@ -20,7 +20,6 @@ from .channels import constant_channel, unitary_channel
 from .design import DEFAULT_CERT_TOL, certify_design, entropy_bound, rank_bound
 from .linalg import check_tol, maximally_mixed
 from .nmes import EncryptionScheme, attack_report
-from .pauli import pauli_ensemble, weyl
 
 EXIT_OK = 0
 EXIT_CERT_FAIL = 1
@@ -30,7 +29,7 @@ EXIT_IO = 3
 
 def cmd_gen(args) -> int:
     if args.kind == "pauli":
-        ensemble = pauli_ensemble(args.p, args.n)
+        ensemble = construct.pauli_ensemble(args.p, args.n)
         meta = {"source": "pauli", "p": args.p, "n": args.n}
     elif args.kind == "clifford":
         ensemble = construct.clifford_prime(args.p)
@@ -78,7 +77,7 @@ def _parse_adversary(selector: str, d: int):
         ab = re.fullmatch(f"weyl:({integer}),({integer})", selector)
         if not ab:
             raise ValueError(f"weyl adversary needs 'weyl:<a>,<b>', got {selector!r}")
-        return unitary_channel(weyl(d, int(ab[1]), int(ab[2])))
+        return unitary_channel(construct.weyl(d, int(ab[1]), int(ab[2])))
     if selector.startswith("unitary:"):
         return unitary_channel(files.load_matrix(selector.split(":", 1)[1], "matrix"))
     return files.load_kraus_channel(selector)

@@ -44,9 +44,11 @@ class UnitaryEnsemble:
     unitaries: np.ndarray
 
     def __post_init__(self):
+        if not isinstance(self.d, (int, np.integer)) or self.d < 2:  # a bool is 0 or 1
+            raise ValueError(f"d must be an integer >= 2, got {self.d!r}")
+        self.d = d = int(self.d)  # a Python int: reports serialize it as JSON
         self.weights = np.asarray(self.weights, dtype=float)
         self.unitaries = np.asarray(self.unitaries, dtype=complex)
-        d = int(self.d)
         if self.unitaries.ndim != 3 or self.unitaries.shape[1:] != (d, d):
             raise ValueError(
                 f"unitaries must have shape (N, {d}, {d}), got {self.unitaries.shape}"
@@ -218,8 +220,6 @@ def ensemble_entropy(e: UnitaryEnsemble) -> float:
 
 
 def _binary_entropy_bits(x: float) -> float:
-    if x < 0 or x > 1:
-        raise ValueError(f"binary entropy argument must lie in [0, 1], got {x}")
     if x == 0 or x == 1:
         return 0.0
     return float(-x * math.log2(x) - (1 - x) * math.log2(1 - x))

@@ -9,8 +9,7 @@ import math
 import numpy as np
 
 from qnm import design
-from qnm.construct import _KEY_DECIMALS, _PHASE_PICK_TOL, _clifford_generators
-from qnm.pauli import weyl
+from qnm.construct import _KEY_DECIMALS, _PHASE_PICK_TOL, _clifford_generators, weyl
 
 
 def philox(seed: int) -> np.random.Generator:

@@ -123,6 +123,11 @@ def test_channel_from_choi_rejects_non_psd():
         channel_from_choi(np.diag([1.0, -0.2, 0.1, 0.1]))
 
 
+def test_channel_from_choi_needs_a_side_of_d_squared():
+    with pytest.raises(ValueError, match=re.escape("Choi operator must be d^2 x d^2, got shape (3, 3)")):
+        channel_from_choi(np.eye(3))
+
+
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_choi_round_trip_random_channels(d):
     rng = philox(40 + d)

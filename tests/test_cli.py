@@ -1,7 +1,6 @@
 import base64
 import builtins
 import hashlib
-import importlib
 import json
 import os
 import subprocess
@@ -99,17 +98,16 @@ def test_gen_checks_the_clifford_cap_before_primality(tmp_path, monkeypatch, cap
     ids=["huge-p", "4.3GB", "huge-n"],
 )
 def test_gen_pauli_checks_the_size_bound_before_primality(tmp_path, monkeypatch, capsys, p, n):
-    pauli = importlib.import_module("qnm.pauli")
-    is_prime = pauli.is_prime
+    is_prime = construct.is_prime
 
     def bounded_is_prime(q):
-        assert q**4 <= pauli.PAULI_MAX_ENTRIES, f"trial division of {q}"
+        assert q**4 <= construct.PAULI_MAX_ENTRIES, f"trial division of {q}"
         return is_prime(q)
 
-    monkeypatch.setattr(pauli, "is_prime", bounded_is_prime)
+    monkeypatch.setattr(construct, "is_prime", bounded_is_prime)
     out = tmp_path / "x.json"
     assert run(["gen", "pauli", "--p", p, "--n", n, "-o", str(out)]) == 2
-    assert f"p^(4n) must be <= {pauli.PAULI_MAX_ENTRIES} entries, got p = {p}, n = {n}" in (
+    assert f"p^(4n) must be <= {construct.PAULI_MAX_ENTRIES} entries, got p = {p}, n = {n}" in (
         capsys.readouterr().err
     )
     assert not out.exists()
@@ -353,6 +351,27 @@ def test_too_deeply_nested_ensemble_file_is_a_usage_error(tmp_path, capsys):
     path.write_text("[" * 100_000 + "]" * 100_000)
     assert run(["certify", str(path), "--mode", "both"]) == 2
     assert f"error: {path}: not readable as JSON" in capsys.readouterr().err
+
+
+def test_a_json_array_is_not_an_input_file(tmp_path, capsys):
+    path = tmp_path / "array.json"
+    path.write_text("[]")
+    out = tmp_path / "report.json"
+    assert run(["certify", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {path}: expected a JSON object at top level\n"
+    assert not out.exists()
+
+
+def test_kraus_entries_must_be_re_im_pairs(tmp_path, capsys):
+    scheme = tmp_path / "c2.json"
+    run(["gen", "clifford", "--p", "2", "-o", str(scheme)])
+    kraus = tmp_path / "kraus.json"
+    triples = [[[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]], [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]]
+    kraus.write_text(json.dumps({"format": 1, "d": 2, "kraus": [triples]}))
+    capsys.readouterr()
+    assert run(["attack", "--scheme", str(scheme), "--adv", str(kraus)]) == 2
+    want = "malformed Kraus file (Kraus operator 0 must be rows of [re, im] pairs of numbers)"
+    assert capsys.readouterr().err == f"error: {kraus}: {want}\n"
 
 
 def test_attack_invalid_adversary(tmp_path):
@@ -976,9 +995,9 @@ def test_a_format1_ensemble_is_refused(tmp_path, capsys, clifford2):
 
 @pytest.mark.parametrize("d", [1, 0])
 def test_dimension_below_two_is_a_usage_error(tmp_path, capsys, d):
-    one = UnitaryEnsemble(d=1, weights=np.array([1.0]), unitaries=np.ones((1, 1, 1)))
+    one = base64.b64encode(np.ones(1, "<c16")).decode()  # the 1 x 1 key 1
     v2 = tmp_path / "v2.json"
-    _write_format2(v2, one, d=d)
+    v2.write_text(json.dumps({"format": 2, "d": d, "weights": [1.0], "unitaries": one}))
     kraus = tmp_path / "kraus.json"
     kraus.write_text(json.dumps({"format": 1, "d": d, "kraus": [files.matrix_to_pairs(np.eye(2))]}))
     scheme = tmp_path / "c2.json"

@@ -1,4 +1,6 @@
+import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -18,7 +20,7 @@ from qnm import (
     one_design_distance,
     trace_norm,
 )
-from qnm import design
+from qnm import design, files
 from qnm.construct import SamplerConfig, clifford_prime, sample_design
 from qnm.linalg import gram_choi
 
@@ -246,6 +248,8 @@ def test_entropy_bound_domain():
         entropy_bound(2, 0.4)
     with pytest.raises(ValueError):
         entropy_bound(2, -0.1)
+    with pytest.raises(ValueError, match="^dimension must be at least 2$"):
+        entropy_bound(1, 0)
 
 
 def test_ensemble_entropy():
@@ -299,6 +303,8 @@ def test_ensemble_validation():
         UnitaryEnsemble(d=2, weights=np.array([1.0]), unitaries=np.array([[[1, 0], [1, 1]]], dtype=complex))
     with pytest.raises(ValueError):
         UnitaryEnsemble(d=2, weights=np.array([1.5, -0.5]), unitaries=np.array([np.eye(2)] * 2))
+    with pytest.raises(ValueError, match=re.escape("unitaries must have shape (N, 2, 2), got (1, 3, 3)")):
+        UnitaryEnsemble.uniform(2, np.eye(3, dtype=complex)[None])
 
 
 @pytest.mark.parametrize("field", ["weights", "unitaries"])
@@ -308,6 +314,20 @@ def test_ensemble_rejects_non_finite_input(field, bad):
     fields[field].reshape(-1)[-1] = bad  # a view: the last entry of the field
     with pytest.raises(ValueError, match=f"{field} must be finite"):
         UnitaryEnsemble(d=2, **fields)
+
+
+@pytest.mark.parametrize("d", [2.0, True, False, 1, 0], ids=["float", "true", "false", "one", "zero"])
+def test_ensemble_requires_an_integer_dimension_of_at_least_two(d):
+    keys = np.eye(int(d), dtype=complex)[None]  # keys of the shape that d names
+    with pytest.raises(ValueError, match=f"^d must be an integer >= 2, got {d!r}$"):
+        UnitaryEnsemble.uniform(d, keys)
+
+
+def test_ensemble_stores_a_numpy_integer_dimension_as_an_int(clifford2):
+    e = UnitaryEnsemble.uniform(np.int64(2), clifford2.unitaries)
+    assert type(e.d) is int and e.d == 2
+    report = json.loads(json.dumps(files.certification_report_to_dict(certify_design(e), "")))
+    assert report["d"] == 2 and report["passes_two_design"]
 
 
 def test_ensemble_names_first_non_unitary_element():

@@ -6,8 +6,8 @@ import pytest
 
 import qnm
 from qnm import certify_design, num_rank, one_design_distance, pauli_ensemble, weyl
+from qnm.construct import is_prime
 from qnm.design import ensemble_choi
-from qnm.pauli import is_prime
 
 from helpers import loop_pauli_unitaries
 
@@ -25,10 +25,15 @@ def test_weyl_qubit_product_convention():
     assert np.allclose(weyl(2, 1, 1), [[0, -1], [1, 0]])
 
 
+def test_weyl_rejects_a_dimension_below_two():
+    with pytest.raises(ValueError, match="^dimension must be at least 2$"):
+        weyl(1, 0, 0)
+
+
 def test_pauli_module_is_patchable_and_qnm_weyl_stays_the_function(monkeypatch):
-    pauli = importlib.import_module("qnm.pauli")
-    assert qnm.pauli is pauli and importlib.import_module("qnm.weyl") is pauli
-    monkeypatch.setattr(pauli, "is_prime", lambda n: False)
+    construct = importlib.import_module("qnm.construct")
+    assert qnm.construct is construct and importlib.import_module("qnm.weyl") is construct
+    monkeypatch.setattr(construct, "is_prime", lambda n: False)
     with pytest.raises(ValueError, match="p must be prime, got 3"):
         pauli_ensemble(3)
     assert np.array_equal(qnm.weyl(2, 1, 0), [[0, 1], [1, 0]])
