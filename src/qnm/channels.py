@@ -42,7 +42,10 @@ class KrausChannel:
             raise ValueError(
                 f"Kraus operator {m} has shape {np.shape(self.kraus_ops[m])}, expected {shape}"
             )
-        if not np.all(np.isfinite(ops)):
+        # a NaN or inf makes the sum non-finite; only then (or on overflow) is each entry tested
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = ops.sum()
+        if not np.isfinite(total) and not np.all(np.isfinite(ops)):
             raise ValueError("Kraus operators must be finite")
         self.kraus_ops = ops.reshape(-1, *shape)
 

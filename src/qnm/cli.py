@@ -1,11 +1,12 @@
 """Command-line front end: generate ensembles, certify designs, run attacks, report bounds.
 
 argparse declares every option, each gen kind only its own. Every file and report is one line of
-JSON from files.write_json, to -o/--out (which gen requires) or else stdout; diagnostics go to
-stderr. Exit codes, all returned by main (argparse's too): 0 success, -h or certification pass,
-1 only a failed certification grade, 2 usage or validation error (a missing input file or an
-input too large for memory included), 3 any other read or write failure. Each input file is read
-once; a report's input_digest is the sha256 of the bytes that were parsed.
+JSON from files.write_json (an ensemble file from files.save_ensemble), to -o/--out (which gen
+requires) or else stdout; diagnostics go to stderr. Exit codes, all returned by main (argparse's
+too): 0 success, -h or certification pass, 1 only a failed certification grade, 2 usage or
+validation error (a missing input file or an input too large for memory included), 3 any other
+read or write failure. Each input file is read once; a report's input_digest is the sha256 of the
+bytes that were parsed.
 """
 
 import argparse

@@ -80,6 +80,10 @@ class SamplerConfig:
     source: str = "clifford"
 
     def __post_init__(self):
+        for name in ("d", "n_samples", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.d < 2:
             raise ValueError(f"d must be >= 2, got {self.d}")
         if self.n_samples < 1:

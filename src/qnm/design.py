@@ -33,6 +33,9 @@ UNITARY_INGEST_TOL = 1e-8  # the largest allowed entry of U^dagger U - 1, per ke
 WEIGHT_TOL = 1e-12  # the bound on |sum of the weights - 1|
 DEFAULT_CERT_TOL = 1e-9  # the default pass/fail bound for every grade (certify's tol)
 SUPPORT_LEAK_TOL = 1e-9  # multiplicative_theta is None (null) when support_leak is above it
+# The most complex entries (1 MiB) of any per-key transient: UnitaryEnsemble's unitarity check,
+# ensemble_choi and nmes.effective_channel each loop over keys in blocks of at most this many.
+_ROW_BLOCK = 1 << 16
 
 
 @dataclass
@@ -63,12 +66,14 @@ class UnitaryEnsemble:
             raise ValueError("weights must be nonnegative")
         if abs(self.weights.sum() - 1.0) > WEIGHT_TOL:
             raise ValueError(f"weights must sum to 1, got {float(self.weights.sum())!r}")
-        gram = self.unitaries.conj().transpose(0, 2, 1) @ self.unitaries
-        dev = np.max(np.abs(gram - np.eye(d)), axis=(1, 2))
-        bad = np.flatnonzero(dev > UNITARY_INGEST_TOL)
-        if bad.size:
-            k = bad[0]
-            raise ValueError(f"ensemble element {k} is not unitary (deviation {dev[k]:.3e})")
+        step = max(1, _ROW_BLOCK // (d * d))
+        for k in range(0, self.size, step):
+            u = self.unitaries[k : k + step]
+            dev = np.max(np.abs(u.conj().transpose(0, 2, 1) @ u - np.eye(d)), axis=(1, 2))
+            bad = np.flatnonzero(dev > UNITARY_INGEST_TOL)
+            if bad.size:
+                k, dev = k + bad[0], dev[bad[0]]
+                raise ValueError(f"ensemble element {k} is not unitary (deviation {dev:.3e})")
 
     @property
     def size(self) -> int:
@@ -162,9 +167,6 @@ def ideal_choi(d: int) -> np.ndarray:
     return _adjoint_frame(np.diag(_haar_diagonal(d)), d)
 
 
-_ROW_BLOCK = 1 << 18  # complex entries per key block of ensemble_choi and effective_channel
-
-
 def ensemble_choi(e: UnitaryEnsemble) -> np.ndarray:
     """Second-moment operator T Omega T^dagger of an ensemble (d^4 x d^4, real PSD, trace 1).
 
@@ -179,12 +181,13 @@ def ensemble_choi(e: UnitaryEnsemble) -> np.ndarray:
     # t z = c1 z + c2 z_swap on a vec z over (i, a), where z_swap[i, a] = z[a, i]
     up = np.triu(np.ones((d, d)), 1) / math.sqrt(2)
     c1, c2 = np.eye(d) + up + 1j * up.T, up - 1j * up.T
-    scaled = np.sqrt(e.weights)[:, None, None] * e.unitaries
     rows = np.empty((e.size, d**4))
     step = max(1, _ROW_BLOCK // d**4)
     for k in range(0, e.size, step):
+        u = e.unitaries[k : k + step]
+        scaled = np.sqrt(e.weights[k : k + step])[:, None, None] * u
         # [k, i, a, j, b] = U[i, j] conj(U[a, b]); apply conj(t) on (j, b), then t on (i, a)
-        w = np.einsum("kij,kab->kiajb", scaled[k : k + step], e.unitaries[k : k + step].conj())
+        w = np.einsum("kij,kab->kiajb", scaled, u.conj())
         w = w * c1.conj() + w.swapaxes(3, 4) * c2.conj()
         w = w * c1[:, :, None, None] + w.swapaxes(1, 2) * c2[:, :, None, None]
         rows[k : k + step] = w.real.reshape(len(w), -1)

@@ -7,7 +7,7 @@ are nested lists of [re, im] pairs, row by row. Ensemble files are format 2:
 in C order (key, row, column), N = len(weights), so no float is parsed or
 printed per entry. Each kind of file has that one format.
 Every input file is opened once, by read_json, which parses and digests the same bytes;
-every output file is written by write_json.
+every output file is written by write_json, except that save_ensemble streams the same text.
 """
 
 import base64
@@ -68,8 +68,11 @@ def read_json(path: str, version: int = FORMAT_VERSION) -> tuple[dict, str]:
             raw = fh.read()
     except FileNotFoundError as exc:  # a missing input is a usage error, not an I/O failure
         raise ValueError(str(exc)) from exc
+    digest = "sha256:" + hashlib.sha256(raw).hexdigest()
     try:
-        obj = json.loads(raw.decode("utf-8"))  # UTF-8 only: json.loads(bytes) would take UTF-16 too
+        text = raw.decode("utf-8")  # UTF-8 only: json.loads(bytes) would take UTF-16 too
+        del raw  # the parse holds the text and the object it builds, not the bytes as well
+        obj = json.loads(text)
     except (RecursionError, ValueError) as exc:  # ValueError: not JSON, or not UTF-8
         raise ValueError(f"{path}: not readable as JSON ({exc})") from exc
     if not isinstance(obj, dict):
@@ -77,7 +80,7 @@ def read_json(path: str, version: int = FORMAT_VERSION) -> tuple[dict, str]:
     found = obj.get("format")
     if isinstance(found, bool) or found != version:  # True == 1 in Python
         raise ValueError(f"{path}: unsupported format version {found!r}")
-    return obj, "sha256:" + hashlib.sha256(raw).hexdigest()
+    return obj, digest
 
 
 def _unpack_unitaries(text, n: int, d: int) -> np.ndarray:
@@ -93,12 +96,17 @@ def _unpack_unitaries(text, n: int, d: int) -> np.ndarray:
     return np.frombuffer(bytearray(raw), "<c16").reshape(n, d, d)
 
 
-def ensemble_to_dict(e: UnitaryEnsemble, meta: dict | None = None) -> dict:
+def _payload(e: UnitaryEnsemble) -> bytes:
+    return base64.b64encode(np.ascontiguousarray(e.unitaries, "<c16"))
+
+
+def ensemble_to_dict(e: UnitaryEnsemble, meta: dict | None = None, payload: str | None = None):
+    """An ensemble file's JSON object; ``payload``, if given, stands in for the keys' base64."""
     out = {
         "format": ENSEMBLE_FORMAT_VERSION,
         "d": int(e.d),
         "weights": e.weights.tolist(),
-        "unitaries": base64.b64encode(np.ascontiguousarray(e.unitaries, "<c16")).decode("ascii"),
+        "unitaries": _payload(e).decode("ascii") if payload is None else payload,
     }
     if meta:
         out["meta"] = meta
@@ -106,7 +114,8 @@ def ensemble_to_dict(e: UnitaryEnsemble, meta: dict | None = None) -> dict:
 
 
 def write_json(obj: dict, path: str | None):
-    """Write ``obj`` as one line of JSON to ``path`` (stdout if None): every file qnm writes."""
+    """Write ``obj`` as one line of JSON to ``path`` (stdout if None): every file qnm writes, but
+    ensemble files, whose same text save_ensemble streams."""
     text = json.dumps(obj) + "\n"  # one dumps, no indent: the C encoder
     if path is None:
         sys.stdout.write(text)
@@ -116,7 +125,16 @@ def write_json(obj: dict, path: str | None):
 
 
 def save_ensemble(path: str, e: UnitaryEnsemble, meta: dict | None = None):
-    write_json(ensemble_to_dict(e, meta), path)
+    r"""Write ``json.dumps(ensemble_to_dict(e, meta)) + "\n"`` with the base64 held once, as bytes.
+
+    The text around it is dumped with an empty placeholder in its place. Only numbers come before
+    "unitaries", so its first '"unitaries": ""' is that placeholder, even if ``meta`` has one.
+    """
+    head, tail = json.dumps(ensemble_to_dict(e, meta, "")).split('"unitaries": ""', 1)
+    with open(path, "wb") as fh:
+        fh.write(f'{head}"unitaries": "'.encode("ascii"))  # json.dumps escapes to ASCII
+        fh.write(_payload(e))
+        fh.write(f'"{tail}\n'.encode("ascii"))
 
 
 def load_ensemble(path: str) -> tuple[UnitaryEnsemble, str]:

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import design
 from .channels import KrausChannel, choi_of, validate_cptni
-from .design import _ROW_BLOCK, IsotropicDecomposition, UnitaryEnsemble, iso_project
-from .design import one_design_distance
+from .design import IsotropicDecomposition, UnitaryEnsemble, iso_project, one_design_distance
 
 
 @dataclass
@@ -60,16 +60,18 @@ def effective_channel(scheme: EncryptionScheme, adv: KrausChannel) -> KrausChann
     if adv.d != d:
         raise ValueError(f"adversary acts on dimension {adv.d}, scheme has dimension {d}")
     w = scheme.ensemble.weights
-    u = scheme.ensemble.unitaries[w != 0]
-    udag = np.sqrt(w[w != 0])[:, None, None] * u.conj().transpose(0, 2, 1)
-    n, m = len(u), len(adv.kraus_ops)
+    kept = np.flatnonzero(w)
+    n, m = len(kept), len(adv.kraus_ops)
     kraus = adv.kraus_ops.transpose(1, 0, 2).reshape(d, m * d)  # [j, (m, c)] = K_m[j, c]
     ops = np.empty((n, m, d, d), dtype=complex)
-    step = max(1, _ROW_BLOCK // max(1, m * d * d))
+    step = max(1, design._ROW_BLOCK // max(1, m * d * d))
     for k in range(0, n, step):
-        b = min(step, n - k)
-        left = udag[k : k + b].reshape(b * d, d) @ kraus  # [(k, i), (m, c)]
-        prod = left.reshape(b, d * m, d) @ u[k : k + b]  # [k, (i, m), e]
+        keys = kept[k : k + step]
+        b = len(keys)
+        u = scheme.ensemble.unitaries[keys]
+        udag = np.sqrt(w[keys])[:, None, None] * u.conj().transpose(0, 2, 1)
+        left = udag.reshape(b * d, d) @ kraus  # [(k, i), (m, c)]
+        prod = left.reshape(b, d * m, d) @ u  # [k, (i, m), e]
         ops[k : k + b] = prod.reshape(b, d, m, d).transpose(0, 2, 1, 3)
     return KrausChannel(d=d, kraus_ops=ops.reshape(n * m, d, d))
 

@@ -222,6 +222,19 @@ def test_kraus_channel_rejects_non_finite_operators(bad):
         KrausChannel(d=2, kraus_ops=[np.eye(2), k])
 
 
+def test_kraus_channel_tests_entries_when_their_sum_is_not_finite():
+    big = np.full((3, 2, 2), 1e308, dtype=complex)  # finite entries whose sum overflows to inf
+    with np.errstate(over="ignore"):
+        assert not np.isfinite(big.sum())
+    assert np.array_equal(KrausChannel(d=2, kraus_ops=big).kraus_ops, big)
+    big[2, 1, 0] = complex(np.nan, 0)  # one NaN among them still raises
+    with pytest.raises(ValueError, match="Kraus operators must be finite"):
+        KrausChannel(d=2, kraus_ops=big)
+    cancel = np.array([[[np.inf, 0], [0, 1]], [[-np.inf, 0], [0, 1]]])  # inf - inf is NaN
+    with pytest.raises(ValueError, match="Kraus operators must be finite"):
+        KrausChannel(d=2, kraus_ops=cancel)
+
+
 def test_constant_channel_rejects_non_finite_state():
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError, match="replacement state must be finite"):

@@ -904,6 +904,20 @@ def test_format2_round_trip_is_bit_exact_and_writable(tmp_path):
     assert again.read_bytes() == path.read_bytes()
 
 
+@pytest.mark.parametrize(
+    "meta",
+    [None, {}, {"note": "edge"}, {"unitaries": "", "weights": [1.0]}, {"x": {"unitaries": ""}},
+     {"s": '"unitaries": ""', "\u00e9": "\u2603"}],
+    ids=["none", "empty", "note", "own-unitaries", "nested-unitaries", "quoted-and-non-ascii"],
+)
+def test_streamed_ensemble_file_is_the_json_dumps_text(tmp_path, meta):
+    e = _edge_ensemble()
+    path = tmp_path / "e.json"
+    files.save_ensemble(str(path), e, meta)
+    assert path.read_bytes() == (json.dumps(files.ensemble_to_dict(e, meta)) + "\n").encode()
+    assert files.load_ensemble(str(path))[0].unitaries.tobytes() == e.unitaries.tobytes()
+
+
 def _write_format2(path, e, **fields):
     """Write ``e`` as a format-2 ensemble file with ``fields`` overriding its entries."""
     path.write_text(json.dumps({**files.ensemble_to_dict(e), **fields}))

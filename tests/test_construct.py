@@ -179,6 +179,28 @@ def test_sampler_config_validation():
         SamplerConfig(d=d, n_samples=3, seed=1, source="haar")
 
 
+@pytest.mark.parametrize(
+    "fields, name",
+    [
+        ((2.0, 5, 0, "haar"), "d"),
+        ((3, 5.0, 0, "clifford"), "n_samples"),
+        ((3, 5, 0.5, "clifford"), "seed"),
+        ((True, 5, 0, "haar"), "d"),
+        ((3, True, 0, "clifford"), "n_samples"),
+        ((3, 5, False, "clifford"), "seed"),
+        ((3, 5, "1", "clifford"), "seed"),
+    ],
+)
+def test_sampler_config_requires_integer_fields(fields, name):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+        SamplerConfig(*fields)
+
+
+def test_sampler_config_takes_numpy_integers():
+    cfg = SamplerConfig(np.int64(2), np.int32(4), np.uint8(3), "clifford")
+    assert sample_design(cfg).size == 4
+
+
 def test_recommended_n_quadratic_in_theta():
     for d in (2, 3):
         ratio = recommended_n(d, 0.05, 0.01) / recommended_n(d, 0.1, 0.01)

@@ -338,6 +338,36 @@ def test_ensemble_names_first_non_unitary_element():
         UnitaryEnsemble.uniform(2, unitaries)
 
 
+def test_non_unitary_key_in_a_later_block_is_named_by_its_global_index(monkeypatch):
+    unitaries = np.array([np.eye(2)] * 8, dtype=complex)
+    unitaries[5] *= 2  # the third block of two keys
+    unitaries[7] *= 3
+    with pytest.raises(ValueError) as whole:
+        UnitaryEnsemble.uniform(2, unitaries)
+    monkeypatch.setattr(design, "_ROW_BLOCK", 2 * 2 * 2)
+    with pytest.raises(ValueError) as blocked:
+        UnitaryEnsemble.uniform(2, unitaries)
+    assert str(blocked.value) == str(whole.value)
+    assert str(whole.value) == "ensemble element 5 is not unitary (deviation 3.000e+00)"
+
+
+@pytest.mark.parametrize("name", ["clifford3", "weighted3", "sampled3"])
+def test_one_key_per_block_gives_bit_identical_results(name, request, monkeypatch):
+    e = request.getfixturevalue(name)
+    omega = ensemble_choi(e)
+    keys = e.unitaries.copy()
+    keys[-1, 0, 0] += 1e-3  # the last key, off by 1e-3 from unitary
+    with pytest.raises(ValueError) as whole:
+        UnitaryEnsemble(e.d, e.weights, keys)
+    monkeypatch.setattr(design, "_ROW_BLOCK", 1)
+    assert np.array_equal(ensemble_choi(e), omega)
+    UnitaryEnsemble(e.d, e.weights, e.unitaries)  # every key still passes
+    with pytest.raises(ValueError) as blocked:
+        UnitaryEnsemble(e.d, e.weights, keys)
+    assert str(blocked.value) == str(whole.value)
+    assert f"ensemble element {e.size - 1} is not unitary" in str(whole.value)
+
+
 @pytest.fixture
 def haar4():
     return UnitaryEnsemble.uniform(4, haar_batch(4, 100, philox(12)))  # N = 100 < d^4 = 256

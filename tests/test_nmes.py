@@ -7,9 +7,9 @@ from qnm import (
     attack_report,
     choi_of,
     constant_channel,
+    design,
     effective_channel,
     maximally_mixed,
-    nmes,
     random_cptni_channel,
     trace_norm,
     unitary_channel,
@@ -194,8 +194,23 @@ def _blocked_scheme(monkeypatch, rng, num_kraus):
     weights[[2, 7]] = 0
     ensemble = UnitaryEnsemble(d=3, weights=weights / weights.sum(), unitaries=haar_batch(3, 11, rng))
     # the nine kept keys fill blocks of 4, 4 and 1
-    monkeypatch.setattr(nmes, "_ROW_BLOCK", 4 * max(9 * num_kraus, 1))
+    monkeypatch.setattr(design, "_ROW_BLOCK", 4 * max(9 * num_kraus, 1))
     return EncryptionScheme(ensemble)
+
+
+@pytest.mark.parametrize("num_kraus", [1, 5, 12])
+def test_one_key_per_block_gives_the_same_kraus_stack(monkeypatch, num_kraus):
+    rng = philox(23)
+    weights = rng.random(9)
+    weights[[0, 4]] = 0
+    ensemble = UnitaryEnsemble(d=3, weights=weights / weights.sum(), unitaries=haar_batch(3, 9, rng))
+    scheme = EncryptionScheme(ensemble)
+    adversary = random_cptni_channel(3, rng, num_kraus=num_kraus)
+    ops = effective_channel(scheme, adversary).kraus_ops
+    monkeypatch.setattr(design, "_ROW_BLOCK", 1)
+    blocked = effective_channel(scheme, adversary).kraus_ops
+    assert ops.shape == blocked.shape == (7 * num_kraus, 3, 3)
+    assert np.array_equal(blocked, ops)
 
 
 def test_batched_effective_channel_matches_per_key_loop(monkeypatch):
