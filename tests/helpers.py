@@ -113,11 +113,29 @@ def isotropic_operator(dec, d: int) -> np.ndarray:
     return dec.alpha * phi + dec.beta * (np.eye(d * d) - phi)
 
 
+def haar_deviation(omega: np.ndarray, d: int):
+    """(X, h, leak): X = (H (x) H) (Omega - Omega_haar) (H (x) H) rotated as one whole d^4 x d^4
+    copy, with Omega_haar = diag(h) there, and the support leak, the sum of X's diagonal where h
+    is 0. Reference for the slab-by-slab ``design._support_deviation``."""
+    x = design._adjoint_frame(omega, d)
+    h = design._haar_diagonal(d)
+    x.flat[:: len(h) + 1] -= h
+    return x, h, float(np.real(np.sum(np.diagonal(x)[h == 0])))
+
+
 def full_frame_trace_dist(omega: np.ndarray, d: int) -> float:
     """||Omega - Omega_haar||_1 from one eigensolve of the whole d^4 x d^4 adjoint frame, mixed
     rows and columns included."""
-    x, _, _ = design._haar_deviation(omega, d)
+    x, _, _ = haar_deviation(omega, d)
     return float(np.sum(np.abs(np.linalg.eigvalsh(x))))
+
+
+def dense_sandwich_spectrum(omega: np.ndarray, d: int) -> np.ndarray:
+    """Ascending eig(A Omega A) on the whole support of Omega_haar, from the full-rotation
+    reference: the dense route, whatever the number of keys."""
+    x, h, _ = haar_deviation(omega, d)
+    s = h[h > 0] ** -0.5
+    return np.linalg.eigvalsh(s[:, None] * x[np.ix_(h > 0, h > 0)] * s) + 1
 
 
 def eigh_theta(omega: np.ndarray, d: int, leak_tol: float = 1e-9):

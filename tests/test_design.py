@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from qnm import (
     multiplicative_theta,
     num_rank,
     one_design_distance,
+    pauli_ensemble,
     trace_norm,
 )
 from qnm import design, files
@@ -26,10 +28,12 @@ from qnm.linalg import gram_choi
 
 from helpers import (
     computational_choi,
+    dense_sandwich_spectrum,
     eigh_rank,
     eigh_theta,
     full_frame_trace_dist,
     haar_batch,
+    haar_deviation,
     haar_projectors,
     isotropic_operator,
     liouville_t,
@@ -260,8 +264,6 @@ def test_ensemble_entropy():
 
 
 def _shipped_ensembles(pauli21, pauli31, clifford2, clifford3):
-    from qnm import pauli_ensemble
-
     sampled = sample_design(SamplerConfig(d=2, n_samples=2000, seed=7, source="clifford"))
     return [pauli21, pauli31, pauli_ensemble(2, 2), clifford2, clifford3, sampled, singleton(2)]
 
@@ -388,7 +390,7 @@ def test_multiplicative_theta_reports_support_leak():
     # Phi (x) (1 - Phi) / (d^2 - 1) lies wholly outside the support of Omega_haar
     phi = max_entangled(2)
     outside = np.kron(phi, np.eye(4) - phi) / 3
-    assert abs(design._haar_deviation(outside, 2)[2] - 1) <= 1e-14
+    assert abs(design._support_deviation(outside, 2)[2] - 1) <= 1e-14
     assert multiplicative_theta(outside, 2) is None
     assert eigh_theta(outside, 2) is None
     assert projector_theta(outside, 2) is None
@@ -478,10 +480,10 @@ def test_frame_grades_match_dense_projectors_off_the_ensemble_manifold(d):
     support = p1 + p2
     want = float(np.real(np.trace(omega) - np.trace(support @ omega)))
     assert want >= 0.1
-    assert abs(design._haar_deviation(omega, d)[2] - want) <= 1e-12
+    assert abs(design._support_deviation(omega, d)[2] - want) <= 1e-12
     assert multiplicative_theta(omega, d) is None and projector_theta(omega, d) is None
     inside = support @ omega @ support
-    assert abs(design._haar_deviation(inside, d)[2]) <= 1e-12
+    assert abs(design._support_deviation(inside, d)[2]) <= 1e-12
     theta = multiplicative_theta(inside, d)
     assert theta >= 0.1 and abs(theta - projector_theta(inside, d)) <= 1e-12
 
@@ -498,8 +500,11 @@ def test_certify_design_makes_two_support_eigensolves(name, request, monkeypatch
 
         monkeypatch.setattr(np.linalg, kind, counted)
     certify_design(e)
-    # besides the d^2 x d^2 solve of the 1-design distance, only the support block is solved
-    assert sorted(c for c in calls if c[1] > d * d) == [("eigvalsh", 1 + (d * d - 1) ** 2)] * 2
+    # besides the d^2 x d^2 solve of the 1-design distance: the support block's, for the trace
+    # norm, and one of size min(N, support) for theta and the rank (haar4: N = 100 < 226)
+    support = 1 + (d * d - 1) ** 2
+    want = sorted([support, min(e.size, support)])
+    assert sorted(c for c in calls if c[1] > d * d) == [("eigvalsh", n) for n in want]
     assert {kind for kind, _ in calls} == {"eigvalsh"}  # no eigh, no svd
 
 
@@ -516,8 +521,7 @@ def test_support_block_grades_match_the_full_frame(name, request):
     report = certify_design(e)
     assert abs(report.two_design_trace_dist - full_frame_trace_dist(omega, e.d)) <= 1e-12
     # the frame-potential identity FP - 2 = d^4 ||X||_F^2, on the support block of X alone
-    x, h, _ = design._haar_deviation(omega, e.d)
-    support = x[np.ix_(h > 0, h > 0)]
+    support, _, _ = design._support_deviation(omega, e.d)
     fp = report.frame_potential
     assert abs(e.d**4 * np.sum(support**2) - (fp - 2)) <= 1e-12 * fp
 
@@ -588,9 +592,12 @@ def _support_omega(d, first, rest, seed):
 
 
 def _rank_of(omega, d, monkeypatch):
-    """certify_design's omega_rank when ensemble_choi returns ``omega``."""
+    """certify_design's omega_rank when ensemble_choi returns ``omega``, for an ensemble with as
+    many keys as the support (the Clifford group), so that theta and the rank are read from it."""
     monkeypatch.setattr(design, "ensemble_choi", lambda e: omega)
-    report = certify_design(singleton(d))
+    e = clifford_prime(d)
+    assert e.size >= design.rank_bound(d)
+    report = certify_design(e)
     assert abs(report.support_leak) <= 1e-14
     return report.omega_rank
 
@@ -687,3 +694,125 @@ def test_certify_merges_only_byte_equal_keys(monkeypatch):
     fp = unmerged.frame_potential
     assert abs(merged.frame_potential - fp) <= 1e-12 * fp
 
+
+def _near_unitary_haar(d, n, seed):
+    """n Haar keys, each plus 1e-9 times a complex Gaussian matrix: U^dagger U - 1 ~ 1e-9, inside
+    UNITARY_INGEST_TOL, and U^dagger U != U U^dagger."""
+    keys = haar_batch(d, n, philox(seed))
+    rng = philox(seed + 1)
+    return keys + 1e-9 * (rng.normal(size=keys.shape) + 1j * rng.normal(size=keys.shape))
+
+
+def _phase_duplicate():
+    keys = haar_batch(3, 30, philox(41))
+    return UnitaryEnsemble.uniform(3, np.concatenate([keys, np.exp(0.7j) * keys[:1]]))
+
+
+def _zero_weights():
+    weights = np.concatenate([philox(42).uniform(0.5, 1.5, size=20), np.zeros(5)])
+    return UnitaryEnsemble(3, weights / weights.sum(), haar_batch(3, 25, philox(43)))
+
+
+def _haar2(n, seed):
+    return UnitaryEnsemble.uniform(2, haar_batch(2, n, philox(seed)))
+
+
+# (ensemble, omega_rank); the support is 1 + (d^2 - 1)^2: 10 at d = 2, 65 at d = 3, 226 at d = 4
+KEY_GRAM_CASES = {
+    "haar3_near_unitary": (lambda: UnitaryEnsemble.uniform(3, _near_unitary_haar(3, 40, 44)), 40),
+    "haar4_near_unitary": (lambda: UnitaryEnsemble.uniform(4, _near_unitary_haar(4, 150, 46)), 150),
+    "phase_duplicate": (_phase_duplicate, 30),  # 31 distinct keys, two of them equal up to phase
+    "zero_weights": (_zero_weights, 20),
+    "pauli_pad_two_qubits": (lambda: pauli_ensemble(2, 2), 16),
+    "haar2_support_minus_one": (lambda: _haar2(9, 48), 9),
+    "haar2_support": (lambda: _haar2(10, 49), 10),
+}
+
+
+@pytest.mark.parametrize("name", sorted(KEY_GRAM_CASES))
+def test_theta_and_rank_from_the_key_gram_match_the_dense_sandwich(name, monkeypatch):
+    make, rank = KEY_GRAM_CASES[name]
+    e = make()
+    d, support = e.d, design.rank_bound(e.d)
+    omega = ensemble_choi(e)
+    dense = dense_sandwich_spectrum(omega, d)
+    built, grams = design._key_gram, []
+
+    def counted(ensemble):
+        grams.append(ensemble.size)
+        return built(ensemble)
+
+    monkeypatch.setattr(design, "_key_gram", counted)
+    report = certify_design(e)
+    assert grams == ([e.size] if e.size < support else [])  # only fewer keys than the support
+    assert abs(report.multiplicative_theta - multiplicative_theta(omega, d)) <= 1e-12
+    cut = d * d * (d * d - 1) * design.RANK_TOL
+    assert report.omega_rank == int(np.count_nonzero(dense > cut)) == rank
+    if e.size < support:
+        assert report.multiplicative_theta >= 1  # A Omega A has a zero eigenvalue on the support
+        # eig(A Omega A) is eig(G) padded with zeros
+        assert np.max(np.abs(np.linalg.eigvalsh(built(e)) - dense[-e.size :])) <= 1e-12
+        assert np.max(np.abs(dense[: -e.size])) <= 1e-12
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_sandwich_grades_read_padded_and_unpadded_spectra_alike(d):
+    tol, size = design.RANK_TOL, design.rank_bound(d)
+    cut = d * d * (d * d - 1) * tol
+    cases = [  # nonzero eig(A Omega A), omega_rank, theta
+        ([0.5 * cut, 0.99 * cut, 1.01 * cut, 0.25, 1.5, 3.0], 4, 2.0),
+        ([-0.5 * cut, 1.01 * cut, 1.0], 2, 1 + 0.5 * cut),
+    ]
+    for lam, rank, theta in cases:
+        padded = design._sandwich_grades(np.sort(lam) - 1, size, d)
+        full = design._sandwich_grades(np.sort(np.pad(lam, (size - len(lam), 0))) - 1, size, d)
+        assert padded == full
+        assert padded[1] == rank and abs(padded[0] - theta) <= 1e-15
+    # with no eigenvalue left out, theta can be below 1
+    lam = np.ones(size)
+    lam[0] = 1.25
+    assert design._sandwich_grades(np.sort(lam) - 1, size, d) == (0.25, size)
+    for lam in ([-2 * cut, 0.5, 1.0], np.pad([-2 * cut, 0.5, 1.0], (size - 3, 0))):
+        with pytest.raises(ValueError, match="not positive semidefinite"):
+            design._sandwich_grades(np.sort(lam) - 1, size, d)
+
+
+def _leaky3():
+    """A real PSD Omega of trace one at d = 3 with most of its weight off the Haar support."""
+    g = philox(50).normal(size=(81, 81))
+    omega = g @ g.T
+    return omega / np.trace(omega)
+
+
+@pytest.mark.parametrize("name", ["clifford3", "haar4", "repeated3", "leaky3"])
+def test_support_deviation_matches_the_full_rotation(name, request):
+    if name == "leaky3":
+        d, omega = 3, _leaky3()
+    else:
+        e = request.getfixturevalue(name)
+        d, omega = e.d, ensemble_choi(e)
+    before = omega.copy()
+    xs, mixed, leak = design._support_deviation(omega, d)
+    assert np.array_equal(omega, before)
+    x, h, want_leak = haar_deviation(omega, d)
+    assert np.array_equal(xs, x[np.ix_(h > 0, h > 0)])
+    assert mixed == np.linalg.norm(x[h == 0]) and leak == want_leak
+    if name == "leaky3":
+        assert leak >= 0.1
+
+
+def test_support_deviation_makes_no_second_d4_copy():
+    d = 5
+    g = philox(51).normal(size=(d**4, d**4))
+    omega = g @ g.T
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        xs, _, _ = design._support_deviation(omega, d)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    # X_s, plus slab transients of about 2 d^7 entries (1.5 MB here); a second d^4 x d^4 array
+    # would add omega.nbytes (3.1 MB) to X_s (2.7 MB)
+    assert xs.nbytes < peak < xs.nbytes + 0.75 * omega.nbytes, (peak, xs.nbytes, omega.nbytes)
