@@ -18,10 +18,9 @@ Omega is held in the real Liouville basis (:func:`ensemble_choi`) and graded, in
 arithmetic, in the adjoint frame whose first basis element is 1/sqrt(d). There U (x) conj(U)
 is 1 (+) R_U, and Omega_haar, its support and the sandwich A are diagonal, with 0 on the mixed
 entries (Gross, Audenaert and Eisert, J. Math. Phys. 48, 052104 (2007)). So is Omega, up to a bound
-certify adds. Certify reads Omega's block on the S = 1 + (d^2 - 1)^2 support slab by slab, with no
-rotated d^4 x d^4 copy, and solves two eigenproblems: the support block, for the trace norm, and one
-of size min(N, S) for theta and the rank, where N counts the distinct keys. With fewer keys than S,
-eig(A Omega A) is the N x N key Gram's spectrum padded with zeros. No Phi_d is built.
+certify adds. Certify reads Omega's block on the 1 + (d^2 - 1)^2 support slab by slab, with no
+rotated d^4 x d^4 copy, and solves it twice: as it is, for the trace norm, and sandwiched by A, for
+theta and the rank. No Phi_d is built.
 """
 
 import math
@@ -37,8 +36,9 @@ WEIGHT_TOL = 1e-12  # the bound on |sum of the weights - 1|
 DEFAULT_CERT_TOL = 1e-9  # the default pass/fail bound for every grade (certify's tol)
 SUPPORT_LEAK_TOL = 1e-9  # multiplicative_theta is None (null) when support_leak is above it
 # The most complex entries (1 MiB) of any per-key transient: UnitaryEnsemble's unitarity check,
-# ensemble_choi, _key_gram and nmes.effective_channel each loop over keys in blocks of at most this
-# many, and _support_deviation reads Omega's slabs other than the diagonal ones in such blocks.
+# ensemble_choi and nmes.effective_channel each loop over keys in blocks of at most this many.
+# _support_deviation groups Omega's non-diagonal first-axis slabs up to this many entries, but
+# never fewer than one slab of d^6, and always reads the d diagonal slabs together.
 _ROW_BLOCK = 1 << 16
 
 
@@ -280,10 +280,12 @@ def _support_deviation(omega: np.ndarray, d: int):
     """
     dd = d * d
     h = _haar_diagonal(d)
+    support = h > 0
+    at = np.where(support, np.cumsum(support), np.cumsum(~support)) - 1  # row index in xs or mixed
     y = omega.reshape((dd,) * 4)
     dtype = np.result_type(omega, np.float64)
-    xs = np.empty((1 + (dd - 1) ** 2,) * 2, dtype=dtype)
-    mixed = np.empty((2 * (dd - 1), dd * dd), dtype=dtype)  # rows (0, n > 0), then (m > 0, 0)
+    xs = np.empty((np.count_nonzero(support),) * 2, dtype=dtype)
+    mixed = np.empty((dd * dd - len(xs), dd * dd), dtype=dtype)
     diagonal, rest = range(0, dd, d + 1), [m for m in range(dd) if m % (d + 1)]
     step = max(1, _ROW_BLOCK // d**6)  # the other slabs, of d^6 entries each, per group
     for slabs in [diagonal] + [rest[k : k + step] for k in range(0, len(rest), step)]:
@@ -293,18 +295,13 @@ def _support_deviation(omega: np.ndarray, d: int):
             slab = y[slabs].astype(dtype, copy=False)  # a copy
         _rotate_axes(slab, d, (1, 2, 3))
         for m, rows in zip(slabs, slab.reshape(len(slabs), dd, dd * dd)):
-            rows[np.arange(dd), m * dd + np.arange(dd)] -= h[m * dd : (m + 1) * dd]
-            if m == 0:  # row (0, 0) is on the support, rows (0, n > 0) are mixed
-                mixed[: dd - 1] = rows[1:]
-                inside, at = rows[:1], 0
-            else:  # row (m, 0) is mixed, rows (m, n > 0) are on the support
-                mixed[dd - 2 + m] = rows[0]
-                inside, at = rows[1:], 1 + (m - 1) * (dd - 1)
-            block = inside.reshape(-1, dd, dd)
-            xs[at : at + len(inside), 0] = block[:, 0, 0]
-            xs[at : at + len(inside), 1:] = block[:, 1:, 1:].reshape(len(inside), -1)
-        del slab, rows, inside, block  # views of slab too: free it before the next is made
-    leak = np.sum(mixed[np.arange(len(mixed)), np.flatnonzero(h == 0)])
+            idx = m * dd + np.arange(dd)  # the rows' indices in X
+            rows[np.arange(dd), idx] -= h[idx]
+            keep = support[idx]
+            xs[at[idx[keep]]] = rows[keep].compress(support, axis=1)
+            mixed[at[idx[~keep]]] = rows[~keep]
+        del slab, rows  # a view of slab too: free it before the next is made
+    leak = np.sum(mixed[np.arange(len(mixed)), np.flatnonzero(~support)])
     return xs, float(np.linalg.norm(mixed)), float(np.real(leak))
 
 
@@ -315,56 +312,6 @@ def _sandwich_spectrum(xs: np.ndarray, h: np.ndarray) -> np.ndarray:
     xs *= s[:, None]
     xs *= s
     return np.linalg.eigvalsh(xs)
-
-
-def _sandwich_grades(mu: np.ndarray, size: int, d: int):
-    """(theta, rank) from ``mu`` = eig(A Omega A) - 1 on the ``size``-dimensional support, where
-    eigenvalues missing from ``mu`` are zeros of A Omega A (mu = -1): theta = max |mu|, and the
-    rank counts eig(A Omega A) above d^2 (d^2 - 1) RANK_TOL. ValueError if one is below minus
-    that cut."""
-    mu = np.pad(mu, (size - len(mu), 0), constant_values=-1.0)
-    cut = d * d * (d * d - 1) * RANK_TOL
-    if np.min(mu) + 1 < -cut:
-        raise ValueError(
-            f"Omega is not positive semidefinite (min eig(A Omega A) {np.min(mu) + 1:.3e})"
-        )
-    return float(np.max(np.abs(mu))), int(np.count_nonzero(mu + 1 > cut))
-
-
-def _key_gram(e: UnitaryEnsemble) -> np.ndarray:
-    """The N x N Gram G of the keys' rows r_k of Omega under the sandwich A, so that eig(A Omega A)
-    is eig(G) padded with zeros (Sylvester). In the adjoint frame A^2 = d^2 on the first entry and
-    d^2 (d^2 - 1) on the traceless block, which gives, for any keys (unitary or not),
-
-        G_kl = sqrt(p_k p_l) [a_k a_l + (d^2 - 1)(T_kl - P_kl - Q_kl + a_k a_l)],
-        T_kl = |tr U_k^dagger U_l|^2,  a_k = tr(U_k^dagger U_k) / d,
-        P_kl = Re tr(U_k^dagger U_k U_l^dagger U_l) / d,
-        Q_kl = Re tr(U_k U_k^dagger U_l U_l^dagger) / d.
-
-    G is filled key block by key block.
-    """
-    d, n = e.d, e.size
-    u = e.unitaries
-    v = u.reshape(n, -1)
-    m = np.empty((n, 2, d * d), dtype=complex)  # vec(U^dagger U) and vec(U U^dagger) of each key
-    step = max(1, _ROW_BLOCK // (d * d))
-    for k in range(0, n, step):
-        b = u[k : k + step]
-        bh = b.conj().transpose(0, 2, 1)
-        m[k : k + step, 0] = (bh @ b).reshape(len(b), -1)
-        m[k : k + step, 1] = (b @ bh).reshape(len(b), -1)
-    a = m[:, 0, :: d + 1].real.sum(axis=1) / d
-    f = m.reshape(n, -1).view(np.float64)  # real rows: f f^T = d (P + Q)
-    s = np.sqrt(e.weights)
-    g = np.empty((n, n))
-    step = max(1, _ROW_BLOCK // n)
-    for k in range(0, n, step):
-        t = v[k : k + step].conj() @ v.T  # tr(U_k^dagger U_l)
-        aa = np.outer(a[k : k + step], a)
-        g[k : k + step] = (d * d - 1) * (t.real**2 + t.imag**2 - f[k : k + step] @ f.T / d + aa)
-        g[k : k + step] += aa
-        g[k : k + step] *= np.outer(s[k : k + step], s)
-    return g
 
 
 def multiplicative_theta(omega: np.ndarray, d: int) -> float | None:
@@ -400,13 +347,11 @@ def certify_design(e: UnitaryEnsemble, tol: float = DEFAULT_CERT_TOL) -> Certifi
     The additive grade is the trace norm ||Omega - Omega_haar||_1 on second-moment operators;
     d^2 times it upper-bounds the diamond distance of the corresponding twirls. The
     multiplicative grade is the operator sandwich deviation (see :func:`multiplicative_theta`),
-    next to the support leak that decides whether it exists. The trace norm is one eigensolve of
-    the support block, of size S = rank_bound(d). Theta, the rank of Omega (at ``RANK_TOL``) and
-    the PSD check come from one eigensolve of size min(N, S), N the distinct keys: the support
-    block sandwiched by A when N >= S, else the N x N key Gram, whose spectrum is eig(A Omega A)
-    less S - N zeros (so theta >= 1 there). Frame potential (FP = d^4 tr Omega^2, read off the same
-    Omega) and key-entropy diagnostics are filled in alongside; nothing held is larger than
-    Omega. ``tol`` must be finite and > 0.
+    next to the support leak that decides whether it exists. Each is one eigensolve of the support
+    block, which is read off Omega slab by slab; the rank of Omega (at ``RANK_TOL``) comes from
+    theta's. Frame potential (FP = d^4 tr Omega^2, read off the same Omega) and key-entropy
+    diagnostics are filled in alongside; nothing held is larger than Omega. ``tol`` must be finite
+    and > 0.
 
     Omega, FP and the 1-design distance are built from the ``distinct_keys`` keys left when keys of
     equal complex128 bytes are merged, weights summed: equal keys give equal rows, so the sums are
@@ -423,16 +368,14 @@ def certify_design(e: UnitaryEnsemble, tol: float = DEFAULT_CERT_TOL) -> Certifi
     # within UNITARY_INGEST_TOL leave R = O(eps), and ||X||_1 <= ||X_s||_1 + ||R||_1:
     mixed *= 2 * math.sqrt(2 * (d * d - 1))  # >= rank^.5 ||R||_F
     two_dist = float(np.sum(np.abs(np.linalg.eigvalsh(xs)))) + mixed  # xs is symmetric
-    bound = rank_bound(d)
-    if merged.size < bound:  # the smaller side: eig(A Omega A) is eig(G) padded with zeros
-        del xs
-        mu = np.linalg.eigvalsh(_key_gram(merged)) - 1
-    else:
-        mu = _sandwich_spectrum(xs, _haar_diagonal(d))
-    theta, rank = _sandwich_grades(mu, bound, d)
-    if leak > SUPPORT_LEAK_TOL:
-        theta = None
+    mu = _sandwich_spectrum(xs, _haar_diagonal(d))  # mu + 1 = eig(A Omega A), of Omega's rank
+    theta = None if leak > SUPPORT_LEAK_TOL else float(np.max(np.abs(mu)))
+    cut = d * d * (d * d - 1) * RANK_TOL
+    if mu[0] + 1 < -cut:
+        raise ValueError(f"Omega is not positive semidefinite (min eig(A Omega A) {mu[0] + 1:.3e})")
+    rank = int(np.count_nonzero(mu + 1 > cut))
     one_dist = one_design_distance(merged)
+    bound = rank_bound(d)
     return CertificationReport(
         d=d,
         n=e.size,

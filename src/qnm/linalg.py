@@ -12,11 +12,10 @@ import numpy as np
 HERM_TOL = 1e-10  # the largest allowed entry of |m - m^dagger| for a Hermitian m
 RANK_TOL = 1e-10
 """num_rank counts eigenvalues above RANK_TOL. certify_design counts eigenvalues of A Omega A
-above d^2 (d^2 - 1) RANK_TOL, read from the support block or, with fewer keys than the support,
-from the key Gram, whose nonzero eigenvalues are the same. Each is t times one of Omega's,
-t in [d^2, d^2 (d^2 - 1)] (Ostrowski), so an eigenvalue of Omega above (d^2 - 1) RANK_TOL always
-counts towards its rank, and one at or below RANK_TOL never does. An eigenvalue of A Omega A below
-minus that cut fails the PSD check."""
+above d^2 (d^2 - 1) RANK_TOL. Each is t times one of Omega's, t in [d^2, d^2 (d^2 - 1)]
+(Ostrowski), so an eigenvalue of Omega above (d^2 - 1) RANK_TOL always counts towards its rank,
+and one at or below RANK_TOL never does. An eigenvalue of A Omega A below minus that cut fails
+the PSD check."""
 
 
 def maximally_mixed(d: int) -> np.ndarray:
