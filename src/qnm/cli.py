@@ -73,15 +73,21 @@ def _parse_adversary(selector: str, d: int):
             if not 0 <= j < d:
                 raise ValueError(f"replacement basis state {j} out of range 0..{d - 1}")
             return constant_channel(np.diag(np.eye(d)[j]))
-        return constant_channel(files.load_matrix(arg, "state"))
-    if selector.startswith("weyl:"):
+        path, key, make = arg, "state", constant_channel
+    elif selector.startswith("weyl:"):
         ab = re.fullmatch(f"weyl:({integer}),({integer})", selector)
         if not ab:
             raise ValueError(f"weyl adversary needs 'weyl:<a>,<b>', got {selector!r}")
         return unitary_channel(construct.weyl(d, int(ab[1]), int(ab[2])))
-    if selector.startswith("unitary:"):
-        return unitary_channel(files.load_matrix(selector.split(":", 1)[1], "matrix"))
-    return files.load_kraus_channel(selector)
+    elif selector.startswith("unitary:"):
+        path, key, make = selector.split(":", 1)[1], "matrix", unitary_channel
+    else:
+        return files.load_kraus_channel(selector)
+    m = files.load_matrix(path, key)
+    try:
+        return make(m)
+    except ValueError as exc:  # the matrix's content: name its file, as every input error does
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def cmd_attack(args) -> int:

@@ -14,13 +14,13 @@ on four d-level systems, whose ideal (Haar) value has the closed form
 The ensemble is a unitary 2-design exactly when Omega equals Omega_haar,
 which is what :func:`certify_design` measures.
 
-Omega is held in the real Liouville basis (:func:`ensemble_choi`) and graded, in real
-arithmetic, in the adjoint frame whose first basis element is 1/sqrt(d). There U (x) conj(U)
-is 1 (+) R_U, and Omega_haar, its support and the sandwich A are diagonal, with 0 on the mixed
-entries (Gross, Audenaert and Eisert, J. Math. Phys. 48, 052104 (2007)). So is Omega, up to a bound
-certify adds. Certify reads Omega's block on the 1 + (d^2 - 1)^2 support slab by slab, with no
-rotated d^4 x d^4 copy, and solves it twice: as it is, for the trace norm, and sandwiched by A, for
-theta and the rank. No Phi_d is built.
+Omega is held in the real Liouville basis (:func:`ensemble_choi`), which fixes Omega_haar, and is
+graded, in real arithmetic, in the adjoint frame whose first basis element is 1/sqrt(d). There
+U (x) conj(U) is 1 (+) R_U, and Omega_haar, its support and the sandwich A are diagonal, with 0 on
+the mixed entries (Gross, Audenaert and Eisert, J. Math. Phys. 48, 052104 (2007)). So is Omega, up
+to a bound certify adds. :func:`_support_deviation`, the one way into that frame, reads Omega's
+block on the 1 + (d^2 - 1)^2 support slab by slab, with no rotated copy. Certify solves it twice, as
+it is for the trace norm and sandwiched by A for theta and the rank, and builds no Phi_d.
 """
 
 import math
@@ -144,28 +144,6 @@ def iso_project(x: np.ndarray, d: int) -> IsotropicDecomposition:
     return IsotropicDecomposition(alpha=alpha, beta=beta, residual=trace_norm(x))
 
 
-def _householder(d: int) -> np.ndarray:
-    """The d x d block h of the Householder reflection H taking phi = vec(1)/sqrt(d) to e_0:
-    on a d^2 axis, H is h on the d diagonal coordinates (i, i) and 1 elsewhere."""
-    v = np.eye(d)[0] - 1 / math.sqrt(d)
-    return np.eye(d) - 2 * np.outer(v, v) / (v @ v)
-
-
-def _rotate_axes(y: np.ndarray, d: int, axes) -> None:
-    """Apply h, in place, to the diagonal coordinates of each of ``axes`` of ``y``, in order."""
-    h = _householder(d)
-    for axis in axes:
-        z = np.moveaxis(y, axis, 0)[:: d + 1]  # a view of y: the diagonal coordinates
-        z[...] = np.tensordot(h, z, axes=1)
-
-
-def _adjoint_frame(x: np.ndarray, d: int) -> np.ndarray:
-    """(H (x) H) x (H (x) H) of a d^4 x d^4 ``x``, as a new array; H^2 = 1, so it also maps back."""
-    y = np.array(x, dtype=np.result_type(x, np.float64)).reshape((d * d,) * 4)
-    _rotate_axes(y, d, range(4))
-    return y.reshape(x.shape)
-
-
 def _haar_diagonal(d: int) -> np.ndarray:
     """h with Omega_haar = diag(h) in the adjoint frame; h is 0 on the 2 (d^2 - 1) mixed entries."""
     h = np.pad(np.full((d * d - 1, d * d - 1), 1 / (d**2 * (d**2 - 1))), (1, 0))
@@ -174,8 +152,12 @@ def _haar_diagonal(d: int) -> np.ndarray:
 
 
 def ideal_choi(d: int) -> np.ndarray:
-    """Second-moment operator of the Haar twirl, in closed form (d^4 x d^4, real)."""
-    return _adjoint_frame(np.diag(_haar_diagonal(d)), d)
+    """Omega_haar = P1 / d^2 + P2 / (d^2 (d^2 - 1)) in closed form (d^4 x d^4, real), with
+    P1 = p (x) p, P2 = q (x) q, p = phi phi^T = Phi_d, q = 1 - p and phi = vec(1)/sqrt(d). The real
+    Liouville basis fixes phi, so this is Omega_haar there as in the computational basis."""
+    p = np.outer(*[np.eye(d).reshape(-1)] * 2) / d
+    q = np.eye(d * d) - p
+    return np.kron(p, p) / d**2 + np.kron(q, q) / (d**2 * (d**2 - 1))
 
 
 def ensemble_choi(e: UnitaryEnsemble) -> np.ndarray:
@@ -274,11 +256,15 @@ def _support_deviation(omega: np.ndarray, d: int):
     X_s is X's block on the support h > 0 (a new array), r the Frobenius norm of X's 2 (d^2 - 1)
     mixed rows (h = 0) and leak the sum of their diagonal, tr Omega - tr((P1 + P2) Omega).
 
+    H is the Householder reflection taking phi = vec(1)/sqrt(d) to e_0: on a d^2 axis, it is the
+    d x d block ``house`` on the d diagonal coordinates (i, i) and 1 elsewhere; H^2 = 1.
     ``omega`` is only read, a few first-axis slabs at a time: H mixes only the d diagonal slabs
     (i, i), which are rotated together, and the others go in groups of at most ``_ROW_BLOCK``
     entries (or one slab of d^6). So no rotated d^4 x d^4 copy is made.
     """
     dd = d * d
+    v = np.eye(d)[0] - 1 / math.sqrt(d)
+    house = np.eye(d) - 2 * np.outer(v, v) / (v @ v)
     h = _haar_diagonal(d)
     support = h > 0
     at = np.where(support, np.cumsum(support), np.cumsum(~support)) - 1  # row index in xs or mixed
@@ -290,24 +276,27 @@ def _support_deviation(omega: np.ndarray, d: int):
     step = max(1, _ROW_BLOCK // d**6)  # the other slabs, of d^6 entries each, per group
     for slabs in [diagonal] + [rest[k : k + step] for k in range(0, len(rest), step)]:
         if slabs is diagonal:
-            slab = np.tensordot(_householder(d), y[:: d + 1], axes=1)  # a new array
+            slab = np.tensordot(house, y[:: d + 1], axes=1)  # a new array
         else:
             slab = y[slabs].astype(dtype, copy=False)  # a copy
-        _rotate_axes(slab, d, (1, 2, 3))
+        for axis in (1, 2, 3):
+            z = np.moveaxis(slab, axis, 0)[:: d + 1]  # a view of slab: the diagonal coordinates
+            z[...] = np.tensordot(house, z, axes=1)
         for m, rows in zip(slabs, slab.reshape(len(slabs), dd, dd * dd)):
             idx = m * dd + np.arange(dd)  # the rows' indices in X
             rows[np.arange(dd), idx] -= h[idx]
             keep = support[idx]
             xs[at[idx[keep]]] = rows[keep].compress(support, axis=1)
             mixed[at[idx[~keep]]] = rows[~keep]
-        del slab, rows  # a view of slab too: free it before the next is made
+        del slab, rows, z  # views of slab too: free it before the next is made
     leak = np.sum(mixed[np.arange(len(mixed)), np.flatnonzero(~support)])
     return xs, float(np.linalg.norm(mixed)), float(np.real(leak))
 
 
-def _sandwich_spectrum(xs: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Ascending eig(A X A), A = diag(h^(-1/2)) on the support of h, from X's support block ``xs``
-    (scaled in place). A is 0 on the 2 (d^2 - 1) mixed entries, which drop only zero eigenvalues."""
+def _sandwich_spectrum(xs: np.ndarray, d: int) -> np.ndarray:
+    """Ascending eig(A X A), A = diag(h^(-1/2)) on h > 0 (h = _haar_diagonal(d)), from X's support
+    block ``xs``, scaled in place. A is 0 on the mixed entries, which drop only zero eigenvalues."""
+    h = _haar_diagonal(d)
     s = h[h > 0] ** -0.5
     xs *= s[:, None]
     xs *= s
@@ -324,7 +313,7 @@ def multiplicative_theta(omega: np.ndarray, d: int) -> float | None:
     support leak tr Omega - tr((P1 + P2) Omega) exceeds ``SUPPORT_LEAK_TOL``.
     """
     xs, _, leak = _support_deviation(omega, d)
-    mu = _sandwich_spectrum(xs, _haar_diagonal(d))
+    mu = _sandwich_spectrum(xs, d)
     return None if leak > SUPPORT_LEAK_TOL else float(np.max(np.abs(mu)))
 
 
@@ -368,7 +357,7 @@ def certify_design(e: UnitaryEnsemble, tol: float = DEFAULT_CERT_TOL) -> Certifi
     # within UNITARY_INGEST_TOL leave R = O(eps), and ||X||_1 <= ||X_s||_1 + ||R||_1:
     mixed *= 2 * math.sqrt(2 * (d * d - 1))  # >= rank^.5 ||R||_F
     two_dist = float(np.sum(np.abs(np.linalg.eigvalsh(xs)))) + mixed  # xs is symmetric
-    mu = _sandwich_spectrum(xs, _haar_diagonal(d))  # mu + 1 = eig(A Omega A), of Omega's rank
+    mu = _sandwich_spectrum(xs, d)  # mu + 1 = eig(A Omega A), of Omega's rank
     theta = None if leak > SUPPORT_LEAK_TOL else float(np.max(np.abs(mu)))
     cut = d * d * (d * d - 1) * RANK_TOL
     if mu[0] + 1 < -cut:

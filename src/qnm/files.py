@@ -143,6 +143,8 @@ def load_ensemble(path: str) -> tuple[UnitaryEnsemble, str]:
     try:
         d = _dimension(obj)
         weights = _numbers(obj["weights"], "weights")
+        if weights.ndim != 1:  # [[w], ...] or a bare number
+            raise ValueError("weights must be a list of numbers")
         unitaries = _unpack_unitaries(obj["unitaries"], weights.size, d)
         ensemble = UnitaryEnsemble(d=d, weights=weights, unitaries=unitaries)  # it checks the keys
     except (KeyError, TypeError, ValueError) as exc:

@@ -8,7 +8,6 @@ import math
 
 import numpy as np
 
-from qnm import design
 from qnm.construct import _KEY_DECIMALS, _PHASE_PICK_TOL, _clifford_generators, weyl
 
 
@@ -113,12 +112,33 @@ def isotropic_operator(dec, d: int) -> np.ndarray:
     return dec.alpha * phi + dec.beta * (np.eye(d * d) - phi)
 
 
+def adjoint_frame(x: np.ndarray, d: int) -> np.ndarray:
+    """(H (x) H) x (H (x) H) of a d^4 x d^4 ``x`` as one new array: the dense d^2 x d^2
+    Householder reflection H taking phi = vec(1)/sqrt(d) to e_0 is applied to each d^2 axis in
+    turn. H^2 = 1, so it also maps back."""
+    v = np.eye(d * d)[0] - np.eye(d).reshape(-1) / math.sqrt(d)
+    big = np.eye(d * d) - 2 * np.outer(v, v) / (v @ v)
+    y = np.array(x, dtype=np.result_type(x, np.float64)).reshape((d * d,) * 4)
+    for axis in range(4):
+        y = np.moveaxis(np.tensordot(big, np.moveaxis(y, axis, 0), axes=1), 0, axis)
+    return y.reshape(x.shape)
+
+
+def haar_diagonal(d: int) -> np.ndarray:
+    """h with Omega_haar = diag(h) in the adjoint frame: 1/d^2 on e_0 (x) e_0, 1/(d^2 (d^2 - 1))
+    on the traceless block and 0 on the 2 (d^2 - 1) mixed entries."""
+    h = np.zeros((d * d, d * d))
+    h[0, 0] = 1 / d**2
+    h[1:, 1:] = 1 / (d**2 * (d**2 - 1))
+    return h.reshape(-1)
+
+
 def haar_deviation(omega: np.ndarray, d: int):
     """(X, h, leak): X = (H (x) H) (Omega - Omega_haar) (H (x) H) rotated as one whole d^4 x d^4
     copy, with Omega_haar = diag(h) there, and the support leak, the sum of X's diagonal where h
-    is 0. Reference for the slab-by-slab ``design._support_deviation``."""
-    x = design._adjoint_frame(omega, d)
-    h = design._haar_diagonal(d)
+    is 0. Reference for the slab-by-slab ``design._support_deviation``, sharing no code with it."""
+    x = adjoint_frame(omega, d)
+    h = haar_diagonal(d)
     x.flat[:: len(h) + 1] -= h
     return x, h, float(np.real(np.sum(np.diagonal(x)[h == 0])))
 

@@ -259,16 +259,17 @@ def test_attack_rejects_a_non_unitary_matrix(tmp_path, capsys):
     capsys.readouterr()
     assert run(["attack", "--scheme", str(scheme), "--adv", f"unitary:{u_path}"]) == 2
     captured = capsys.readouterr()
-    assert captured.out == "" and "matrix is not unitary (defect 7.500e-01)" in captured.err
+    assert captured.out == ""
+    assert captured.err == f"error: {u_path}: matrix is not unitary (defect 7.500e-01)\n"
 
 
 @pytest.mark.parametrize(
     "state, error",
     [
         (np.ones((2, 3)) / 2, "{path}: state must be d x d = 2 x 2, got shape (2, 3)"),
-        (np.array([[0.5, 0.1], [0.0, 0.5]]), "replacement state must be Hermitian and PSD"),
-        (np.diag([1.5, -0.5]), "replacement state must be Hermitian and PSD"),
-        (np.eye(2), "replacement state has trace 2+0j, not 1"),
+        (np.array([[0.5, 0.1], [0.0, 0.5]]), "{path}: replacement state must be Hermitian and PSD"),
+        (np.diag([1.5, -0.5]), "{path}: replacement state must be Hermitian and PSD"),
+        (np.eye(2), "{path}: replacement state has trace 2+0j, not 1"),
     ],
     ids=["non-square", "non-hermitian", "non-psd", "trace-2"],
 )
@@ -631,6 +632,10 @@ def _nested_weights(obj, u):
     obj["weights"] = [[w] for w in obj["weights"]]
 
 
+def _number_weights(obj, u):
+    obj["weights"] = 1.0
+
+
 @pytest.mark.parametrize(
     "command", [["certify"], ["attack", "--adv", "identity", "--scheme"]], ids=["certify", "attack"]
 )
@@ -639,9 +644,10 @@ def _nested_weights(obj, u):
     [
         (_scaled_key, "ensemble element 3 is not unitary (deviation 2.001e-03)"),
         (_negative_weight, "weights must be nonnegative"),
-        (_nested_weights, "weights and unitaries disagree on ensemble size"),
+        (_nested_weights, "weights must be a list of numbers"),
+        (_number_weights, "weights must be a list of numbers"),
     ],
-    ids=["scaled-key", "negative-weight", "nested-weights"],
+    ids=["scaled-key", "negative-weight", "nested-weights", "number-weights"],
 )
 def test_ensemble_content_error_names_the_file(tmp_path, capsys, clifford2, command, spoil, error):
     path = tmp_path / "c2.json"

@@ -27,6 +27,7 @@ from qnm.construct import SamplerConfig, clifford_prime, sample_design
 from qnm.linalg import gram_choi
 
 from helpers import (
+    adjoint_frame,
     computational_choi,
     dense_sandwich_spectrum,
     eigh_rank,
@@ -34,6 +35,7 @@ from helpers import (
     full_frame_trace_dist,
     haar_batch,
     haar_deviation,
+    haar_diagonal,
     haar_projectors,
     isotropic_operator,
     liouville_t,
@@ -585,7 +587,7 @@ def _support_omega(d, first, rest, seed):
     frame = np.zeros((dd,) * 4)
     frame[0, 0, 0, 0] = first
     frame[1:, 1:, 1:, 1:] = ((q * rest) @ q.T).reshape((dd - 1,) * 4)
-    return design._adjoint_frame(frame.reshape(dd * dd, dd * dd), d)
+    return adjoint_frame(frame.reshape(dd * dd, dd * dd), d)
 
 
 def _rank_of(omega, d, monkeypatch):
@@ -736,6 +738,15 @@ def test_theta_and_rank_of_few_keys_match_the_dense_sandwich(name):
     assert report.omega_rank == int(np.count_nonzero(dense > cut)) == rank
     if e.size < support:
         assert report.multiplicative_theta >= 1  # A Omega A has a zero eigenvalue on the support
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_ideal_choi_is_diagonal_in_the_adjoint_frame(d):
+    omega = ideal_choi(d)
+    assert np.max(np.abs(omega - adjoint_frame(np.diag(haar_diagonal(d)), d))) <= 1e-15
+    xs, mixed, leak = design._support_deviation(omega, d)
+    assert np.max(np.abs(xs)) <= 1e-15 and mixed <= 1e-15 and abs(leak) <= 1e-15
+    assert abs(d**4 * np.vdot(omega, omega) - 2) <= 1e-12  # the frame potential of a 2-design
 
 
 def _leaky3():
