@@ -42,6 +42,6 @@ from .design import (
     one_design_distance,
     rank_bound,
 )
-from .linalg import herm_eig, maximally_mixed, num_rank, trace_norm
+from .linalg import herm_eig, num_rank, trace_norm
 from .nmes import AttackReport, EncryptionScheme, attack_report, effective_channel
 sys.modules[f"{__name__}.weyl"] = sys.modules[f"{__name__}.construct"]  # weyl's former module path

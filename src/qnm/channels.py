@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import HERM_TOL, gram_choi, hermitian_defect, maximally_mixed
+from .linalg import HERM_TOL, gram_choi, hermitian_defect
 
 CPTNI_TOL = 1e-10  # for sum K^dagger K - 1 (TP, TNI), Choi negativity and a state's trace
 KRAUS_CUTOFF = 1e-12  # eigenvalues of d * omega at or below it give no Kraus operator
@@ -92,7 +92,7 @@ def constant_channel(eta0: np.ndarray) -> KrausChannel:
     if not abs(np.trace(eta0) - 1) <= CPTNI_TOL:
         raise ValueError(f"replacement state has trace {complex(np.trace(eta0)):.6g}, not 1")
     try:  # eta0 (x) tau is Hermitian and PSD exactly when eta0 is
-        return channel_from_choi(np.kron(eta0, maximally_mixed(len(eta0))))
+        return channel_from_choi(np.kron(eta0, np.eye(len(eta0)) / len(eta0)))
     except ValueError as exc:
         raise ValueError(f"replacement state must be Hermitian and PSD ({exc})") from None
 

@@ -19,7 +19,7 @@ import numpy as np
 from . import construct, files
 from .channels import constant_channel, unitary_channel
 from .design import DEFAULT_CERT_TOL, certify_design, entropy_bound, rank_bound
-from .linalg import check_tol, maximally_mixed
+from .linalg import check_tol
 from .nmes import EncryptionScheme, attack_report
 
 EXIT_OK = 0
@@ -67,7 +67,7 @@ def _parse_adversary(selector: str, d: int):
     if selector.startswith("replace:"):
         arg = selector.split(":", 1)[1]
         if arg == "tau":
-            return constant_channel(maximally_mixed(d))
+            return constant_channel(np.eye(d) / d)
         if re.fullmatch(integer, arg):
             j = int(arg)
             if not 0 <= j < d:

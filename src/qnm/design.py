@@ -21,6 +21,9 @@ the mixed entries (Gross, Audenaert and Eisert, J. Math. Phys. 48, 052104 (2007)
 to a bound certify adds. :func:`_support_deviation`, the one way into that frame, reads Omega's
 block on the 1 + (d^2 - 1)^2 support slab by slab, with no rotated copy. Certify solves it twice, as
 it is for the trace norm and sandwiched by A for theta and the rank, and builds no Phi_d.
+
+Every per-key loop, here and in nmes, and _support_deviation's groups of slabs walk
+:func:`key_blocks`.
 """
 
 import math
@@ -35,11 +38,14 @@ UNITARY_INGEST_TOL = 1e-8  # the largest allowed entry of U^dagger U - 1, per ke
 WEIGHT_TOL = 1e-12  # the bound on |sum of the weights - 1|
 DEFAULT_CERT_TOL = 1e-9  # the default pass/fail bound for every grade (certify's tol)
 SUPPORT_LEAK_TOL = 1e-9  # multiplicative_theta is None (null) when support_leak is above it
-# The most complex entries (1 MiB) of any per-key transient: UnitaryEnsemble's unitarity check,
-# ensemble_choi and nmes.effective_channel each loop over keys in blocks of at most this many.
-# _support_deviation groups Omega's non-diagonal first-axis slabs up to this many entries, but
-# never fewer than one slab of d^6, and always reads the d diagonal slabs together.
-_ROW_BLOCK = 1 << 16
+_ROW_BLOCK = 1 << 16  # complex entries (1 MiB) per block of key_blocks, unless one item holds more
+
+
+def key_blocks(n: int, entries_per_item: int) -> list[slice]:
+    """The slices of range(n), in order, that hold at most ``_ROW_BLOCK`` complex entries each at
+    ``entries_per_item`` per item, and never fewer than one item."""
+    step = max(1, _ROW_BLOCK // max(1, entries_per_item))
+    return [slice(k, min(k + step, n)) for k in range(0, n, step)]
 
 
 @dataclass
@@ -70,13 +76,12 @@ class UnitaryEnsemble:
             raise ValueError("weights must be nonnegative")
         if abs(self.weights.sum() - 1.0) > WEIGHT_TOL:
             raise ValueError(f"weights must sum to 1, got {float(self.weights.sum())!r}")
-        step = max(1, _ROW_BLOCK // (d * d))
-        for k in range(0, self.size, step):
-            u = self.unitaries[k : k + step]
+        for block in key_blocks(self.size, d * d):
+            u = self.unitaries[block]
             dev = np.max(np.abs(u.conj().transpose(0, 2, 1) @ u - np.eye(d)), axis=(1, 2))
             bad = np.flatnonzero(dev > UNITARY_INGEST_TOL)
             if bad.size:
-                k, dev = k + bad[0], dev[bad[0]]
+                k, dev = block.start + bad[0], dev[bad[0]]
                 raise ValueError(f"ensemble element {k} is not unitary (deviation {dev:.3e})")
 
     @property
@@ -175,15 +180,14 @@ def ensemble_choi(e: UnitaryEnsemble) -> np.ndarray:
     up = np.triu(np.ones((d, d)), 1) / math.sqrt(2)
     c1, c2 = np.eye(d) + up + 1j * up.T, up - 1j * up.T
     rows = np.empty((e.size, d**4))
-    step = max(1, _ROW_BLOCK // d**4)
-    for k in range(0, e.size, step):
-        u = e.unitaries[k : k + step]
-        scaled = np.sqrt(e.weights[k : k + step])[:, None, None] * u
+    for block in key_blocks(e.size, d**4):
+        u = e.unitaries[block]
+        scaled = np.sqrt(e.weights[block])[:, None, None] * u
         # [k, i, a, j, b] = U[i, j] conj(U[a, b]); apply conj(t) on (j, b), then t on (i, a)
         w = np.einsum("kij,kab->kiajb", scaled, u.conj())
         w = w * c1.conj() + w.swapaxes(3, 4) * c2.conj()
         w = w * c1[:, :, None, None] + w.swapaxes(1, 2) * c2[:, :, None, None]
-        rows[k : k + step] = w.real.reshape(len(w), -1)
+        rows[block] = w.real.reshape(len(w), -1)
     return gram_choi(rows, d * d)
 
 
@@ -259,8 +263,8 @@ def _support_deviation(omega: np.ndarray, d: int):
     H is the Householder reflection taking phi = vec(1)/sqrt(d) to e_0: on a d^2 axis, it is the
     d x d block ``house`` on the d diagonal coordinates (i, i) and 1 elsewhere; H^2 = 1.
     ``omega`` is only read, a few first-axis slabs at a time: H mixes only the d diagonal slabs
-    (i, i), which are rotated together, and the others go in groups of at most ``_ROW_BLOCK``
-    entries (or one slab of d^6). So no rotated d^4 x d^4 copy is made.
+    (i, i), which are rotated together, and the others go in the groups of :func:`key_blocks`, at
+    d^6 entries per slab. So no rotated d^4 x d^4 copy is made.
     """
     dd = d * d
     v = np.eye(d)[0] - 1 / math.sqrt(d)
@@ -273,8 +277,7 @@ def _support_deviation(omega: np.ndarray, d: int):
     xs = np.empty((np.count_nonzero(support),) * 2, dtype=dtype)
     mixed = np.empty((dd * dd - len(xs), dd * dd), dtype=dtype)
     diagonal, rest = range(0, dd, d + 1), [m for m in range(dd) if m % (d + 1)]
-    step = max(1, _ROW_BLOCK // d**6)  # the other slabs, of d^6 entries each, per group
-    for slabs in [diagonal] + [rest[k : k + step] for k in range(0, len(rest), step)]:
+    for slabs in [diagonal] + [rest[block] for block in key_blocks(len(rest), d**6)]:
         if slabs is diagonal:
             slab = np.tensordot(house, y[:: d + 1], axes=1)  # a new array
         else:
@@ -293,14 +296,17 @@ def _support_deviation(omega: np.ndarray, d: int):
     return xs, float(np.linalg.norm(mixed)), float(np.real(leak))
 
 
-def _sandwich_spectrum(xs: np.ndarray, d: int) -> np.ndarray:
-    """Ascending eig(A X A), A = diag(h^(-1/2)) on h > 0 (h = _haar_diagonal(d)), from X's support
-    block ``xs``, scaled in place. A is 0 on the mixed entries, which drop only zero eigenvalues."""
+def _sandwich_spectrum(xs: np.ndarray, d: int, leak: float) -> tuple[np.ndarray, float | None]:
+    """(mu, theta): mu = ascending eig(A X A), A = diag(h^(-1/2)) on h > 0 (h = _haar_diagonal(d)),
+    from X's support block ``xs``, scaled in place; theta = max |mu|, or None if the support
+    ``leak`` exceeds ``SUPPORT_LEAK_TOL``. A is 0 on the mixed entries, which drop only zero
+    eigenvalues."""
     h = _haar_diagonal(d)
     s = h[h > 0] ** -0.5
     xs *= s[:, None]
     xs *= s
-    return np.linalg.eigvalsh(xs)
+    mu = np.linalg.eigvalsh(xs)
+    return mu, None if leak > SUPPORT_LEAK_TOL else float(np.max(np.abs(mu)))
 
 
 def multiplicative_theta(omega: np.ndarray, d: int) -> float | None:
@@ -313,8 +319,7 @@ def multiplicative_theta(omega: np.ndarray, d: int) -> float | None:
     support leak tr Omega - tr((P1 + P2) Omega) exceeds ``SUPPORT_LEAK_TOL``.
     """
     xs, _, leak = _support_deviation(omega, d)
-    mu = _sandwich_spectrum(xs, d)
-    return None if leak > SUPPORT_LEAK_TOL else float(np.max(np.abs(mu)))
+    return _sandwich_spectrum(xs, d, leak)[1]
 
 
 def _merge_equal_keys(e: UnitaryEnsemble) -> UnitaryEnsemble:
@@ -357,8 +362,7 @@ def certify_design(e: UnitaryEnsemble, tol: float = DEFAULT_CERT_TOL) -> Certifi
     # within UNITARY_INGEST_TOL leave R = O(eps), and ||X||_1 <= ||X_s||_1 + ||R||_1:
     mixed *= 2 * math.sqrt(2 * (d * d - 1))  # >= rank^.5 ||R||_F
     two_dist = float(np.sum(np.abs(np.linalg.eigvalsh(xs)))) + mixed  # xs is symmetric
-    mu = _sandwich_spectrum(xs, d)  # mu + 1 = eig(A Omega A), of Omega's rank
-    theta = None if leak > SUPPORT_LEAK_TOL else float(np.max(np.abs(mu)))
+    mu, theta = _sandwich_spectrum(xs, d, leak)  # mu + 1 = eig(A Omega A), of Omega's rank
     cut = d * d * (d * d - 1) * RANK_TOL
     if mu[0] + 1 < -cut:
         raise ValueError(f"Omega is not positive semidefinite (min eig(A Omega A) {mu[0] + 1:.3e})")

@@ -96,23 +96,6 @@ def _unpack_unitaries(text, n: int, d: int) -> np.ndarray:
     return np.frombuffer(bytearray(raw), "<c16").reshape(n, d, d)
 
 
-def _payload(e: UnitaryEnsemble) -> bytes:
-    return base64.b64encode(np.ascontiguousarray(e.unitaries, "<c16"))
-
-
-def ensemble_to_dict(e: UnitaryEnsemble, meta: dict | None = None, payload: str | None = None):
-    """An ensemble file's JSON object; ``payload``, if given, stands in for the keys' base64."""
-    out = {
-        "format": ENSEMBLE_FORMAT_VERSION,
-        "d": int(e.d),
-        "weights": e.weights.tolist(),
-        "unitaries": _payload(e).decode("ascii") if payload is None else payload,
-    }
-    if meta:
-        out["meta"] = meta
-    return out
-
-
 def write_json(obj: dict, path: str | None):
     """Write ``obj`` as one line of JSON to ``path`` (stdout if None): every file qnm writes, but
     ensemble files, whose same text save_ensemble streams."""
@@ -125,15 +108,20 @@ def write_json(obj: dict, path: str | None):
 
 
 def save_ensemble(path: str, e: UnitaryEnsemble, meta: dict | None = None):
-    r"""Write ``json.dumps(ensemble_to_dict(e, meta)) + "\n"`` with the base64 held once, as bytes.
+    """Write the one-line JSON of {"format", "d", "weights", "unitaries"} (and "meta" if ``meta``
+    is not empty), with the keys' base64 held once, as bytes.
 
     The text around it is dumped with an empty placeholder in its place. Only numbers come before
     "unitaries", so its first '"unitaries": ""' is that placeholder, even if ``meta`` has one.
     """
-    head, tail = json.dumps(ensemble_to_dict(e, meta, "")).split('"unitaries": ""', 1)
+    obj = {"format": ENSEMBLE_FORMAT_VERSION, "d": int(e.d), "weights": e.weights.tolist()}
+    obj["unitaries"] = ""  # the placeholder
+    if meta:
+        obj["meta"] = meta
+    head, tail = json.dumps(obj).split('"unitaries": ""', 1)
     with open(path, "wb") as fh:
         fh.write(f'{head}"unitaries": "'.encode("ascii"))  # json.dumps escapes to ASCII
-        fh.write(_payload(e))
+        fh.write(base64.b64encode(np.ascontiguousarray(e.unitaries, "<c16")))
         fh.write(f'"{tail}\n'.encode("ascii"))
 
 

@@ -18,11 +18,6 @@ and one at or below RANK_TOL never does. An eigenvalue of A Omega A below minus 
 the PSD check."""
 
 
-def maximally_mixed(d: int) -> np.ndarray:
-    """The state 1/d on a d-level system."""
-    return np.eye(d, dtype=complex) / d
-
-
 def check_tol(tol: float, name: str) -> float:
     """``tol`` itself if it is a finite number > 0; else a ValueError naming ``name``."""
     if not (math.isfinite(tol) and tol > 0):

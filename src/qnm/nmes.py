@@ -64,15 +64,14 @@ def effective_channel(scheme: EncryptionScheme, adv: KrausChannel) -> KrausChann
     n, m = len(kept), len(adv.kraus_ops)
     kraus = adv.kraus_ops.transpose(1, 0, 2).reshape(d, m * d)  # [j, (m, c)] = K_m[j, c]
     ops = np.empty((n, m, d, d), dtype=complex)
-    step = max(1, design._ROW_BLOCK // max(1, m * d * d))
-    for k in range(0, n, step):
-        keys = kept[k : k + step]
+    for block in design.key_blocks(n, m * d * d):
+        keys = kept[block]
         b = len(keys)
         u = scheme.ensemble.unitaries[keys]
         udag = np.sqrt(w[keys])[:, None, None] * u.conj().transpose(0, 2, 1)
         left = udag.reshape(b * d, d) @ kraus  # [(k, i), (m, c)]
         prod = left.reshape(b, d * m, d) @ u  # [k, (i, m), e]
-        ops[k : k + b] = prod.reshape(b, d, m, d).transpose(0, 2, 1, 3)
+        ops[block] = prod.reshape(b, d, m, d).transpose(0, 2, 1, 3)
     return KrausChannel(d=d, kraus_ops=ops.reshape(n * m, d, d))
 
 

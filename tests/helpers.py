@@ -4,6 +4,7 @@ These deliberately avoid the library's projection formulas and batched
 kernels so they can serve as independent cross-checks.
 """
 
+import base64
 import math
 
 import numpy as np
@@ -32,6 +33,20 @@ def loop_haar(d: int, count: int, rng: np.random.Generator) -> np.ndarray:
         diag = np.diagonal(r)
         out.append(q * (diag / np.abs(diag)))
     return np.array(out)
+
+
+def ensemble_dict(e, meta: dict | None = None) -> dict:
+    """A format-2 ensemble file's whole JSON object, the base64 of the keys' <c16 bytes included:
+    the reference for the text ``files.save_ensemble`` streams."""
+    out = {
+        "format": 2,
+        "d": e.d,
+        "weights": e.weights.tolist(),
+        "unitaries": base64.b64encode(e.unitaries.astype("<c16").tobytes()).decode("ascii"),
+    }
+    if meta:
+        out["meta"] = meta
+    return out
 
 
 def apply_channel(ch, rho: np.ndarray) -> np.ndarray:

@@ -24,7 +24,6 @@ from qnm import (
     ensemble_entropy,
     entropy_bound,
     frame_potential,
-    maximally_mixed,
     multiplicative_theta,
     num_rank,
     pauli_ensemble,
@@ -107,9 +106,7 @@ def test_criterion_04_effective_channel_formulas():
                 unit = np.zeros((d, d), dtype=complex)
                 unit[i, j] = 1.0
                 got = apply_channel(eff, unit)
-                want = (d * d * maximally_mixed(d) * (1.0 if i == j else 0.0) - unit) / (
-                    d * d - 1
-                )
+                want = (d * np.eye(d) * (1.0 if i == j else 0.0) - unit) / (d * d - 1)
                 worst = max(worst, float(np.max(np.abs(got - want))))
         ok = ok and worst <= 1e-9
         id_dist = trace_norm(
@@ -119,7 +116,7 @@ def test_criterion_04_effective_channel_formulas():
         eta = random_density(d, philox(140 + p))
         rep_dist = trace_norm(
             choi_of(effective_channel(scheme, constant_channel(eta)))
-            - np.kron(maximally_mixed(d), maximally_mixed(d))
+            - np.eye(d * d) / d**2
         )
         ok = ok and id_dist <= 1e-10 and rep_dist <= 1e-10
         details.append(f"d={d}: traceless dev {worst:.1e}, id {id_dist:.1e}, replace {rep_dist:.1e}")

@@ -9,7 +9,6 @@ from qnm import (
     channel_from_choi,
     choi_of,
     constant_channel,
-    maximally_mixed,
     random_cptni_channel,
     unitary_channel,
     validate_cptni,
@@ -28,7 +27,7 @@ def test_apply_identity():
 def test_apply_depolarizing():
     rng = philox(31)
     rho = random_density(2, rng)
-    out = apply_channel(constant_channel(maximally_mixed(2)), rho)
+    out = apply_channel(constant_channel(np.eye(2) / 2), rho)
     assert np.allclose(out, np.eye(2) / 2, atol=1e-13)
 
 

@@ -12,6 +12,8 @@ import pytest
 from qnm import cli, construct, files
 from qnm.design import DEFAULT_CERT_TOL, UnitaryEnsemble
 
+from helpers import ensemble_dict
+
 
 def run(argv):
     return cli.main(argv)
@@ -651,7 +653,7 @@ def _number_weights(obj, u):
 )
 def test_ensemble_content_error_names_the_file(tmp_path, capsys, clifford2, command, spoil, error):
     path = tmp_path / "c2.json"
-    obj = files.ensemble_to_dict(clifford2)
+    obj = ensemble_dict(clifford2)
     spoil(obj, clifford2.unitaries)
     path.write_text(json.dumps(obj))
     assert run([*command, str(path)]) == 2
@@ -920,13 +922,13 @@ def test_streamed_ensemble_file_is_the_json_dumps_text(tmp_path, meta):
     e = _edge_ensemble()
     path = tmp_path / "e.json"
     files.save_ensemble(str(path), e, meta)
-    assert path.read_bytes() == (json.dumps(files.ensemble_to_dict(e, meta)) + "\n").encode()
+    assert path.read_bytes() == (json.dumps(ensemble_dict(e, meta)) + "\n").encode()
     assert files.load_ensemble(str(path))[0].unitaries.tobytes() == e.unitaries.tobytes()
 
 
 def _write_format2(path, e, **fields):
     """Write ``e`` as a format-2 ensemble file with ``fields`` overriding its entries."""
-    path.write_text(json.dumps({**files.ensemble_to_dict(e), **fields}))
+    path.write_text(json.dumps({**ensemble_dict(e), **fields}))
 
 
 @pytest.mark.parametrize(
@@ -947,7 +949,7 @@ def test_format2_malformed_unitaries_are_usage_errors(tmp_path, capsys, pauli21,
 
 @pytest.mark.parametrize("stray", ["\n", " ", "!"])
 def test_format2_rejects_stray_characters_in_a_valid_block(tmp_path, capsys, pauli21, stray):
-    text = files.ensemble_to_dict(pauli21)["unitaries"]
+    text = ensemble_dict(pauli21)["unitaries"]
     path = tmp_path / "bad.json"
     _write_format2(path, pauli21, unitaries=text[:8] + stray + text[8:])
     capsys.readouterr()

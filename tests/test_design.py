@@ -309,6 +309,8 @@ def test_ensemble_validation():
         UnitaryEnsemble(d=2, weights=np.array([1.5, -0.5]), unitaries=np.array([np.eye(2)] * 2))
     with pytest.raises(ValueError, match=re.escape("unitaries must have shape (N, 2, 2), got (1, 3, 3)")):
         UnitaryEnsemble.uniform(2, np.eye(3, dtype=complex)[None])
+    with pytest.raises(ValueError, match="^weights and unitaries disagree on ensemble size$"):
+        UnitaryEnsemble(d=2, weights=np.array([1.0]), unitaries=np.array([np.eye(2)] * 2))
 
 
 @pytest.mark.parametrize("field", ["weights", "unitaries"])
@@ -340,6 +342,25 @@ def test_ensemble_names_first_non_unitary_element():
     unitaries[3] *= 3
     with pytest.raises(ValueError, match="ensemble element 2 is not unitary"):
         UnitaryEnsemble.uniform(2, unitaries)
+
+
+@pytest.mark.parametrize(
+    "n, per_item, want",
+    [
+        (0, 4, []),
+        (12, 4, [(0, 4), (4, 8), (8, 12)]),  # an exact multiple
+        (10, 4, [(0, 4), (4, 8), (8, 10)]),  # a remainder
+        (3, 17, [(0, 1), (1, 2), (2, 3)]),  # an item above the block: one item per block
+        (5, 0, [(0, 5)]),  # items of no entries
+        (5, 16, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)]),  # an item exactly the block
+    ],
+    ids=["empty", "multiple", "remainder", "big-item", "zero-entries", "one-block-items"],
+)
+def test_key_blocks_cover_range_n_in_order_with_at_most_a_block_of_entries(
+    n, per_item, want, monkeypatch
+):
+    monkeypatch.setattr(design, "_ROW_BLOCK", 16)
+    assert [(b.start, b.stop) for b in design.key_blocks(n, per_item)] == want
 
 
 def test_non_unitary_key_in_a_later_block_is_named_by_its_global_index(monkeypatch):
@@ -756,8 +777,19 @@ def _leaky3():
     return omega / np.trace(omega)
 
 
-@pytest.mark.parametrize("name", ["clifford3", "haar4", "repeated3", "leaky3"])
-def test_support_deviation_matches_the_full_rotation(name, request):
+@pytest.mark.parametrize(
+    "name, row_block",
+    [
+        pytest.param(name, row_block, id=name + tag)
+        for row_block, tag in [(None, ""), (1, "-one-slab"), (4 * 3**6, "-four-slabs")]
+        for name in ["clifford3", "haar4", "repeated3", "leaky3"]
+    ],
+)
+def test_support_deviation_matches_the_full_rotation(name, row_block, request, monkeypatch):
+    # the default puts every off-diagonal slab of d <= 4 in one group; 1 gives one slab per group,
+    # and 4 * 3^6 groups of four slabs at d = 3
+    if row_block is not None:
+        monkeypatch.setattr(design, "_ROW_BLOCK", row_block)
     if name == "leaky3":
         d, omega = 3, _leaky3()
     else:

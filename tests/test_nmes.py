@@ -9,7 +9,6 @@ from qnm import (
     constant_channel,
     design,
     effective_channel,
-    maximally_mixed,
     random_cptni_channel,
     trace_norm,
     unitary_channel,
@@ -48,7 +47,7 @@ def test_effective_channel_replacement_adversary(clifford_scheme):
     rng = philox(72)
     eta = random_density(2, rng)
     eff = effective_channel(clifford_scheme, constant_channel(eta))
-    tau = maximally_mixed(2)
+    tau = np.eye(2) / 2
     assert trace_norm(choi_of(eff) - np.kron(tau, tau)) <= 1e-10
 
 
@@ -60,7 +59,7 @@ def test_effective_channel_traceless_unitary(clifford_scheme):
             unit = np.zeros((d, d), dtype=complex)
             unit[i, j] = 1.0
             got = apply_channel(eff, unit)
-            want = (d * d * maximally_mixed(d) * (1.0 if i == j else 0.0) - unit) / (d * d - 1)
+            want = (d * np.eye(d) * (1.0 if i == j else 0.0) - unit) / (d * d - 1)
             assert np.max(np.abs(got - want)) <= 1e-12
 
 
@@ -240,7 +239,7 @@ def test_effective_channel_of_no_kraus_operators_is_zero(monkeypatch):
 def test_attack_report_matches_the_loop_reference(request, scheme_name, adversary):
     ensemble = request.getfixturevalue(scheme_name)
     adv = {
-        "replace:tau": lambda: constant_channel(maximally_mixed(3)),
+        "replace:tau": lambda: constant_channel(np.eye(3) / 3),
         "replace:0": lambda: constant_channel(np.diag([1.0, 0.0, 0.0])),
         "weyl:1,0": lambda: unitary_channel(weyl(3, 1, 0)),
         "kraus5": lambda: random_cptni_channel(3, philox(31), num_kraus=5),
