@@ -23,7 +23,7 @@ block on the 1 + (d^2 - 1)^2 support slab by slab, with no rotated copy. Certify
 it is for the trace norm and sandwiched by A for theta and the rank, and builds no Phi_d.
 
 Every per-key loop, here and in nmes, and _support_deviation's groups of slabs walk
-:func:`key_blocks`.
+:func:`key_blocks`; Omega is added up over groups of d^4 keys.
 """
 
 import math
@@ -173,29 +173,39 @@ def ensemble_choi(e: UnitaryEnsemble) -> np.ndarray:
     i < a, (i, a) becomes sqrt(2) Re and (a, i) sqrt(2) Im. As t fixes vec(1), T fixes
     Phi (x) 1, 1 (x) Phi, Omega_haar and Phi_{d^2}, so every (unitarily invariant) grade is
     unchanged. The real rows sqrt(p_k) vec(t (U_k (x) conj(U_k)) t^dagger) are filled key
-    block by key block.
+    block by key block into one buffer of at most d^4 rows, whose Gram is added up over groups of
+    d^4 keys; so nothing held is larger than Omega, and N <= d^4 keys give one Gram.
     """
     d = e.d
     # t z = c1 z + c2 z_swap on a vec z over (i, a), where z_swap[i, a] = z[a, i]
     up = np.triu(np.ones((d, d)), 1) / math.sqrt(2)
     c1, c2 = np.eye(d) + up + 1j * up.T, up - 1j * up.T
-    rows = np.empty((e.size, d**4))
-    for block in key_blocks(e.size, d**4):
-        u = e.unitaries[block]
-        scaled = np.sqrt(e.weights[block])[:, None, None] * u
-        # [k, i, a, j, b] = U[i, j] conj(U[a, b]); apply conj(t) on (j, b), then t on (i, a)
-        w = np.einsum("kij,kab->kiajb", scaled, u.conj())
-        w = w * c1.conj() + w.swapaxes(3, 4) * c2.conj()
-        w = w * c1[:, :, None, None] + w.swapaxes(1, 2) * c2[:, :, None, None]
-        rows[block] = w.real.reshape(len(w), -1)
-    return gram_choi(rows, d * d)
+    rows = np.empty((min(e.size, d**4), d**4))
+    for start in range(0, e.size, d**4):
+        us, ws = e.unitaries[start : start + d**4], e.weights[start : start + d**4]
+        for block in key_blocks(len(us), d**4):
+            u = us[block]
+            scaled = np.sqrt(ws[block])[:, None, None] * u
+            # [k, i, a, j, b] = U[i, j] conj(U[a, b]); apply conj(t) on (j, b), then t on (i, a)
+            w = np.einsum("kij,kab->kiajb", scaled, u.conj())
+            w = w * c1.conj() + w.swapaxes(3, 4) * c2.conj()
+            w = w * c1[:, :, None, None] + w.swapaxes(1, 2) * c2[:, :, None, None]
+            rows[block] = w.real.reshape(len(w), -1)
+        if start:
+            omega += gram_choi(rows[: len(us)], d * d)  # no group's Gram outlives the group
+        else:
+            omega = gram_choi(rows[: len(us)], d * d)
+    return omega
 
 
 def one_design_distance(e: UnitaryEnsemble) -> float:
-    """Trace distance of the average encryption Choi operator from tau (x) tau = 1/d^2."""
+    """Trace distance of the average encryption Choi operator from tau (x) tau = 1/d^2. Its
+    d^2 x d^2 Gram is, like Omega's, one Gram of N <= d^4 keys (at most d^6 entries), and is
+    otherwise added up over :func:`key_blocks`, so no copy of the keys grows with N."""
     d = e.d
-    rows = np.sqrt(e.weights)[:, None] * e.unitaries.reshape(e.size, -1)
-    g = gram_choi(rows, d)
+    blocks = key_blocks(e.size, d * d) if e.size > d**4 else [slice(None)]
+    g = sum(gram_choi(np.sqrt(e.weights[k])[:, None] * e.unitaries[k].reshape(-1, d * d), d)
+            for k in blocks)
     g.flat[:: d * d + 1] -= 1 / d**2
     return trace_norm(g)
 

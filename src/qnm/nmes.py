@@ -49,10 +49,13 @@ class AttackReport:
     scheme_one_design_dist: float
 
 
-def effective_channel(scheme: EncryptionScheme, adv: KrausChannel) -> KrausChannel:
+def effective_channel(
+    scheme: EncryptionScheme, adv: KrausChannel, keys: slice = slice(None)
+) -> KrausChannel:
     """Kraus form of the plaintext channel induced by an adversary on the ciphertext: the
-    sqrt(p_k) U_k^dagger K_m U_k, key-major over the keys of nonzero weight. Per key block, one
-    GEMM gives every U_k^dagger K_m, and one batched matmul multiplies each by its U_k."""
+    sqrt(p_k) U_k^dagger K_m U_k, key-major over the keys of nonzero weight in ``keys`` (all keys
+    by default), so the Choi operators of a partition of the keys sum to the whole one's. Per key
+    block, one GEMM gives every U_k^dagger K_m, and one batched matmul multiplies each by its U_k."""
     rep = validate_cptni(adv)
     if not rep.is_tni:
         raise ValueError(f"adversary channel is not trace non-increasing (defect {rep.defect:.3e})")
@@ -60,7 +63,7 @@ def effective_channel(scheme: EncryptionScheme, adv: KrausChannel) -> KrausChann
     if adv.d != d:
         raise ValueError(f"adversary acts on dimension {adv.d}, scheme has dimension {d}")
     w = scheme.ensemble.weights
-    kept = np.flatnonzero(w)
+    kept = np.arange(*keys.indices(len(w)))[w[keys] != 0]
     n, m = len(kept), len(adv.kraus_ops)
     kraus = adv.kraus_ops.transpose(1, 0, 2).reshape(d, m * d)  # [j, (m, c)] = K_m[j, c]
     ops = np.empty((n, m, d, d), dtype=complex)
@@ -76,9 +79,11 @@ def effective_channel(scheme: EncryptionScheme, adv: KrausChannel) -> KrausChann
 
 
 def attack_report(scheme: EncryptionScheme, adv: KrausChannel) -> AttackReport:
-    """Run an attack and grade how far the effective channel leaves the isotropic cone."""
+    """Run an attack and grade how far the effective channel leaves the isotropic cone. Its Choi
+    operator is summed over :func:`design.key_blocks`, one block of Kraus products at a time."""
     d = scheme.d
-    omega = choi_of(effective_channel(scheme, adv))
+    blocks = design.key_blocks(scheme.ensemble.size, len(adv.kraus_ops) * d * d)
+    omega = sum(choi_of(effective_channel(scheme, adv, block)) for block in blocks)
     decomposition = iso_project(omega, d)
     residual = decomposition.residual
     return AttackReport(

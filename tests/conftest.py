@@ -14,6 +14,11 @@ def clifford3():
 
 
 @pytest.fixture(scope="session")
+def clifford5():
+    return clifford_prime(5)
+
+
+@pytest.fixture(scope="session")
 def pauli21():
     return pauli_ensemble(2, 1)
 

@@ -10,6 +10,7 @@ import math
 import numpy as np
 
 from qnm.construct import _KEY_DECIMALS, _PHASE_PICK_TOL, _clifford_generators, weyl
+from qnm.linalg import gram_choi
 
 
 def philox(seed: int) -> np.random.Generator:
@@ -202,6 +203,19 @@ def computational_choi(weights, unitaries) -> np.ndarray:
     rows = np.einsum("kij,kab->kiajb", scaled, u.conj()).reshape(len(u), -1)
     g = rows.T @ rows.conj()
     return (g + g.conj().T) / (2 * d * d)
+
+
+def single_gram_choi(weights, unitaries) -> np.ndarray:
+    """``ensemble_choi`` as one Gram of all N real rows sqrt(p_k) vec(t (U_k (x) conj(U_k)) t^dagger)
+    made in one batch by the same entrywise products: the reference for its groups of d^4 keys."""
+    u = np.asarray(unitaries)
+    d = u.shape[-1]
+    up = np.triu(np.ones((d, d)), 1) / math.sqrt(2)
+    c1, c2 = np.eye(d) + up + 1j * up.T, up - 1j * up.T
+    w = np.einsum("kij,kab->kiajb", np.sqrt(np.asarray(weights))[:, None, None] * u, u.conj())
+    w = w * c1.conj() + w.swapaxes(3, 4) * c2.conj()
+    w = w * c1[:, :, None, None] + w.swapaxes(1, 2) * c2[:, :, None, None]
+    return gram_choi(w.real.reshape(len(u), -1), d * d)
 
 
 def haar_projectors(d: int):

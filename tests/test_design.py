@@ -45,6 +45,7 @@ from helpers import (
     philox,
     projector_theta,
     random_density,
+    single_gram_choi,
 )
 
 
@@ -417,11 +418,6 @@ def test_multiplicative_theta_reports_support_leak():
     assert multiplicative_theta(outside, 2) is None
     assert eigh_theta(outside, 2) is None
     assert projector_theta(outside, 2) is None
-
-
-@pytest.fixture(scope="module")
-def clifford5():
-    return clifford_prime(5)
 
 
 # clifford5's 3000 keys span several key blocks of ensemble_choi; haar4 has N < d^4
@@ -820,3 +816,46 @@ def test_support_deviation_makes_no_second_d4_copy():
     # X_s, plus slab transients of about 2 d^7 entries (1.5 MB here); a second d^4 x d^4 array
     # would add omega.nbytes (3.1 MB) to X_s (2.7 MB)
     assert xs.nbytes < peak < xs.nbytes + 0.75 * omega.nbytes, (peak, xs.nbytes, omega.nbytes)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("extra", [-1, 0, 1, "3d^4 + 5"])
+def test_ensemble_choi_adds_up_groups_of_d4_keys(d, extra):
+    n = 3 * d**4 + 5 if extra == "3d^4 + 5" else d**4 + extra
+    rng = philox(60 + n)
+    weights = rng.random(n)
+    weights[[0, n // 2]] = 0
+    e = UnitaryEnsemble(d, weights / weights.sum(), haar_batch(d, n, rng))
+    omega, ref = ensemble_choi(e), single_gram_choi(e.weights, e.unitaries)
+    assert omega.dtype == np.float64 and np.array_equal(omega, omega.T)
+    assert np.max(np.abs(omega - ref)) <= 1e-12
+    if n <= d**4:  # one group: the single Gram, bit for bit
+        assert np.array_equal(omega, ref)
+
+
+def test_ensemble_choi_holds_no_copy_of_the_keys(clifford5):
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        omega = ensemble_choi(clifford5)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    # one group's d^4 rows, Omega and one group's Gram, plus key-block transients; the 3000 rows
+    # of a single Gram alone would be 15 MB
+    assert peak <= 3 * omega.nbytes + 4 * 2**20, (peak, omega.nbytes)
+
+
+def test_one_design_distance_holds_one_key_block(clifford3):
+    e = UnitaryEnsemble.uniform(3, np.tile(clifford3.unitaries, (100, 1, 1)))  # 21 600 keys
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        one_design_distance(e)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    # one 1 MiB block of scaled keys; all of them would be 3.1 MB
+    assert peak <= 1.25 * 2**20, peak

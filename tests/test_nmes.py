@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -252,3 +254,53 @@ def test_attack_report_matches_the_loop_reference(request, scheme_name, adversar
     assert abs(got.alpha - alpha) <= 1e-12 and abs(got.beta - beta) <= 1e-12
     assert abs(report.malleability_residual - residual) <= 1e-12
     assert np.max(np.abs(report.effective_choi - choi)) <= 1e-12
+
+
+def _edge_weighted_scheme(monkeypatch, num_kraus):
+    """12 Haar keys at d = 3 in blocks of 4 for M = num_kraus; zero weights end the first block,
+    fill the second and end the last."""
+    rng = philox(24)
+    weights = rng.random(12)
+    weights[[3, 4, 5, 6, 7, 11]] = 0
+    ensemble = UnitaryEnsemble(d=3, weights=weights / weights.sum(), unitaries=haar_batch(3, 12, rng))
+    monkeypatch.setattr(design, "_ROW_BLOCK", 4 * max(num_kraus * 9, 1))
+    assert design.key_blocks(12, num_kraus * 9) == [slice(0, 4), slice(4, 8), slice(8, 12)]
+    if num_kraus == 0:
+        return EncryptionScheme(ensemble), KrausChannel(d=3, kraus_ops=np.zeros((0, 3, 3)))
+    return EncryptionScheme(ensemble), random_cptni_channel(3, rng, num_kraus=num_kraus)
+
+
+@pytest.mark.parametrize("num_kraus", [0, 1, 9, 25])
+def test_attack_report_sums_the_effective_choi_over_key_blocks(monkeypatch, num_kraus):
+    scheme, adversary = _edge_weighted_scheme(monkeypatch, num_kraus)
+    report = attack_report(scheme, adversary)
+    whole = choi_of(effective_channel(scheme, adversary))
+    assert np.max(np.abs(report.effective_choi - whole)) <= 1e-12
+    assert np.array_equal(report.effective_choi, report.effective_choi.conj().T)
+
+
+@pytest.mark.parametrize("num_kraus", [1, 9, 25])
+def test_effective_channel_over_a_key_partition_is_the_whole_call(monkeypatch, num_kraus):
+    scheme, adversary = _edge_weighted_scheme(monkeypatch, num_kraus)
+    parts = [effective_channel(scheme, adversary, block).kraus_ops
+             for block in design.key_blocks(12, num_kraus * 9)]
+    assert [len(p) for p in parts] == [3 * num_kraus, 0, 3 * num_kraus]
+    whole = effective_channel(scheme, adversary).kraus_ops
+    assert np.array_equal(np.concatenate(parts), whole)
+    monkeypatch.undo()
+    assert np.array_equal(effective_channel(scheme, adversary).kraus_ops, whole)
+
+
+def test_attack_report_holds_one_key_block_of_kraus_products(clifford5):
+    scheme = EncryptionScheme(clifford5)
+    adversary = random_cptni_channel(5, philox(25), num_kraus=25)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        attack_report(scheme, adversary)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    # a 1 MiB block of products and its transients; all 3000 * 25 of them are 29 MiB
+    assert peak <= 5 * 2**20, peak
