@@ -200,12 +200,12 @@ def ensemble_choi(e: UnitaryEnsemble) -> np.ndarray:
 
 def one_design_distance(e: UnitaryEnsemble) -> float:
     """Trace distance of the average encryption Choi operator from tau (x) tau = 1/d^2. Its
-    d^2 x d^2 Gram is, like Omega's, one Gram of N <= d^4 keys (at most d^6 entries), and is
-    otherwise added up over :func:`key_blocks`, so no copy of the keys grows with N."""
+    d^2 x d^2 Gram is added up over the groups of d^4 keys that Omega's is, so the scaled keys
+    held (at most d^6 entries) do not grow with N."""
     d = e.d
-    blocks = key_blocks(e.size, d * d) if e.size > d**4 else [slice(None)]
+    groups = [slice(s, s + d**4) for s in range(0, e.size, d**4)]
     g = sum(gram_choi(np.sqrt(e.weights[k])[:, None] * e.unitaries[k].reshape(-1, d * d), d)
-            for k in blocks)
+            for k in groups)
     g.flat[:: d * d + 1] -= 1 / d**2
     return trace_norm(g)
 

@@ -579,7 +579,10 @@ def test_iso_project_matches_the_dense_phi_reference(d):
     assert abs(dec.residual - residual) <= 1e-12
 
 
-@pytest.mark.parametrize("name", ["singleton2", "pauli21", "clifford2", "weighted3", "haar4"])
+# clifford2 (24 keys) and haar3_many (200) span several groups of d^4 keys
+@pytest.mark.parametrize(
+    "name", ["singleton2", "pauli21", "clifford2", "haar3_many", "weighted3", "haar4"]
+)
 def test_one_design_distance_matches_the_kron_reference(name, request):
     e = request.getfixturevalue(name)
     tau = np.eye(e.d) / e.d
@@ -847,7 +850,7 @@ def test_ensemble_choi_holds_no_copy_of_the_keys(clifford5):
     assert peak <= 3 * omega.nbytes + 4 * 2**20, (peak, omega.nbytes)
 
 
-def test_one_design_distance_holds_one_key_block(clifford3):
+def test_one_design_distance_holds_one_group_of_d4_keys(clifford3):
     e = UnitaryEnsemble.uniform(3, np.tile(clifford3.unitaries, (100, 1, 1)))  # 21 600 keys
     tracemalloc.start()
     try:
@@ -857,5 +860,5 @@ def test_one_design_distance_holds_one_key_block(clifford3):
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
-    # one 1 MiB block of scaled keys; all of them would be 3.1 MB
-    assert peak <= 1.25 * 2**20, peak
+    # one group of 81 scaled keys (12 kB); all of them would be 3.1 MB
+    assert peak <= 2**18, peak
