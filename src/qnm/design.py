@@ -334,15 +334,20 @@ def multiplicative_theta(omega: np.ndarray, d: int) -> float | None:
 
 def _merge_equal_keys(e: UnitaryEnsemble) -> UnitaryEnsemble:
     """``e`` with keys of equal complex128 bytes merged, weights summed, in first-occurrence order
-    (``e`` itself if no two are equal). No tolerance: a bit, a -0.0 or a phase keeps keys apart."""
+    (``e`` itself if no two are equal). No tolerance: a bit, a -0.0 or a phase keeps keys apart.
+    No key is copied: a stable index sort by key bytes, then a compare of neighbours' words."""
     keys = np.ascontiguousarray(e.unitaries).reshape(e.size, -1)
-    keys = keys.view(np.dtype((np.void, keys[0].nbytes)))[:, 0]  # one byte string per key
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(keys.view(np.dtype((np.void, keys[0].nbytes)))[:, 0], kind="stable")
+    words, starts = keys.view(np.uint64), np.ones(e.size, dtype=bool)
+    for block in key_blocks(e.size - 1, e.d * e.d):  # the neighbours (j, j + 1) for j in block
+        w = words[order[block.start : block.stop + 1]]
+        starts[block.start + 1 : block.stop + 1] = np.any(w[1:] != w[:-1], axis=1)
+    first = order[starts]  # each run's first key: the stable sort keeps a run in key order
     if len(first) == e.size:
         return e
-    order = np.argsort(first)
-    weights = np.bincount(inverse, weights=e.weights)[order]
-    return UnitaryEnsemble(e.d, weights, e.unitaries[first[order]])
+    rank = np.argsort(first)
+    weights = np.bincount(np.cumsum(starts) - 1, weights=e.weights[order])[rank]
+    return UnitaryEnsemble(e.d, weights, e.unitaries[first[rank]])
 
 
 def certify_design(e: UnitaryEnsemble, tol: float = DEFAULT_CERT_TOL) -> CertificationReport:

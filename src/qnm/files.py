@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .channels import KrausChannel
-from .design import MAX_D, CertificationReport, UnitaryEnsemble
+from .design import MAX_D, CertificationReport, UnitaryEnsemble, key_blocks
 from .nmes import AttackReport
 
 FORMAT_VERSION = 1  # Kraus, matrix and report files
@@ -84,16 +84,25 @@ def read_json(path: str, version: int = FORMAT_VERSION) -> tuple[dict, str]:
 
 
 def _unpack_unitaries(text, n: int, d: int) -> np.ndarray:
-    """Writable (n, d, d) complex array from format 2's base64 block of <c16 values."""
-    if not isinstance(text, str):
-        raise ValueError(f"unitaries must be a padded base64 string, got {type(text).__name__}")
-    try:
-        raw = base64.b64decode(text, validate=True)
-    except ValueError as exc:  # not ASCII, or not padded base64
-        raise ValueError(f"unitaries must be a padded base64 string ({exc})") from exc
-    if len(raw) != 16 * n * d * d:
-        raise ValueError(f"unitaries holds {len(raw)} bytes, expected 16*N*d^2 = {16 * n * d * d}")
-    return np.frombuffer(bytearray(raw), "<c16").reshape(n, d, d)
+    """Writable (n, d, d) <c16 array from format 2's base64 block, whose size is checked before it
+    is allocated. 64 characters (48 bytes) hold 176 bytes (11 entries) while they are decoded."""
+    if not isinstance(text, str) or len(text) % 4:
+        got = f"str of length {len(text)}" if isinstance(text, str) else type(text).__name__
+        raise ValueError(f"unitaries must be a padded base64 string, got {got}")
+    size = 3 * (len(text) // 4) - text.endswith("=") - text.endswith("==")
+    if size != 16 * n * d * d:
+        raise ValueError(f"unitaries holds {size} bytes, expected 16*N*d^2 = {16 * n * d * d}")
+    out = np.empty(size, np.uint8)
+    for block in key_blocks(-(-len(text) // 64), 11):
+        part = out[48 * block.start : 48 * block.stop]
+        try:
+            raw = base64.b64decode(text[64 * block.start : 64 * block.stop], validate=True)
+            if len(raw) != len(part):  # the size check counted the last chunk's padding only
+                raise ValueError("padding before the end")
+        except ValueError as exc:  # not ASCII, or not padded base64
+            raise ValueError(f"unitaries must be a padded base64 string ({exc})") from exc
+        part[:] = memoryview(raw)
+    return out.view("<c16").reshape(n, d, d)
 
 
 def write_json(obj: dict, path: str | None):
@@ -109,7 +118,7 @@ def write_json(obj: dict, path: str | None):
 
 def save_ensemble(path: str, e: UnitaryEnsemble, meta: dict | None = None):
     """Write the one-line JSON of {"format", "d", "weights", "unitaries"} (and "meta" if ``meta``
-    is not empty), with the keys' base64 held once, as bytes.
+    is not empty), the keys' base64 encoded chunk by chunk, each a whole number of 3-byte groups.
 
     The text around it is dumped with an empty placeholder in its place. Only numbers come before
     "unitaries", so its first '"unitaries": ""' is that placeholder, even if ``meta`` has one.
@@ -121,19 +130,22 @@ def save_ensemble(path: str, e: UnitaryEnsemble, meta: dict | None = None):
     head, tail = json.dumps(obj).split('"unitaries": ""', 1)
     with open(path, "wb") as fh:
         fh.write(f'{head}"unitaries": "'.encode("ascii"))  # json.dumps escapes to ASCII
-        fh.write(base64.b64encode(np.ascontiguousarray(e.unitaries, "<c16")))
+        raw = np.ascontiguousarray(e.unitaries, "<c16").reshape(-1).view(np.uint8)
+        for block in key_blocks(-(-len(raw) // 48), 4):  # 48 bytes: 64 characters, 4 entries
+            fh.write(base64.b64encode(raw[48 * block.start : 48 * block.stop]))
         fh.write(f'"{tail}\n'.encode("ascii"))
 
 
 def load_ensemble(path: str) -> tuple[UnitaryEnsemble, str]:
-    """Read an ensemble file: the ensemble and the digest of the bytes it holds."""
+    """Read an ensemble file: the ensemble and the digest of the bytes it holds. The base64 text is
+    popped out of the parsed object as it is decoded, so it is freed before the keys are checked."""
     obj, digest = read_json(path, ENSEMBLE_FORMAT_VERSION)
     try:
         d = _dimension(obj)
         weights = _numbers(obj["weights"], "weights")
         if weights.ndim != 1:  # [[w], ...] or a bare number
             raise ValueError("weights must be a list of numbers")
-        unitaries = _unpack_unitaries(obj["unitaries"], weights.size, d)
+        unitaries = _unpack_unitaries(obj.pop("unitaries"), weights.size, d)
         ensemble = UnitaryEnsemble(d=d, weights=weights, unitaries=unitaries)  # it checks the keys
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{path}: malformed ensemble file ({exc})") from exc

@@ -6,6 +6,7 @@ kernels so they can serve as independent cross-checks.
 
 import base64
 import math
+import tracemalloc
 
 import numpy as np
 
@@ -48,6 +49,19 @@ def ensemble_dict(e, meta: dict | None = None) -> dict:
     if meta:
         out["meta"] = meta
     return out
+
+
+def traced_peak(fn):
+    """``fn()``'s result, and the peak of Python- and numpy-traced memory while it ran, in bytes
+    above the start."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
 
 
 def apply_channel(ch, rho: np.ndarray) -> np.ndarray:

@@ -9,10 +9,10 @@ import sys
 import numpy as np
 import pytest
 
-from qnm import cli, construct, files
+from qnm import cli, construct, design, files
 from qnm.design import DEFAULT_CERT_TOL, UnitaryEnsemble
 
-from helpers import ensemble_dict
+from helpers import ensemble_dict, haar_batch, philox, traced_peak
 
 
 def run(argv):
@@ -976,6 +976,56 @@ def test_format2_non_finite_bytes_are_rejected(tmp_path, capsys, pauli21):
     capsys.readouterr()
     assert run(["certify", str(path)]) == 2
     assert "unitaries must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("row_block", [1, 4 * 11, None], ids=["one-unit", "few-units", "default"])
+@pytest.mark.parametrize("n", [3, 4, 5])  # 64 n key bytes: 0, 1 and 2 mod 3
+def test_chunked_base64_round_trip(tmp_path, monkeypatch, n, row_block):
+    # at _ROW_BLOCK = 1 every chunk is one 48-byte unit both ways; at 44 the writer's chunks
+    # hold 11 units and the reader's 4
+    if row_block is not None:
+        monkeypatch.setattr(design, "_ROW_BLOCK", row_block)
+    e = UnitaryEnsemble(2, np.arange(1, n + 1) / (n * (n + 1) / 2), haar_batch(2, n, philox(n)))
+    assert e.unitaries.nbytes % 3 == n % 3
+    path = tmp_path / "e.json"
+    files.save_ensemble(str(path), e, {"n": n})
+    assert path.read_bytes() == (json.dumps(ensemble_dict(e, {"n": n})) + "\n").encode()
+    back, _ = files.load_ensemble(str(path))
+    assert back.unitaries.tobytes() == e.unitaries.tobytes()
+    assert back.weights.tobytes() == e.weights.tobytes()
+    assert back.unitaries.flags.writeable
+
+
+@pytest.mark.parametrize("padding", ["A===", "AA==", "AAA="])
+def test_format2_padding_before_the_last_chunk_is_rejected(tmp_path, capsys, monkeypatch, pauli21,
+                                                           padding):
+    monkeypatch.setattr(design, "_ROW_BLOCK", 11)  # read in chunks of 64 characters
+    text = ensemble_dict(pauli21)["unitaries"]
+    path = tmp_path / "bad.json"
+    _write_format2(path, pauli21, unitaries=text[:60] + padding + text[64:])  # ends chunk one
+    capsys.readouterr()
+    assert run(["certify", str(path)]) == 2
+    assert "unitaries must be a padded base64 string" in capsys.readouterr().err
+
+
+def _tiled_clifford3(clifford3):
+    return UnitaryEnsemble.uniform(3, np.tile(clifford3.unitaries, (100, 1, 1)))  # 21 600 keys
+
+
+def test_save_ensemble_holds_no_whole_base64_copy(tmp_path, clifford3):
+    e, path = _tiled_clifford3(clifford3), str(tmp_path / "e.json")
+    _, peak = traced_peak(lambda: files.save_ensemble(path, e))
+    # the weights' list and text, and a 1 MiB chunk of base64; all of it would be 4 MiB
+    assert peak <= 4 * 2**20, peak
+
+
+def test_load_ensemble_holds_no_second_copy_of_the_keys(tmp_path, clifford3):
+    path = tmp_path / "e.json"
+    files.save_ensemble(str(path), _tiled_clifford3(clifford3))
+    _, peak = traced_peak(lambda: files.load_ensemble(str(path)))
+    # the file's bytes and their text, which json.loads needs, set the floor; the decoded bytes
+    # and a bytearray copy beside the base64 text would add 3 MiB
+    assert peak <= 2 * path.stat().st_size + 2**20, (peak, path.stat().st_size)
 
 
 @pytest.mark.parametrize("version", [0, 3, "2", None, True])

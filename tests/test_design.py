@@ -1,7 +1,6 @@
 import json
 import math
 import re
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -46,6 +45,7 @@ from helpers import (
     projector_theta,
     random_density,
     single_gram_choi,
+    traced_peak,
 )
 
 
@@ -653,9 +653,24 @@ def _clifford2_repeats():
     return UnitaryEnsemble(2, weights, unitaries)
 
 
+def _clifford2_picks():
+    """97 draws from the d = 2 Clifford group at random weights, zero for one key, then a copy of
+    key 3 with a -0.0 (equal to it, other bytes) and a phased copy of it."""
+    rng = philox(71)
+    keys = clifford_prime(2).unitaries
+    picks = rng.integers(0, 24, size=97)
+    weights = np.where(picks == 4, 0.0, rng.random(97))
+    edge = keys[3].copy()
+    edge[tuple(np.argwhere(edge == 0)[0])] = complex(-0.0, 0.0)
+    unitaries = np.concatenate([keys[picks], [edge, np.exp(0.3j) * keys[3]]])
+    weights = np.concatenate([weights, [0.5, 0.25]])
+    return UnitaryEnsemble(2, weights / weights.sum(), unitaries)
+
+
 MERGE_CASES = {
     "sampled300": lambda: sample_design(SamplerConfig(3, 300, 5)),
     "clifford2_repeats": _clifford2_repeats,
+    "clifford2_picks": _clifford2_picks,
     "one_key_copies": lambda: UnitaryEnsemble.uniform(
         3, np.repeat(haar_batch(3, 1, philox(37)), 50, axis=0)),
 }
@@ -709,6 +724,45 @@ def test_certify_merges_only_byte_equal_keys(monkeypatch):
     assert merged.distinct_keys == 3  # only the two exact copies of key are one
     fp = unmerged.frame_potential
     assert abs(merged.frame_potential - fp) <= 1e-12 * fp
+
+
+def _merge_reference(e):
+    """Keys in first-occurrence order by their exact bytes, each with its weights summed in key
+    order, from a plain dict over every key."""
+    keys, weights = {}, {}
+    for u, w in zip(e.unitaries, e.weights):
+        keys.setdefault(u.tobytes(), u)
+        weights[u.tobytes()] = weights.get(u.tobytes(), 0.0) + w
+    return np.array(list(keys.values())), np.array(list(weights.values()))
+
+
+@pytest.mark.parametrize("row_block", [1, 4 * 9, None], ids=["one-key", "36-entries", "default"])
+@pytest.mark.parametrize("name", sorted(MERGE_CASES))
+def test_merge_equal_keys_is_the_exact_set_of_bytes(name, row_block, monkeypatch):
+    if row_block is not None:  # neighbours compared in blocks of one key, or 36 entries
+        monkeypatch.setattr(design, "_ROW_BLOCK", row_block)
+    e = MERGE_CASES[name]()
+    keys, weights = _merge_reference(e)
+    merged = design._merge_equal_keys(e)
+    assert merged.unitaries.tobytes() == keys.tobytes()  # order, and the keys' exact bytes
+    assert merged.weights.tobytes() == weights.tobytes()
+    assert certify_design(e).distinct_keys == len(keys) < e.size
+
+
+@pytest.mark.parametrize("row_block", [1, None])
+def test_merge_equal_keys_returns_e_when_no_key_repeats(clifford3, row_block, monkeypatch):
+    if row_block is not None:
+        monkeypatch.setattr(design, "_ROW_BLOCK", row_block)
+    assert design._merge_equal_keys(clifford3) is clifford3
+
+
+def test_merge_equal_keys_copies_no_key(clifford3):
+    e = UnitaryEnsemble.uniform(3, np.tile(clifford3.unitaries, (100, 1, 1)))  # 21 600 keys
+    merged = design._merge_equal_keys(e)
+    assert merged.size == 216 and np.all(merged.weights == merged.weights[0])
+    _, peak = traced_peak(lambda: design._merge_equal_keys(e))
+    # an index sort and a 1 MiB key block of neighbours; a sorted byte copy would be 3 MiB more
+    assert peak <= 3 * 2**20, (peak, e.unitaries.nbytes)
 
 
 def _near_unitary_haar(d, n, seed):
@@ -808,14 +862,7 @@ def test_support_deviation_makes_no_second_d4_copy():
     d = 5
     g = philox(51).normal(size=(d**4, d**4))
     omega = g @ g.T
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        start = tracemalloc.get_traced_memory()[0]
-        xs, _, _ = design._support_deviation(omega, d)
-        peak = tracemalloc.get_traced_memory()[1] - start
-    finally:
-        tracemalloc.stop()
+    (xs, _, _), peak = traced_peak(lambda: design._support_deviation(omega, d))
     # X_s, plus slab transients of about 2 d^7 entries (1.5 MB here); a second d^4 x d^4 array
     # would add omega.nbytes (3.1 MB) to X_s (2.7 MB)
     assert xs.nbytes < peak < xs.nbytes + 0.75 * omega.nbytes, (peak, xs.nbytes, omega.nbytes)
@@ -837,14 +884,7 @@ def test_ensemble_choi_adds_up_groups_of_d4_keys(d, extra):
 
 
 def test_ensemble_choi_holds_no_copy_of_the_keys(clifford5):
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        start = tracemalloc.get_traced_memory()[0]
-        omega = ensemble_choi(clifford5)
-        peak = tracemalloc.get_traced_memory()[1] - start
-    finally:
-        tracemalloc.stop()
+    omega, peak = traced_peak(lambda: ensemble_choi(clifford5))
     # one group's d^4 rows, Omega and one group's Gram, plus key-block transients; the 3000 rows
     # of a single Gram alone would be 15 MB
     assert peak <= 3 * omega.nbytes + 4 * 2**20, (peak, omega.nbytes)
@@ -852,13 +892,6 @@ def test_ensemble_choi_holds_no_copy_of_the_keys(clifford5):
 
 def test_one_design_distance_holds_one_group_of_d4_keys(clifford3):
     e = UnitaryEnsemble.uniform(3, np.tile(clifford3.unitaries, (100, 1, 1)))  # 21 600 keys
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        start = tracemalloc.get_traced_memory()[0]
-        one_design_distance(e)
-        peak = tracemalloc.get_traced_memory()[1] - start
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(lambda: one_design_distance(e))
     # one group of 81 scaled keys (12 kB); all of them would be 3.1 MB
     assert peak <= 2**18, peak

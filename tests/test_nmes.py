@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -26,6 +24,7 @@ from helpers import (
     max_entangled,
     philox,
     random_density,
+    traced_peak,
 )
 
 
@@ -294,13 +293,6 @@ def test_effective_channel_over_a_key_partition_is_the_whole_call(monkeypatch, n
 def test_attack_report_holds_one_key_block_of_kraus_products(clifford5):
     scheme = EncryptionScheme(clifford5)
     adversary = random_cptni_channel(5, philox(25), num_kraus=25)
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        start = tracemalloc.get_traced_memory()[0]
-        attack_report(scheme, adversary)
-        peak = tracemalloc.get_traced_memory()[1] - start
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(lambda: attack_report(scheme, adversary))
     # a 1 MiB block of products and its transients; all 3000 * 25 of them are 29 MiB
     assert peak <= 5 * 2**20, peak
