@@ -61,10 +61,15 @@ def validate_cptni(ch: KrausChannel) -> CptniReport:
     """Classify a Kraus channel as trace preserving / non-increasing.
 
     ``defect`` is the operator norm of sum K^dagger K - 1, read off the eigenvalues of that
-    Hermitian sum. Kraus form is completely positive by construction.
+    Hermitian sum, which must be finite (huge finite operators can overflow it). Kraus form is
+    completely positive by construction.
     """
     stacked = ch.kraus_ops.reshape(-1, ch.d)  # the K_m on top of each other
-    evs = np.linalg.eigvalsh(stacked.conj().T @ stacked)
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = stacked.conj().T @ stacked
+    if not np.all(np.isfinite(total)):  # eigvalsh would fail with LAPACK's bare message
+        raise ValueError("sum K^dagger K must be finite")
+    evs = np.linalg.eigvalsh(total)
     defect = float(max(1 - evs[0], evs[-1] - 1))
     is_tni = bool(evs[-1] <= 1 + CPTNI_TOL)
     return CptniReport(is_tni=is_tni, is_tp=defect <= CPTNI_TOL, defect=defect)

@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .channels import KrausChannel
+from .channels import KrausChannel, validate_cptni
 from .design import MAX_D, CertificationReport, UnitaryEnsemble, key_blocks
 from .nmes import AttackReport
 
@@ -116,20 +116,48 @@ def write_json(obj: dict, path: str | None):
         fh.write(text)
 
 
+def _weight_texts(weights: np.ndarray):
+    """The text of ``json.dumps(weights.tolist())`` between its brackets, in ASCII chunks of a key
+    block each, with no N-element list of floats or strings. The weights are grouped by bit
+    pattern, so -0.0 and 0.0 keep their own texts, and each distinct weight is dumped once; if no
+    two are equal, they are dumped block by block in key order, which needs no lookup. A block's
+    texts are joined by str.join, as bytes.join would hold an 80-byte buffer per item."""
+    bits = weights.view(np.int64)
+    values = np.sort(bits)  # np.unique would import numpy.ma on its first call: 15 ms
+    values = values[np.append(True, values[1:] != values[:-1])]  # the distinct bit patterns
+    distinct = len(values) == len(bits)
+    texts = np.empty(0 if distinct else len(values), object)  # texts[j]: values[j]'s JSON
+    for block in key_blocks(len(texts), 4):  # no float's JSON holds ", "
+        texts[block] = json.dumps(values[block].view(np.float64).tolist())[1:-1].split(", ")
+    for block in key_blocks(len(bits), 4):  # about 64 bytes a weight: index, refs, str, bytes
+        if block.start:
+            yield b", "
+        if distinct:
+            text = json.dumps(weights[block].tolist())[1:-1]
+        else:
+            text = ", ".join(texts[np.searchsorted(values, bits[block])])
+        yield text.encode("ascii")
+
+
 def save_ensemble(path: str, e: UnitaryEnsemble, meta: dict | None = None):
     """Write the one-line JSON of {"format", "d", "weights", "unitaries"} (and "meta" if ``meta``
-    is not empty), the keys' base64 encoded chunk by chunk, each a whole number of 3-byte groups.
+    is not empty): the bytes of ``json.dumps`` of that object, streamed, with no copy of it whole.
 
-    The text around it is dumped with an empty placeholder in its place. Only numbers come before
-    "unitaries", so its first '"unitaries": ""' is that placeholder, even if ``meta`` has one.
+    The text around the weights and keys is dumped with empty placeholders in their place. Only
+    numbers come before them, so the first '"weights": [], "unitaries": ""' is the placeholders,
+    even if ``meta`` holds that text. The weights come from :func:`_weight_texts`; the keys' base64
+    is encoded chunk by chunk, each a whole number of 3-byte groups. The bytes are unchanged from
+    those of one ``json.dumps`` of the whole object, which took 30 ms for the 21 826-key d = 3
+    sampled ensemble in a fresh process; this takes 11 ms (2-vCPU machine, medians of 7).
     """
-    obj = {"format": ENSEMBLE_FORMAT_VERSION, "d": int(e.d), "weights": e.weights.tolist()}
-    obj["unitaries"] = ""  # the placeholder
+    obj = {"format": ENSEMBLE_FORMAT_VERSION, "d": int(e.d), "weights": [], "unitaries": ""}
     if meta:
         obj["meta"] = meta
-    head, tail = json.dumps(obj).split('"unitaries": ""', 1)
+    head, tail = json.dumps(obj).split('"weights": [], "unitaries": ""', 1)
     with open(path, "wb") as fh:
-        fh.write(f'{head}"unitaries": "'.encode("ascii"))  # json.dumps escapes to ASCII
+        fh.write(f'{head}"weights": ['.encode("ascii"))  # json.dumps escapes to ASCII
+        fh.writelines(_weight_texts(e.weights))
+        fh.write(b'], "unitaries": "')
         raw = np.ascontiguousarray(e.unitaries, "<c16").reshape(-1).view(np.uint8)
         for block in key_blocks(-(-len(raw) // 48), 4):  # 48 bytes: 64 characters, 4 entries
             fh.write(base64.b64encode(raw[48 * block.start : 48 * block.stop]))
@@ -153,12 +181,15 @@ def load_ensemble(path: str) -> tuple[UnitaryEnsemble, str]:
 
 
 def load_kraus_channel(path: str) -> KrausChannel:
-    """Read an adversary channel stored as {"format": 1, "d": d, "kraus": [matrix...]}."""
+    """Read an adversary channel stored as {"format": 1, "d": d, "kraus": [matrix...]}. Its
+    sum K^dagger K must be finite, so an overflow is reported with the file's name."""
     obj, _ = read_json(path)
     try:
         d = _dimension(obj)
         ops = [pairs_to_matrix(k, f"Kraus operator {m}") for m, k in enumerate(obj["kraus"])]
-        return KrausChannel(d=d, kraus_ops=ops)  # it checks each shape against d
+        channel = KrausChannel(d=d, kraus_ops=ops)  # it checks each shape against d
+        validate_cptni(channel)
+        return channel
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{path}: malformed Kraus file ({exc})") from exc
 

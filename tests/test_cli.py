@@ -760,6 +760,47 @@ def test_non_finite_matrix_file_is_a_usage_error(tmp_path, capsys, prefix, key):
     assert f"{key} must be finite" in capsys.readouterr().err
 
 
+_HUGE = files.matrix_to_pairs(1e200 * np.eye(2))  # finite, but its square overflows
+
+
+def _keys(*unitaries):
+    return base64.b64encode(np.array(unitaries, "<c16").tobytes()).decode()
+
+
+_OVERFLOWS = {  # (adversary file and its selector, or an ensemble file's fields and None; error)
+    "kraus-file": ({"format": 1, "d": 2, "kraus": [_HUGE]}, "{path}",
+                   "malformed Kraus file (sum K^dagger K must be finite)"),
+    "unitary-file": ({"format": 1, "d": 2, "matrix": _HUGE}, "unitary:{path}",
+                     "sum K^dagger K must be finite"),
+    "weights-sum": ({"weights": [1e308, 1e308], "unitaries": _keys(np.eye(2), np.eye(2))}, None,
+                    "malformed ensemble file (weights must sum to 1, got inf)"),
+    "key-gram": ({"weights": [0.5, 0.5],
+                  "unitaries": _keys(np.eye(2), [[1e200, 1e200], [1e200, -1e200]])}, None,
+                 "malformed ensemble file (ensemble element 1 is not unitary (deviation nan))"),
+}
+
+
+@pytest.mark.parametrize("case", _OVERFLOWS)
+def test_an_input_that_overflows_a_check_is_a_usage_error_naming_its_file(tmp_path, capsys,
+                                                                           clifford2, case):
+    # pytest turns numpy's RuntimeWarning into an error, so each check must run under np.errstate
+    obj, selector, error = _OVERFLOWS[case]
+    path, scheme = tmp_path / "huge.json", tmp_path / "c2.json"
+    files.save_ensemble(str(scheme), clifford2)
+    if selector is None:
+        _write_format2(path, clifford2, **obj)
+        argvs = [["certify", str(path)], ["attack", "--scheme", str(path), "--adv", "identity"]]
+    else:
+        path.write_text(json.dumps(obj))
+        argvs = [["attack", "--scheme", str(scheme), "--adv", selector.format(path=path)]]
+    capsys.readouterr()
+    for argv in argvs:
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {path}: {error}\n"
+
+
 def _loop_pairs(m):
     """The per-entry encoding the vectorised codec must reproduce byte for byte."""
     return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(m, dtype=complex)]
@@ -994,6 +1035,43 @@ def test_chunked_base64_round_trip(tmp_path, monkeypatch, n, row_block):
     assert back.unitaries.tobytes() == e.unitaries.tobytes()
     assert back.weights.tobytes() == e.weights.tobytes()
     assert back.unitaries.flags.writeable
+
+
+WEIGHT_CASES = {
+    "uniform-21826": np.full(21826, 1 / 21826),
+    "all-distinct": np.arange(1, 41) / 820,
+    "signed-zeros-and-subnormal": np.array([-0.0, 0.5, 0.0, 5e-324, 0.5, -0.0, 0.0]),
+    "single-key": np.array([1.0]),
+}
+
+
+@pytest.mark.parametrize("meta", [None, {"seed": 0, "s": '"weights": [], "unitaries": ""'}],
+                         ids=["no-meta", "meta"])
+@pytest.mark.parametrize("row_block", [1, 7, 4 * 7, None],
+                         ids=["one-weight", "seven-entries", "seven-weights", "default"])
+@pytest.mark.parametrize("weights", WEIGHT_CASES.values(), ids=WEIGHT_CASES.keys())
+def test_weight_stream_is_the_json_dumps_text(tmp_path, monkeypatch, pauli21, weights, row_block,
+                                              meta):
+    # the weights are written in blocks of _ROW_BLOCK // 4 (at least one), each distinct weight's
+    # text dumped once: the bytes must still be those of one json.dumps
+    if row_block is not None:
+        monkeypatch.setattr(design, "_ROW_BLOCK", row_block)
+    e = UnitaryEnsemble(2, weights, np.resize(pauli21.unitaries, (len(weights), 2, 2)))
+    path = tmp_path / "e.json"
+    files.save_ensemble(str(path), e, meta)
+    assert path.read_bytes() == (json.dumps(ensemble_dict(e, meta)) + "\n").encode()
+    assert files.load_ensemble(str(path))[0].weights.tobytes() == weights.tobytes()
+
+
+def test_save_ensemble_holds_no_list_of_the_weights(tmp_path, monkeypatch, pauli21):
+    n = 21826
+    e = UnitaryEnsemble.uniform(2, np.resize(pauli21.unitaries, (n, 2, 2)))
+    monkeypatch.setattr(design, "_ROW_BLOCK", 2**10)  # 16 KiB blocks: what is left grows with N
+    path = str(tmp_path / "e.json")
+    files.save_ensemble(path, e)  # numpy's first calls may import modules
+    _, peak = traced_peak(lambda: files.save_ensemble(path, e))
+    # np.unique's sorted copy of the weights' bits is 8 N bytes; a list of N floats would be 32 N
+    assert peak <= 16 * n, peak
 
 
 @pytest.mark.parametrize("padding", ["A===", "AA==", "AAA="])

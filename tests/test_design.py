@@ -345,6 +345,30 @@ def test_ensemble_names_first_non_unitary_element():
         UnitaryEnsemble.uniform(2, unitaries)
 
 
+@pytest.mark.parametrize("keys_per_block", [5, None], ids=["five-keys", "default"])
+@pytest.mark.parametrize("d", range(2, 8))
+def test_unitary_deviation_matches_a_per_key_product(d, keys_per_block, monkeypatch):
+    if keys_per_block is not None:  # the check holds 4 d^2 entries a key
+        monkeypatch.setattr(design, "_ROW_BLOCK", 4 * d * d * keys_per_block)
+    n = 2 * (design._ROW_BLOCK // (4 * d * d)) + 3  # three blocks, the last one short
+    rng = philox(d)
+    keys = haar_batch(d, n, rng)
+    keys += np.logspace(-12, -3, n)[:, None, None] * rng.normal(size=(n, d, d))  # near-unitary
+    got = design.unitary_deviation(keys)
+    want = [np.max(np.abs(u.conj().T @ u - np.eye(d))) for u in keys]
+    assert len(design.key_blocks(n, 4 * d * d)) == 3
+    assert np.max(np.abs(got - want)) <= 1e-15
+
+
+def test_a_key_whose_gram_overflows_is_rejected_by_index():
+    # U^dagger U holds 1e400 - 1e400 = inf - inf = NaN off the diagonal; a NaN deviation fails too
+    keys = np.array([np.eye(2)] * 3, dtype=complex)
+    keys[1] = [[1e200, 1e200], [1e200, -1e200]]
+    assert np.isnan(design.unitary_deviation(keys)[1])
+    with pytest.raises(ValueError, match=r"^ensemble element 1 is not unitary \(deviation nan\)$"):
+        UnitaryEnsemble.uniform(2, keys)
+
+
 @pytest.mark.parametrize(
     "n, per_item, want",
     [
