@@ -119,24 +119,18 @@ def write_json(obj: dict, path: str | None):
 def _weight_texts(weights: np.ndarray):
     """The text of ``json.dumps(weights.tolist())`` between its brackets, in ASCII chunks of a key
     block each, with no N-element list of floats or strings. The weights are grouped by bit
-    pattern, so -0.0 and 0.0 keep their own texts, and each distinct weight is dumped once; if no
-    two are equal, they are dumped block by block in key order, which needs no lookup. A block's
-    texts are joined by str.join, as bytes.join would hold an 80-byte buffer per item."""
+    pattern, so -0.0 and 0.0 keep their own texts, and each distinct weight is dumped once. A
+    block's texts are joined by str.join, as bytes.join would hold an 80-byte buffer per item."""
     bits = weights.view(np.int64)
     values = np.sort(bits)  # np.unique would import numpy.ma on its first call: 15 ms
     values = values[np.append(True, values[1:] != values[:-1])]  # the distinct bit patterns
-    distinct = len(values) == len(bits)
-    texts = np.empty(0 if distinct else len(values), object)  # texts[j]: values[j]'s JSON
+    texts = np.empty(len(values), object)  # texts[j]: values[j]'s JSON
     for block in key_blocks(len(texts), 4):  # no float's JSON holds ", "
         texts[block] = json.dumps(values[block].view(np.float64).tolist())[1:-1].split(", ")
     for block in key_blocks(len(bits), 4):  # about 64 bytes a weight: index, refs, str, bytes
         if block.start:
             yield b", "
-        if distinct:
-            text = json.dumps(weights[block].tolist())[1:-1]
-        else:
-            text = ", ".join(texts[np.searchsorted(values, bits[block])])
-        yield text.encode("ascii")
+        yield ", ".join(texts[np.searchsorted(values, bits[block])]).encode("ascii")
 
 
 def save_ensemble(path: str, e: UnitaryEnsemble, meta: dict | None = None):

@@ -1070,7 +1070,7 @@ def test_save_ensemble_holds_no_list_of_the_weights(tmp_path, monkeypatch, pauli
     path = str(tmp_path / "e.json")
     files.save_ensemble(path, e)  # numpy's first calls may import modules
     _, peak = traced_peak(lambda: files.save_ensemble(path, e))
-    # np.unique's sorted copy of the weights' bits is 8 N bytes; a list of N floats would be 32 N
+    # np.sort's copy of the weights' int64 bits is 8 N bytes; a list of N floats would be 32 N
     assert peak <= 16 * n, peak
 
 

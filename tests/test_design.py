@@ -360,13 +360,31 @@ def test_unitary_deviation_matches_a_per_key_product(d, keys_per_block, monkeypa
     assert np.max(np.abs(got - want)) <= 1e-15
 
 
-def test_a_key_whose_gram_overflows_is_rejected_by_index():
-    # U^dagger U holds 1e400 - 1e400 = inf - inf = NaN off the diagonal; a NaN deviation fails too
-    keys = np.array([np.eye(2)] * 3, dtype=complex)
-    keys[1] = [[1e200, 1e200], [1e200, -1e200]]
-    assert np.isnan(design.unitary_deviation(keys)[1])
-    with pytest.raises(ValueError, match=r"^ensemble element 1 is not unitary \(deviation nan\)$"):
-        UnitaryEnsemble.uniform(2, keys)
+@pytest.mark.parametrize("d, dev", [(2, "nan"), (design._KEY_LAST_MAX_D + 1, "(nan|inf)")],
+                         ids=["key-last", "blas"])
+def test_a_key_whose_gram_overflows_is_rejected_by_index(d, dev):
+    # U^dagger U holds 1e400 - 1e400 = inf - inf = NaN off the diagonal (a BLAS product may give
+    # inf); a deviation that is not <= the tolerance fails
+    keys = np.array([np.eye(d)] * 3, dtype=complex)
+    keys[1, :2, :2] = [[1e200, 1e200], [1e200, -1e200]]
+    assert re.fullmatch(dev, str(design.unitary_deviation(keys)[1]))
+    with pytest.raises(ValueError, match=rf"^ensemble element 1 is not unitary \(deviation {dev}\)$"):
+        UnitaryEnsemble.uniform(d, keys)
+
+
+def test_unitary_deviation_takes_one_blas_product_per_key_above_the_key_last_bound():
+    # a key-last pass is d broadcast multiply-adds over (d, d, b): at d = 64 it was 17x slower
+    d = design._KEY_LAST_MAX_D + 1
+    u = np.array([np.eye(d)] * 2, dtype=complex)
+    calls = []
+
+    class Stack(np.ndarray):
+        def __matmul__(self, other):
+            calls.append(self.shape)
+            return np.ndarray.__matmul__(self, other)
+
+    design.unitary_deviation(u.view(Stack))
+    assert calls == [(2, d, d)]
 
 
 @pytest.mark.parametrize(
