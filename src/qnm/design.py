@@ -22,8 +22,8 @@ to a bound certify adds. :func:`_support_deviation`, the one way into that frame
 block on the 1 + (d^2 - 1)^2 support slab by slab, with no rotated copy. Certify solves it twice, as
 it is for the trace norm and sandwiched by A for theta and the rank, and builds no Phi_d.
 
-Every per-key loop, here and in nmes, and _support_deviation's groups of slabs walk
-:func:`key_blocks`; Omega is added up over groups of d^4 keys.
+Every per-key loop here, nmes.attack_report (the attack's one walk over the keys) and
+_support_deviation's groups of slabs walk :func:`key_blocks`; Omega adds up groups of d^4 keys.
 """
 
 import math

@@ -176,16 +176,19 @@ def load_ensemble(path: str) -> tuple[UnitaryEnsemble, str]:
 
 def load_kraus_channel(path: str) -> KrausChannel:
     """Read an adversary channel stored as {"format": 1, "d": d, "kraus": [matrix...]}. Its
-    sum K^dagger K must be finite, so an overflow is reported with the file's name."""
+    sum K^dagger K must be finite and at most 1; a file that breaks either is named in the error."""
     obj, _ = read_json(path)
     try:
         d = _dimension(obj)
         ops = [pairs_to_matrix(k, f"Kraus operator {m}") for m, k in enumerate(obj["kraus"])]
         channel = KrausChannel(d=d, kraus_ops=ops)  # it checks each shape against d
-        validate_cptni(channel)
-        return channel
+        rep = validate_cptni(channel)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{path}: malformed Kraus file ({exc})") from exc
+    if not rep.is_tni:
+        defect = f"defect {rep.defect:.3e}"
+        raise ValueError(f"{path}: adversary channel is not trace non-increasing ({defect})")
+    return channel
 
 
 def load_matrix(path: str, key: str) -> np.ndarray:

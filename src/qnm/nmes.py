@@ -54,33 +54,30 @@ def effective_channel(
 ) -> KrausChannel:
     """Kraus form of the plaintext channel induced by an adversary on the ciphertext: the
     sqrt(p_k) U_k^dagger K_m U_k, key-major over the keys of nonzero weight in ``keys`` (all keys
-    by default), so the Choi operators of a partition of the keys sum to the whole one's. Per key
-    block, one GEMM gives every U_k^dagger K_m, and one batched matmul multiplies each by its U_k."""
+    by default), so the Choi operators of a partition of the keys sum to the whole one's. One GEMM
+    gives every U_k^dagger K_m and one batched matmul multiplies each by its U_k, so a call holds
+    its output and about two transients of its size; :func:`attack_report` passes one key block."""
     rep = validate_cptni(adv)
     if not rep.is_tni:
         raise ValueError(f"adversary channel is not trace non-increasing (defect {rep.defect:.3e})")
     d = scheme.d
     if adv.d != d:
         raise ValueError(f"adversary acts on dimension {adv.d}, scheme has dimension {d}")
-    w = scheme.ensemble.weights
-    kept = np.arange(*keys.indices(len(w)))[w[keys] != 0]
-    n, m = len(kept), len(adv.kraus_ops)
+    w = scheme.ensemble.weights[keys]
+    u = scheme.ensemble.unitaries[keys][w != 0]
+    n, m = len(u), len(adv.kraus_ops)
     kraus = adv.kraus_ops.transpose(1, 0, 2).reshape(d, m * d)  # [j, (m, c)] = K_m[j, c]
-    ops = np.empty((n, m, d, d), dtype=complex)
-    for block in design.key_blocks(n, m * d * d):
-        keys = kept[block]
-        b = len(keys)
-        u = scheme.ensemble.unitaries[keys]
-        udag = np.sqrt(w[keys])[:, None, None] * u.conj().transpose(0, 2, 1)
-        left = udag.reshape(b * d, d) @ kraus  # [(k, i), (m, c)]
-        prod = left.reshape(b, d * m, d) @ u  # [k, (i, m), e]
-        ops[block] = prod.reshape(b, d, m, d).transpose(0, 2, 1, 3)
-    return KrausChannel(d=d, kraus_ops=ops.reshape(n * m, d, d))
+    udag = np.sqrt(w[w != 0])[:, None, None] * u.conj().transpose(0, 2, 1)
+    left = udag.reshape(n * d, d) @ kraus  # [(k, i), (m, c)]
+    prod = left.reshape(n, d * m, d) @ u  # [k, (i, m), e]
+    ops = prod.reshape(n, d, m, d).transpose(0, 2, 1, 3).reshape(n * m, d, d)
+    return KrausChannel(d=d, kraus_ops=ops)
 
 
 def attack_report(scheme: EncryptionScheme, adv: KrausChannel) -> AttackReport:
     """Run an attack and grade how far the effective channel leaves the isotropic cone. Its Choi
-    operator is summed over :func:`design.key_blocks`, one block of Kraus products at a time."""
+    operator is summed over the :func:`design.key_blocks` of the keys, the attack's one walk over
+    them, so one block of Kraus products is held at a time."""
     d = scheme.d
     blocks = design.key_blocks(scheme.ensemble.size, len(adv.kraus_ops) * d * d)
     omega = sum(choi_of(effective_channel(scheme, adv, block)) for block in blocks)

@@ -336,6 +336,19 @@ def test_kraus_file_shape_error_names_the_file(tmp_path, capsys):
     assert f"error: {path}: malformed Kraus file (Kraus operator 0 has shape (2, 3)" in err
 
 
+def test_a_trace_increasing_kraus_file_is_named_in_its_error(tmp_path, capsys):
+    scheme, path, out = tmp_path / "c2.json", tmp_path / "big.json", tmp_path / "report.json"
+    run(["gen", "clifford", "--p", "2", "-o", str(scheme)])
+    kraus = [files.matrix_to_pairs(1.1 * np.eye(2))]
+    path.write_text(json.dumps({"format": 1, "d": 2, "kraus": kraus}))
+    capsys.readouterr()
+    assert run(["attack", "--scheme", str(scheme), "--adv", str(path), "-o", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    want = f"error: {path}: adversary channel is not trace non-increasing (defect 2.100e-01)\n"
+    assert captured.err == want
+
+
 @pytest.mark.parametrize(
     "adv", ["{path}", "replace:{path}", "unitary:{path}"], ids=["kraus", "replace", "unitary"]
 )

@@ -408,7 +408,7 @@ def test_key_blocks_cover_range_n_in_order_with_at_most_a_block_of_entries(
 
 def test_non_unitary_key_in_a_later_block_is_named_by_its_global_index(monkeypatch):
     unitaries = np.array([np.eye(2)] * 8, dtype=complex)
-    unitaries[5] *= 2  # the third block of two keys
+    unitaries[5] *= 2  # the sixth block: a key holds 4 d^2 = 16 entries, so _ROW_BLOCK = 8 fits one
     unitaries[7] *= 3
     with pytest.raises(ValueError) as whole:
         UnitaryEnsemble.uniform(2, unitaries)

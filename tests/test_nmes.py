@@ -290,6 +290,22 @@ def test_effective_channel_over_a_key_partition_is_the_whole_call(monkeypatch, n
     assert np.array_equal(effective_channel(scheme, adversary).kraus_ops, whole)
 
 
+def test_attack_report_is_the_one_walk_over_the_key_blocks(monkeypatch):
+    scheme, adversary = _edge_weighted_scheme(monkeypatch, 9)
+    walks = []
+    key_blocks = design.key_blocks
+    monkeypatch.setattr(design, "key_blocks", lambda *args: walks.append(args) or key_blocks(*args))
+    attack_report(scheme, adversary)
+    assert walks == [(12, 9 * 9)]  # three blocks, and effective_channel walks none of its own
+
+
+def test_attack_report_rejects_a_trace_increasing_adversary(clifford_scheme):
+    adversary = KrausChannel(d=2, kraus_ops=[1.1 * np.eye(2)])
+    want = r"^adversary channel is not trace non-increasing \(defect 2\.100e-01\)$"
+    with pytest.raises(ValueError, match=want):
+        attack_report(clifford_scheme, adversary)
+
+
 def test_attack_report_holds_one_key_block_of_kraus_products(clifford5):
     scheme = EncryptionScheme(clifford5)
     adversary = random_cptni_channel(5, philox(25), num_kraus=25)
