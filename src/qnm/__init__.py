@@ -11,7 +11,6 @@ import sys
 
 from .channels import (
     KrausChannel,
-    channel_from_choi,
     choi_of,
     constant_channel,
     random_cptni_channel,

@@ -4,9 +4,8 @@ A channel Lambda with Kraus operators {K_m} acts as rho -> sum_m K_m rho
 K_m^dagger. Its Choi operator is omega = (Lambda (x) id) Phi_d (trace at
 most 1, exactly 1 for trace-preserving channels), and the channel is
 recovered through Lambda(rho) = d tr_2((1 (x) rho^T) omega), with the
-transpose taken in the computational basis. :func:`channel_from_choi` is the
-one way from a PSD operator to Kraus operators: the replacement attack
-rho -> eta tr(rho) is the channel whose Choi operator is eta (x) tau.
+transpose taken in the computational basis. The replacement attack
+rho -> eta tr(rho) takes its Kraus operators from eta's eigenvalues and eigenvectors.
 """
 
 from dataclasses import dataclass
@@ -15,8 +14,8 @@ import numpy as np
 
 from .linalg import HERM_TOL, gram_choi, hermitian_defect
 
-CPTNI_TOL = 1e-10  # for sum K^dagger K - 1 (TP, TNI), Choi negativity and a state's trace
-KRAUS_CUTOFF = 1e-12  # eigenvalues of d * omega at or below it give no Kraus operator
+CPTNI_TOL = 1e-10  # for sum K^dagger K - 1 (TP, TNI) and a state's trace and negativity
+KRAUS_CUTOFF = 1e-12  # eigenvalues of a replacement state eta at or below it give no Kraus operator
 
 
 @dataclass
@@ -88,7 +87,12 @@ def unitary_channel(u: np.ndarray) -> KrausChannel:
 
 
 def constant_channel(eta0: np.ndarray) -> KrausChannel:
-    """The replacement attack rho -> eta0 * tr(rho): the channel with Choi operator eta0 (x) tau."""
+    """The replacement attack rho -> eta0 tr(rho), whose Choi operator is eta0 (x) tau.
+
+    eta0 must be finite and square, of trace 1 and PSD within ``CPTNI_TOL`` and Hermitian within
+    ``HERM_TOL``. Its eigenpairs (lambda_i, psi_i) with lambda_i > ``KRAUS_CUTOFF``, ascending,
+    give the Kraus operators sqrt(lambda_i) |psi_i><j|, i-major: rank(eta0) * d of them.
+    """
     eta0 = np.asarray(eta0, dtype=complex)
     if eta0.ndim != 2 or len(eta0) != eta0.shape[1]:
         raise ValueError(f"replacement state eta0 must be a square matrix, got shape {eta0.shape}")
@@ -96,10 +100,13 @@ def constant_channel(eta0: np.ndarray) -> KrausChannel:
         raise ValueError("replacement state must be finite")
     if not abs(np.trace(eta0) - 1) <= CPTNI_TOL:
         raise ValueError(f"replacement state has trace {complex(np.trace(eta0)):.6g}, not 1")
-    try:  # eta0 (x) tau is Hermitian and PSD exactly when eta0 is
-        return channel_from_choi(np.kron(eta0, np.eye(len(eta0)) / len(eta0)))
-    except ValueError as exc:
-        raise ValueError(f"replacement state must be Hermitian and PSD ({exc})") from None
+    vals, vecs = np.linalg.eigh(eta0)  # reads the lower triangle only: the defect covers the rest
+    if not (hermitian_defect(eta0) <= HERM_TOL and vals[0] >= -CPTNI_TOL):
+        raise ValueError("replacement state must be Hermitian and PSD (Hermiticity defect "
+                         f"{hermitian_defect(eta0):.3e}, min eigenvalue {vals[0]:.3e})")
+    keep, d = vals > KRAUS_CUTOFF, len(eta0)
+    ops = np.einsum("ai,jb->ijab", np.sqrt(vals[keep]) * vecs[:, keep], np.eye(d))
+    return KrausChannel(d=d, kraus_ops=ops.reshape(-1, d, d))
 
 
 def choi_of(ch: KrausChannel) -> np.ndarray:
@@ -110,30 +117,6 @@ def choi_of(ch: KrausChannel) -> np.ndarray:
     on the second.
     """
     return gram_choi(ch.kraus_ops.reshape(-1, ch.d * ch.d), ch.d)
-
-
-def channel_from_choi(omega: np.ndarray) -> KrausChannel:
-    """Kraus representation recovered from a Choi operator.
-
-    Eigendecomposes d * omega and keeps modes with eigenvalue above ``KRAUS_CUTOFF``; the result
-    reproduces d tr_2((1 (x) rho^T) omega) on any input. Raises ValueError if omega is not
-    Hermitian within ``linalg.HERM_TOL`` or has an eigenvalue of d * omega below -``CPTNI_TOL``.
-    """
-    omega = np.asarray(omega, dtype=complex)
-    dd = omega.shape[0]
-    d = int(round(np.sqrt(dd)))
-    if omega.shape != (dd, dd) or d * d != dd:
-        raise ValueError(f"Choi operator must be d^2 x d^2, got shape {omega.shape}")
-    if not np.all(np.isfinite(omega)):
-        raise ValueError("Choi operator must be finite")
-    if not hermitian_defect(omega) <= HERM_TOL:
-        raise ValueError("Choi operator must be Hermitian")
-    vals, vecs = np.linalg.eigh(omega * d)
-    if vals[0] < -CPTNI_TOL:
-        raise ValueError(f"Choi operator is not PSD (min eigenvalue {vals[0]:.3e})")
-    keep = vals > KRAUS_CUTOFF
-    ops = (np.sqrt(vals[keep]) * vecs[:, keep]).T.reshape(-1, d, d)
-    return KrausChannel(d=d, kraus_ops=ops)
 
 
 def random_cptni_channel(

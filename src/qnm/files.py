@@ -140,9 +140,7 @@ def save_ensemble(path: str, e: UnitaryEnsemble, meta: dict | None = None):
     The text around the weights and keys is dumped with empty placeholders in their place. Only
     numbers come before them, so the first '"weights": [], "unitaries": ""' is the placeholders,
     even if ``meta`` holds that text. The weights come from :func:`_weight_texts`; the keys' base64
-    is encoded chunk by chunk, each a whole number of 3-byte groups. The bytes are unchanged from
-    those of one ``json.dumps`` of the whole object, which took 30 ms for the 21 826-key d = 3
-    sampled ensemble in a fresh process; this takes 11 ms (2-vCPU machine, medians of 7).
+    is encoded chunk by chunk, each a whole number of 3-byte groups.
     """
     obj = {"format": ENSEMBLE_FORMAT_VERSION, "d": int(e.d), "weights": [], "unitaries": ""}
     if meta:

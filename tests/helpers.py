@@ -10,8 +10,9 @@ import tracemalloc
 
 import numpy as np
 
+from qnm.channels import CPTNI_TOL, KRAUS_CUTOFF, KrausChannel
 from qnm.construct import _KEY_DECIMALS, _PHASE_PICK_TOL, _clifford_generators, weyl
-from qnm.linalg import gram_choi
+from qnm.linalg import HERM_TOL, gram_choi, hermitian_defect
 
 
 def philox(seed: int) -> np.random.Generator:
@@ -82,6 +83,30 @@ def choi_inverse_action(omega: np.ndarray, rho: np.ndarray) -> np.ndarray:
     """
     d = len(rho)
     return d * np.einsum("icja,ca->ij", np.asarray(omega).reshape(d, d, d, d), rho)
+
+
+def channel_from_choi(omega: np.ndarray) -> KrausChannel:
+    """Kraus representation recovered from a Choi operator.
+
+    Eigendecomposes d * omega and keeps modes with eigenvalue above ``KRAUS_CUTOFF``; the result
+    reproduces d tr_2((1 (x) rho^T) omega) on any input. Raises ValueError if omega is not
+    Hermitian within ``linalg.HERM_TOL`` or has an eigenvalue of d * omega below -``CPTNI_TOL``.
+    """
+    omega = np.asarray(omega, dtype=complex)
+    dd = omega.shape[0]
+    d = int(round(np.sqrt(dd)))
+    if omega.shape != (dd, dd) or d * d != dd:
+        raise ValueError(f"Choi operator must be d^2 x d^2, got shape {omega.shape}")
+    if not np.all(np.isfinite(omega)):
+        raise ValueError("Choi operator must be finite")
+    if not hermitian_defect(omega) <= HERM_TOL:
+        raise ValueError("Choi operator must be Hermitian")
+    vals, vecs = np.linalg.eigh(omega * d)
+    if vals[0] < -CPTNI_TOL:
+        raise ValueError(f"Choi operator is not PSD (min eigenvalue {vals[0]:.3e})")
+    keep = vals > KRAUS_CUTOFF
+    ops = (np.sqrt(vals[keep]) * vecs[:, keep]).T.reshape(-1, d, d)
+    return KrausChannel(d=d, kraus_ops=ops)
 
 
 def random_density(d: int, rng: np.random.Generator, rank: int | None = None) -> np.ndarray:

@@ -16,7 +16,6 @@ from qnm import (
     attack_report,
     certify_design,
     choi_of,
-    channel_from_choi,
     clifford_prime,
     constant_channel,
     effective_channel,
@@ -34,7 +33,7 @@ from qnm import (
 )
 from qnm.construct import SamplerConfig, sample_design
 
-from helpers import apply_channel, choi_inverse_action, philox, random_density
+from helpers import apply_channel, channel_from_choi, choi_inverse_action, philox, random_density
 
 
 def _report(criterion: int, ok: bool, detail: str):

@@ -6,7 +6,6 @@ import pytest
 
 from qnm import (
     KrausChannel,
-    channel_from_choi,
     choi_of,
     constant_channel,
     random_cptni_channel,
@@ -14,8 +13,17 @@ from qnm import (
     validate_cptni,
     weyl,
 )
+from qnm.channels import KRAUS_CUTOFF
+from qnm.linalg import HERM_TOL
 
-from helpers import apply_channel, choi_inverse_action, max_entangled, philox, random_density
+from helpers import (
+    apply_channel,
+    channel_from_choi,
+    choi_inverse_action,
+    max_entangled,
+    philox,
+    random_density,
+)
 
 
 def test_apply_identity():
@@ -238,6 +246,50 @@ def test_constant_channel_rejects_non_finite_state():
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError, match="replacement state must be finite"):
             constant_channel(np.diag([bad, 0.0]))
+
+
+def _skewed_tau(d: int, defect: float) -> np.ndarray:
+    """tau with ``defect`` added to one entry above the diagonal: that much Hermiticity defect."""
+    eta = np.eye(d, dtype=complex) / d
+    eta[0, 1] += defect
+    return eta
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 7])
+def test_constant_channel_checks_hermiticity_on_the_state_itself(d):
+    # the bound is HERM_TOL on eta, not on eta (x) tau, whose entries are eta's divided by d
+    with pytest.raises(ValueError, match=r"^replacement state must be Hermitian and PSD \("):
+        constant_channel(_skewed_tau(d, 2 * HERM_TOL))
+    assert len(constant_channel(_skewed_tau(d, 0.5 * HERM_TOL)).kraus_ops) == d * d
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7])
+def test_constant_channel_kraus_operators_come_from_the_state_eigenpairs(d):
+    for eta in [np.eye(d) / d] + [np.diag(np.eye(d)[j]) for j in range(d)]:
+        vals, vecs = np.linalg.eigh(eta)
+        want = [np.sqrt(lam) * np.outer(vecs[:, i], np.eye(d)[j])
+                for i, lam in enumerate(vals) if lam > KRAUS_CUTOFF for j in range(d)]
+        got = constant_channel(eta).kraus_ops
+        assert len(got) == np.linalg.matrix_rank(eta) * d
+        assert np.max(np.abs(got - np.array(want))) <= 1e-15
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7])
+def test_constant_channel_choi_operator_is_eta_tensor_tau(d, monkeypatch):
+    shapes = []
+    eigh = np.linalg.eigh
+
+    def recording_eigh(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+    rng = philox(60 + d)
+    for rank in range(1, d + 1):
+        eta = random_density(d, rng, rank)
+        got = choi_of(constant_channel(eta))
+        assert np.max(np.abs(got - np.kron(eta, np.eye(d) / d))) <= 1e-15
+    assert shapes == [(d, d)] * d  # one eigh of the state per channel, none of d^2 x d^2
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, np.nan)])

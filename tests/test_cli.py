@@ -286,6 +286,21 @@ def test_attack_rejects_a_replacement_that_is_not_a_state(tmp_path, capsys, stat
     assert captured.out == "" and f"error: {error.format(path=path)}" in captured.err
 
 
+def test_attack_bounds_a_replacement_state_hermiticity_by_its_own_entries(tmp_path, capsys):
+    # a defect of 2e-10 in eta is 4e-11 in eta (x) tau at d = 5, but the 1e-10 bound is eta's
+    scheme = tmp_path / "p5.json"
+    run(["gen", "pauli", "--p", "5", "-o", str(scheme)])
+    path = tmp_path / "state.json"
+    eta = np.eye(5, dtype=complex) / 5
+    eta[0, 1] += 2e-10
+    path.write_text(json.dumps({"format": 1, "d": 5, "state": files.matrix_to_pairs(eta)}))
+    capsys.readouterr()
+    assert run(["attack", "--scheme", str(scheme), "--adv", f"replace:{path}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {path}: replacement state must be Hermitian and PSD (")
+
+
 @pytest.mark.parametrize("prefix, key", [("replace", "state"), ("unitary", "matrix")])
 @pytest.mark.parametrize(
     "d, m", [(2, np.ones((2, 3)) / 2), (3, np.eye(2))], ids=["non-square", "mismatched-d"]
