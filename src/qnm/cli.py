@@ -82,12 +82,15 @@ def _parse_adversary(selector: str, d: int):
     elif selector.startswith("unitary:"):
         path, key, make = selector.split(":", 1)[1], "matrix", unitary_channel
     else:
-        return files.load_kraus_channel(selector)
-    m = files.load_matrix(path, key)
+        path, key, make = selector, None, None
+    m = files.load_kraus_channel(path) if make is None else files.load_matrix(path, key)
     try:
-        return make(m)
+        adv = m if make is None else make(m)
     except ValueError as exc:  # the matrix's content: name its file, as every input error does
         raise ValueError(f"{path}: {exc}") from None
+    if adv.d != d:
+        raise ValueError(f"{path}: adversary acts on dimension {adv.d}, scheme has dimension {d}")
+    return adv
 
 
 def cmd_attack(args) -> int:

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -331,11 +332,13 @@ def test_an_adversary_of_another_dimension_is_a_usage_error(tmp_path, capsys, ad
     paths["state"].write_text(json.dumps({"format": 1, "d": 3, "state": tau3}))
     out = tmp_path / "report.json"
     capsys.readouterr()
-    argv = ["attack", "--scheme", str(scheme), "--adv", adv.format(**paths), "-o", str(out)]
+    selector = adv.format(**paths)
+    argv = ["attack", "--scheme", str(scheme), "--adv", selector, "-o", str(out)]
     assert run(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: adversary acts on dimension 3, scheme has dimension 2\n"
+    path = selector.split(":", 1)[-1]
+    assert captured.err == f"error: {path}: adversary acts on dimension 3, scheme has dimension 2\n"
     assert not out.exists()
 
 
@@ -811,7 +814,8 @@ _OVERFLOWS = {  # (adversary file and its selector, or an ensemble file's fields
 @pytest.mark.parametrize("case", _OVERFLOWS)
 def test_an_input_that_overflows_a_check_is_a_usage_error_naming_its_file(tmp_path, capsys,
                                                                            clifford2, case):
-    # pytest turns numpy's RuntimeWarning into an error, so each check must run under np.errstate
+    # every warning is an error here (pyproject's filter covers only RuntimeWarning and
+    # DeprecationWarning), so each check must run under np.errstate
     obj, selector, error = _OVERFLOWS[case]
     path, scheme = tmp_path / "huge.json", tmp_path / "c2.json"
     files.save_ensemble(str(scheme), clifford2)
@@ -823,7 +827,9 @@ def test_an_input_that_overflows_a_check_is_a_usage_error_naming_its_file(tmp_pa
         argvs = [["attack", "--scheme", str(scheme), "--adv", selector.format(path=path)]]
     capsys.readouterr()
     for argv in argvs:
-        assert run(argv) == 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {path}: {error}\n"
@@ -993,6 +999,22 @@ def test_streamed_ensemble_file_is_the_json_dumps_text(tmp_path, meta):
     files.save_ensemble(str(path), e, meta)
     assert path.read_bytes() == (json.dumps(ensemble_dict(e, meta)) + "\n").encode()
     assert files.load_ensemble(str(path))[0].unitaries.tobytes() == e.unitaries.tobytes()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    ["clifford --p 5", "sampled --from clifford --d 3 --n 21826 --seed 0",
+     "sampled --from haar --d 5 --n 2623"],  # 1 049 200 key bytes, not a multiple of 3
+    ids=["clifford5", "sampled3-21826", "haar5-several-chunks"],
+)
+def test_gen_file_is_the_json_dumps_text_at_scale(tmp_path, argv):
+    # at the default key block the keys' base64 is written and read in several chunks, and the
+    # weights in several blocks of one JSON text per distinct weight
+    path = tmp_path / "e.json"
+    assert run(["gen", *argv.split(), "-o", str(path)]) == 0
+    e, _ = files.load_ensemble(str(path))
+    meta = json.loads(path.read_text())["meta"]
+    assert path.read_bytes() == (json.dumps(ensemble_dict(e, meta)) + "\n").encode()
 
 
 def _write_format2(path, e, **fields):

@@ -84,9 +84,9 @@ def test_clifford_normalizes_weyl_operators(p):
             assert np.any(np.abs(overlaps - p) <= 1e-8), "conjugated shift left the Weyl group"
 
 
-@pytest.mark.parametrize("p", [2, 3])
-def test_clifford_certifies_as_two_design(p):
-    report = certify_design(clifford_prime(p), tol=1e-9)
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_clifford_certifies_as_two_design(p, request):
+    report = certify_design(request.getfixturevalue(f"clifford{p}"), tol=1e-9)
     assert report.passes_two_design
     assert report.passes_multiplicative
 

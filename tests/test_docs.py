@@ -1,9 +1,10 @@
-"""The README's examples run against the library and print what they say, and every public
-name has a user outside the package's own exports."""
+"""The README's examples and the workflow's console-script smoke run against the library and do
+what they say, and every public name has a user outside the package's own exports."""
 
 import contextlib
 import inspect
 import io
+import itertools
 import json
 import re
 import shlex
@@ -14,6 +15,7 @@ from qnm import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
+WORKFLOW = ROOT / ".github" / "workflows" / "tests.yml"
 
 
 def test_readme_library_example_prints_the_stated_coordinates():
@@ -53,6 +55,31 @@ def test_readme_cli_block_has_the_stated_outcomes(tmp_path, monkeypatch, capsys)
     assert abs(report["two_design_trace_dist"] - 14 / 9) <= 1e-12
     code, report = outcomes["attack --scheme c2.json --adv weyl:1,0"]
     assert code == 0 and report["malleability_residual"] <= 1e-12
+
+
+def test_workflow_smoke_is_qnm_calls_with_the_stated_exit_codes(tmp_path, monkeypatch, capsys):
+    # a check is a tier-1 case, never a workflow line: the installed-script step may hold only
+    # its setup, comments and qnm calls, each with the exit code it expects
+    lines = WORKFLOW.read_text().splitlines()
+    step = lines.index("      - name: Installed qnm console script")
+    run = next(i for i in itertools.count(step) if lines[i].strip() == "run: |")
+    indent = len(lines[run]) - len(lines[run].lstrip())
+    block = itertools.takewhile(lambda line: not line.strip() or line[: indent + 1].isspace(),
+                                lines[run + 1 :])
+    monkeypatch.chdir(tmp_path)
+    codes = []
+    for line in filter(None, (line.strip() for line in block)):
+        if line.startswith("#") or line in ("python -m pip install .", 'cd "$RUNNER_TEMP"'):
+            continue
+        coded = re.fullmatch(r'rc=0; qnm ([^|;>]+) \|\| rc=\$\?; test "\$rc" -eq (\d)', line)
+        plain = re.fullmatch(r"qnm ([^|;>]+?)(?: > /dev/null)?", line)
+        assert coded or plain, f"not a qnm call: {line}"
+        args, want = (coded[1], int(coded[2])) if coded else (plain[1], 0)
+        assert cli.main(shlex.split(args)) == want, line
+        out = capsys.readouterr().out  # nothing, or a one-line report
+        assert out == "" or (out.count("\n") == 1 and isinstance(json.loads(out), dict)), line
+        codes.append(want)
+    assert sorted(set(codes)) == [0, 1, 2, 3]
 
 
 def test_every_public_name_has_a_user():

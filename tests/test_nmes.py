@@ -95,13 +95,28 @@ def test_effective_channel_preserves_choi_trace(clifford_scheme):
     assert abs(t_in - t_out) <= 1e-12
 
 
-@pytest.mark.parametrize("d", [2, 3])
-def test_attack_on_two_design_stays_isotropic(d, clifford2, clifford3):
-    scheme = EncryptionScheme(clifford2 if d == 2 else clifford3)
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_attack_on_two_design_stays_isotropic(d, request):
+    # the twirl over a 2-design leaves alpha = sum |tr K_m|^2 / d^2 and
+    # beta = (sum tr K_m^dagger K_m / d - alpha) / (d^2 - 1); clifford5's 3000 keys fill 29 key
+    # blocks of replace:tau's d^2 Kraus operators
+    scheme = EncryptionScheme(request.getfixturevalue(f"clifford{d}"))
     rng = philox(75 + d)
-    for _ in range(5):
-        report = attack_report(scheme, random_cptni_channel(d, rng))
-        assert report.malleability_residual <= 1e-9
+    adversaries = [random_cptni_channel(d, rng) for _ in range(5)] + [
+        random_cptni_channel(d, rng, num_kraus=d * d),
+        constant_channel(np.eye(d) / d),  # replace:tau: alpha = beta = 1/d^2
+        constant_channel(np.diag(np.eye(d)[0])),  # replace:0
+        constant_channel(random_density(d, rng, rank=2)),
+        unitary_channel(weyl(d, 1, 2)),  # traceless: alpha = 0, beta = 1/(d^2 - 1)
+    ]
+    for adversary in adversaries:
+        ops = adversary.kraus_ops
+        alpha = sum(abs(np.trace(k)) ** 2 for k in ops) / d**2
+        beta = (np.vdot(ops, ops).real / d - alpha) / (d * d - 1)
+        report = attack_report(scheme, adversary)
+        got = report.decomposition
+        assert max(abs(got.alpha - alpha), abs(got.beta - beta)) <= 1e-12, (got, alpha, beta)
+        assert report.malleability_residual <= 1e-10
         assert report.diamond_upper_bound == d * report.malleability_residual
 
 

@@ -149,9 +149,10 @@ def test_pauli_ensemble_is_perfect_one_design(p, n):
 def test_pauli_ensemble_is_not_a_two_design(p, n):
     e = pauli_ensemble(p, n)
     report = certify_design(e)
-    assert report.two_design_trace_dist > 0.1
+    assert report.two_design_trace_dist > 0.1 and not report.passes_two_design
     d = p**n
     assert num_rank(ensemble_choi(e)) == d * d
+    assert (report.n, report.omega_rank, report.passes_one_design) == (d * d, d * d, True)
     assert d * d < (d * d - 1) ** 2 + 1
 
 
