@@ -987,34 +987,27 @@ def test_format2_round_trip_is_bit_exact_and_writable(tmp_path):
     assert again.read_bytes() == path.read_bytes()
 
 
+_SAMPLED3 = construct.SamplerConfig(3, 21826, 0, "clifford")  # the benchmark's sampled3 file
+_HAAR5 = construct.SamplerConfig(5, 2623, 0, "haar")  # 1 049 200 key bytes, not a multiple of 3
+
+
 @pytest.mark.parametrize(
-    "meta",
-    [None, {}, {"note": "edge"}, {"unitaries": "", "weights": [1.0]}, {"x": {"unitaries": ""}},
-     {"s": '"unitaries": ""', "\u00e9": "\u2603"}],
-    ids=["none", "empty", "note", "own-unitaries", "nested-unitaries", "quoted-and-non-ascii"],
+    "cfg, meta",
+    [(None, None), (None, {}), (None, {"note": "edge"}), (None, {"unitaries": "", "weights": [1.0]}),
+     (None, {"x": {"unitaries": ""}}), (None, {"s": '"unitaries": ""', "\u00e9": "\u2603"}),
+     (_SAMPLED3, {"source": "clifford", "seed": 0, "n": 21826}),
+     (_HAAR5, {"source": "haar", "seed": 0, "n": 2623})],
+    ids=["none", "empty", "note", "own-unitaries", "nested-unitaries", "quoted-and-non-ascii",
+         "sampled3-21826", "haar5-several-chunks"],
 )
-def test_streamed_ensemble_file_is_the_json_dumps_text(tmp_path, meta):
-    e = _edge_ensemble()
+def test_streamed_ensemble_file_is_the_json_dumps_text(tmp_path, cfg, meta):
+    # a sampled ensemble's keys are written and read as base64 in several chunks, and its
+    # weights in several blocks of one JSON text per distinct weight
+    e = _edge_ensemble() if cfg is None else construct.sample_design(cfg)
     path = tmp_path / "e.json"
     files.save_ensemble(str(path), e, meta)
     assert path.read_bytes() == (json.dumps(ensemble_dict(e, meta)) + "\n").encode()
     assert files.load_ensemble(str(path))[0].unitaries.tobytes() == e.unitaries.tobytes()
-
-
-@pytest.mark.parametrize(
-    "argv",
-    ["clifford --p 5", "sampled --from clifford --d 3 --n 21826 --seed 0",
-     "sampled --from haar --d 5 --n 2623"],  # 1 049 200 key bytes, not a multiple of 3
-    ids=["clifford5", "sampled3-21826", "haar5-several-chunks"],
-)
-def test_gen_file_is_the_json_dumps_text_at_scale(tmp_path, argv):
-    # at the default key block the keys' base64 is written and read in several chunks, and the
-    # weights in several blocks of one JSON text per distinct weight
-    path = tmp_path / "e.json"
-    assert run(["gen", *argv.split(), "-o", str(path)]) == 0
-    e, _ = files.load_ensemble(str(path))
-    meta = json.loads(path.read_text())["meta"]
-    assert path.read_bytes() == (json.dumps(ensemble_dict(e, meta)) + "\n").encode()
 
 
 def _write_format2(path, e, **fields):

@@ -155,10 +155,13 @@ def test_sample_design_haar_source():
 
 
 def test_sampled_clifford_reaches_quarter_theta():
-    e = sample_design(SamplerConfig(d=2, n_samples=2000, seed=7, source="clifford"))
-    report = certify_design(e)
-    assert report.multiplicative_theta is not None
-    assert report.multiplicative_theta <= 0.25
+    # certify merges the 20 000 d = 3 draws into one weighted key per group element
+    for d, n, seed, distinct in ((2, 2000, 7, 24), (3, 20000, 1, 216)):
+        e = sample_design(SamplerConfig(d=d, n_samples=n, seed=seed, source="clifford"))
+        report = certify_design(e)
+        assert (report.n, report.distinct_keys) == (n, distinct)
+        assert report.multiplicative_theta is not None
+        assert report.multiplicative_theta <= 0.25
 
 
 def test_sampler_config_validation():
