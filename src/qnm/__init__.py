@@ -35,12 +35,10 @@ from .design import (
     ensemble_entropy,
     entropy_bound,
     frame_potential,
-    ideal_choi,
     iso_project,
-    multiplicative_theta,
     one_design_distance,
     rank_bound,
 )
-from .linalg import herm_eig, num_rank, trace_norm
+from .linalg import trace_norm
 from .nmes import AttackReport, EncryptionScheme, attack_report, effective_channel
 sys.modules[f"{__name__}.weyl"] = sys.modules[f"{__name__}.construct"]  # weyl's former module path

@@ -60,6 +60,13 @@ def cmd_certify(args) -> int:
     return EXIT_OK
 
 
+def _selector_int(text: str, form: str, field: str) -> int:
+    try:
+        return int(text)
+    except ValueError:  # more digits than int() converts (sys.get_int_max_str_digits): no echo
+        raise ValueError(f"{form}: {field} has {len(text.lstrip('+-'))} digits, too many") from None
+
+
 def _parse_adversary(selector: str, d: int):
     integer = r"[+-]?[0-9]+"  # ASCII only: int() would also read "\u0661", " 1 " and "1_0"
     if selector == "identity":
@@ -69,16 +76,17 @@ def _parse_adversary(selector: str, d: int):
         if arg == "tau":
             return constant_channel(np.eye(d) / d)
         if re.fullmatch(integer, arg):
-            j = int(arg)
+            j = _selector_int(arg, "replace:<j>", "j")
             if not 0 <= j < d:
                 raise ValueError(f"replacement basis state {j} out of range 0..{d - 1}")
             return constant_channel(np.diag(np.eye(d)[j]))
         path, key, make = arg, "state", constant_channel
     elif selector.startswith("weyl:"):
-        ab = re.fullmatch(f"weyl:({integer}),({integer})", selector)
+        ab = re.fullmatch(f"weyl:(?P<a>{integer}),(?P<b>{integer})", selector)
         if not ab:
             raise ValueError(f"weyl adversary needs 'weyl:<a>,<b>', got {selector!r}")
-        return unitary_channel(construct.weyl(d, int(ab[1]), int(ab[2])))
+        a, b = (_selector_int(ab[field], "weyl:<a>,<b>", field) for field in "ab")
+        return unitary_channel(construct.weyl(d, a, b))
     elif selector.startswith("unitary:"):
         path, key, make = selector.split(":", 1)[1], "matrix", unitary_channel
     else:

@@ -10,7 +10,6 @@ import time
 
 import numpy as np
 
-import qnm
 from qnm import (
     EncryptionScheme,
     attack_report,
@@ -23,8 +22,6 @@ from qnm import (
     ensemble_entropy,
     entropy_bound,
     frame_potential,
-    multiplicative_theta,
-    num_rank,
     pauli_ensemble,
     random_cptni_channel,
     trace_norm,
@@ -32,6 +29,8 @@ from qnm import (
     weyl,
 )
 from qnm.construct import SamplerConfig, sample_design
+from qnm.design import ideal_choi, multiplicative_theta
+from qnm.linalg import num_rank
 
 from helpers import apply_channel, channel_from_choi, choi_inverse_action, philox, random_density
 
@@ -49,7 +48,7 @@ def test_criterion_01_exact_clifford_designs():
     for p in (2, 3, 5):
         start = time.perf_counter()
         e = clifford_prime(p)
-        dist = trace_norm(ensemble_choi(e) - qnm.ideal_choi(p))
+        dist = trace_norm(ensemble_choi(e) - ideal_choi(p))
         elapsed = time.perf_counter() - start
         good = e.size == p**5 - p**3 and dist <= tols[p] and elapsed <= budgets[p]
         ok = ok and good

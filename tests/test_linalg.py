@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from qnm import design, herm_eig, ideal_choi, num_rank
-from qnm import trace_norm
-from qnm.linalg import HERM_TOL, RANK_TOL, check_tol, gram_choi, hermitian_defect
+from qnm import design, trace_norm
+from qnm.design import ideal_choi
+from qnm.linalg import HERM_TOL, RANK_TOL, check_tol, gram_choi, herm_eig, hermitian_defect
+from qnm.linalg import num_rank
 
 from helpers import max_entangled, philox
 

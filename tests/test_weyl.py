@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 import qnm
-from qnm import certify_design, num_rank, one_design_distance, pauli_ensemble, weyl
+from qnm import certify_design, one_design_distance, pauli_ensemble, weyl
 from qnm.construct import is_prime
 from qnm.design import ensemble_choi
+from qnm.linalg import num_rank
 
 from helpers import loop_pauli_unitaries
 
