@@ -757,11 +757,32 @@ class Absent(str):
     """A usage-error check: stderr does not hold this text."""
 
 
-def _row(name, *commands, **inputs):
-    """One usage-error row, named for the test it replaced: each command is (argv, *checks), where
-    a plain str check is text stderr holds, and ``inputs`` are the files written first. argv is
-    split at spaces unless it is a list; ``{name}`` in argv and checks is that file's path."""
-    return pytest.param(inputs, commands, id=name)
+@pytest.fixture
+def usage_error(tmp_path, capsys):
+    """The one usage-error check: ``usage_error(*commands, **inputs)`` writes ``inputs`` as files,
+    then runs each command, (argv, *checks). Each exits 2, prints nothing to stdout, writes no
+    output file and leaves stderr as its checks say; a plain str check is text stderr holds. argv
+    is split at spaces unless it is a list; ``{name}`` in argv and checks is that file's path, and
+    c2.json holds what gen clifford --p 2 writes unless ``inputs`` gives its own."""
+
+    def check(*commands, **inputs):
+        paths = {name: str(tmp_path / f"{name}.json") for name in ("c2", "out", "missing", *inputs)}
+        for name, content in {"c2": _C2_FILE, **inputs}.items():
+            text = content if isinstance(content, (str, bytes)) else json.dumps(content)
+            text = text if isinstance(text, bytes) else text.encode()
+            (tmp_path / f"{name}.json").write_bytes(text)
+        for argv, *checks in commands:
+            argv = argv.split() if isinstance(argv, str) else argv
+            assert run([arg.format(**paths) for arg in argv]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and not os.path.exists(paths["out"])
+            for c in checks:
+                want = c.format(**paths)
+                holds = {str: want in captured.err, Whole: captured.err == want,
+                         Prefix: captured.err.startswith(want), Absent: want not in captured.err}
+                assert holds[type(c)], (c, captured.err)
+
+    return check
 
 
 def _set(a, index, value):
@@ -790,222 +811,289 @@ _P21_BYTES = _P21.unitaries.astype("<c16").tobytes()
 _DEEP = "[" * 100_000 + "]" * 100_000
 _HALF = np.eye(2) / np.sqrt(2)
 _UNNORMALIZED = _set(_C2.weights, 0, 0.0)
-_C2_SPOILED = [  # (id, the fields that replace c2's, the error)
-    ("scaled-key", {"unitaries": _keys(*_set(_C2.unitaries, 3, 1.001 * _C2.unitaries[3]))},
-     "ensemble element 3 is not unitary (deviation 2.001e-03)"),
-    ("negative-weight", {"weights": _set(_C2.weights, 0, -0.1).tolist()},
-     "weights must be nonnegative"),
-    ("nested-weights", {"weights": [[w] for w in _C2.weights.tolist()]},
-     "weights must be a list of numbers"),
-    ("number-weights", {"weights": 1.0}, "weights must be a list of numbers"),
-]
 
-USAGE_ERRORS = [
-    _row("test_gen_sampled_rejects_negative_seed",
-         ("gen sampled --d 2 --n 5 --seed -1 -o {out}", "seed must be >= 0, got -1")),
-    _row("test_gen_requires_params", ("gen clifford -o {out}",), ("gen sampled --d 2 -o {out}",)),
-    *(_row(f"test_gen_rejects_an_option_its_kind_does_not_read[{name}]",
-           (f"gen {argv} -o {{out}}", Prefix(f"usage: qnm gen {argv.split()[0]} "),
-            f"error: unrecognized arguments: {' '.join(argv.split()[-2:])}\n"))
-      for name, argv in [("pauli", "pauli --p 3 --d 9"), ("clifford", "clifford --p 2 --n 7"),
-                         ("clifford-seed", "clifford --p 3 --seed 4"),
-                         ("clifford-from", "clifford --p 3 --from haar"),
-                         ("sampled", "sampled --d 3 --n 4 --p 5")]),
-    _row("test_certify_malformed_file", ("certify {bad}",), ("certify {notjson}",),
-         ("certify {missing}",), bad={"format": 99}, notjson="]["),
-    *(_row(f"test_input_files_are_plain_utf8[{name}]",
-           ("certify {c2}", "error: {c2}: not readable as JSON"), c2=text)
-      for name, text in [("utf-8-bom", b"\xef\xbb\xbf" + _C2_FILE),
-                         ("utf-16", _C2_FILE.decode().encode("utf-16"))]),
-    _row("test_attack_rejects_a_non_unitary_matrix",
-         ("attack --scheme {c2} --adv unitary:{u}",
-          Whole("error: {u}: matrix is not unitary (defect 7.500e-01)\n")),
-         u=_matrix("matrix", 0.5 * np.eye(2))),
-    *(_row(f"test_attack_rejects_a_replacement_that_is_not_a_state[{name}]",
-           ("attack --scheme {c2} --adv replace:{state}", f"error: {{state}}: {error}"),
-           state=_matrix("state", m))
-      for name, m, error in [
-          ("non-square", np.ones((2, 3)) / 2, "state must be d x d = 2 x 2, got shape (2, 3)"),
-          ("non-hermitian", [[0.5, 0.1], [0, 0.5]], "replacement state must be Hermitian and PSD"),
-          ("non-psd", np.diag([1.5, -0.5]), "replacement state must be Hermitian and PSD"),
-          ("trace-2", np.eye(2), "replacement state has trace 2+0j, not 1")]),
+
+def test_gen_sampled_rejects_negative_seed(usage_error):
+    usage_error(("gen sampled --d 2 --n 5 --seed -1 -o {out}", "seed must be >= 0, got -1"))
+
+
+def test_gen_requires_params(usage_error):
+    usage_error(("gen clifford -o {out}",), ("gen sampled --d 2 -o {out}",))
+
+
+@pytest.mark.parametrize("argv", ["pauli --p 3 --d 9", "clifford --p 2 --n 7",
+                                  "clifford --p 3 --seed 4", "clifford --p 3 --from haar",
+                                  "sampled --d 3 --n 4 --p 5"],
+                         ids=["pauli", "clifford", "clifford-seed", "clifford-from", "sampled"])
+def test_gen_rejects_an_option_its_kind_does_not_read(usage_error, argv):
+    usage_error((f"gen {argv} -o {{out}}", Prefix(f"usage: qnm gen {argv.split()[0]} "),
+                 f"error: unrecognized arguments: {' '.join(argv.split()[-2:])}\n"))
+
+
+def test_certify_malformed_file(usage_error):
+    usage_error(("certify {bad}",), ("certify {notjson}",), ("certify {missing}",),
+                bad={"format": 99}, notjson="][")
+
+
+@pytest.mark.parametrize("text", [b"\xef\xbb\xbf" + _C2_FILE, _C2_FILE.decode().encode("utf-16")],
+                         ids=["utf-8-bom", "utf-16"])
+def test_input_files_are_plain_utf8(usage_error, text):
+    usage_error(("certify {c2}", "error: {c2}: not readable as JSON"), c2=text)
+
+
+def test_attack_rejects_a_non_unitary_matrix(usage_error):
+    usage_error(("attack --scheme {c2} --adv unitary:{u}",
+                 Whole("error: {u}: matrix is not unitary (defect 7.500e-01)\n")),
+                u=_matrix("matrix", 0.5 * np.eye(2)))
+
+
+@pytest.mark.parametrize("m, error", [
+    (np.ones((2, 3)) / 2, "state must be d x d = 2 x 2, got shape (2, 3)"),
+    ([[0.5, 0.1], [0, 0.5]], "replacement state must be Hermitian and PSD"),
+    (np.diag([1.5, -0.5]), "replacement state must be Hermitian and PSD"),
+    (np.eye(2), "replacement state has trace 2+0j, not 1"),
+], ids=["non-square", "non-hermitian", "non-psd", "trace-2"])
+def test_attack_rejects_a_replacement_that_is_not_a_state(usage_error, m, error):
+    usage_error(("attack --scheme {c2} --adv replace:{state}", f"error: {{state}}: {error}"),
+                state=_matrix("state", m))
+
+
+def test_attack_bounds_a_replacement_state_hermiticity_by_its_own_entries(usage_error):
     # a defect of 2e-10 in eta is 4e-11 in eta (x) tau at d = 5, but the 1e-10 bound is eta's
-    _row("test_attack_bounds_a_replacement_state_hermiticity_by_its_own_entries",
-         ("attack --scheme {p5} --adv replace:{state}",
-          Prefix("error: {state}: replacement state must be Hermitian and PSD (")),
-         p5=ensemble_dict(construct.pauli_ensemble(5, 1)),
-         state=_matrix("state", _set(np.eye(5) / 5, (0, 1), 2e-10), d=5)),
-    *(_row(f"test_matrix_file_must_hold_a_d_by_d_matrix[{shape}-{prefix}-{key}]",
-           (f"attack --scheme {{c2}} --adv {prefix}:{{m}}",
-            f"error: {{m}}: {key} must be d x d = {d} x {d}, got shape {np.shape(m)}"),
-           m=_matrix(key, m, d))
-      for shape, d, m in [("non-square", 2, np.ones((2, 3)) / 2), ("mismatched-d", 3, np.eye(2))]
-      for prefix, key in [("replace", "state"), ("unitary", "matrix")]),
-    *(_row(f"test_an_adversary_of_another_dimension_is_a_usage_error[{name}]",
-           (f"attack --scheme {{c2}} --adv {prefix}{{adv}} -o {{out}}",
-            Whole("error: {adv}: adversary acts on dimension 3, scheme has dimension 2\n")),
-           adv=_matrix(key, m, d=3))
-      for name, prefix, key, m in [("kraus", "", "kraus", np.eye(3)[None]),
-                                   ("unitary", "unitary:", "matrix", np.eye(3)),
-                                   ("replace", "replace:", "state", np.eye(3) / 3)]),
-    _row("test_kraus_file_shape_error_names_the_file",
-         ("attack --scheme {c2} --adv {k}",
-          "error: {k}: malformed Kraus file (Kraus operator 0 has shape (2, 3)"),
-         k=_matrix("kraus", np.ones((1, 2, 3)))),
-    _row("test_a_trace_increasing_kraus_file_is_named_in_its_error",
-         ("attack --scheme {c2} --adv {big} -o {out}", Whole(
-             "error: {big}: adversary channel is not trace non-increasing (defect 2.100e-01)\n")),
-         big=_matrix("kraus", 1.1 * np.eye(2)[None])),
-    *(_row(f"test_too_deeply_nested_json_is_a_usage_error[{name}]",
-           (f"attack --scheme {{c2}} --adv {prefix}{{deep}}",
-            "error: {deep}: not readable as JSON"),
-           deep=_DEEP)
-      for name, prefix in [("kraus", ""), ("replace", "replace:"), ("unitary", "unitary:")]),
-    _row("test_too_deeply_nested_ensemble_file_is_a_usage_error",
-         ("certify {deep} --mode both", "error: {deep}: not readable as JSON"), deep=_DEEP),
-    _row("test_a_json_array_is_not_an_input_file",
-         ("certify {array} --out {out}",
-          Whole("error: {array}: expected a JSON object at top level\n")), array="[]"),
-    _row("test_kraus_entries_must_be_re_im_pairs",
-         ("attack --scheme {c2} --adv {kraus}", Whole("error: {kraus}: malformed Kraus file "
-                                                      "(Kraus operator 0 must be rows of [re, im] "
-                                                      "pairs of numbers)\n")),
-         kraus={"format": 1, "d": 2, "kraus": [[[[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]],
-                                                 [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]]]}),
-    _row("test_attack_invalid_adversary", ("attack --scheme {c2} --adv weyl:banana",),
-         ("attack --scheme {c2} --adv replace:9",)),
-    *(_row(f"test_attack_replace_index_out_of_range[{index}]",
-           (f"attack --scheme {{c2}} --adv replace:{index}",
-            f"error: replacement basis state {int(index)} out of range 0..1"))
-      for index in ["-1", "2", "+2", "9"]),
+    usage_error(("attack --scheme {p5} --adv replace:{state}",
+                 Prefix("error: {state}: replacement state must be Hermitian and PSD (")),
+                p5=ensemble_dict(construct.pauli_ensemble(5, 1)),
+                state=_matrix("state", _set(np.eye(5) / 5, (0, 1), 2e-10), d=5))
+
+
+@pytest.mark.parametrize("d, m, prefix, key", [
+    pytest.param(d, m, prefix, key, id=f"{shape}-{prefix}-{key}")
+    for shape, d, m in [("non-square", 2, np.ones((2, 3)) / 2), ("mismatched-d", 3, np.eye(2))]
+    for prefix, key in [("replace", "state"), ("unitary", "matrix")]])
+def test_matrix_file_must_hold_a_d_by_d_matrix(usage_error, d, m, prefix, key):
+    usage_error((f"attack --scheme {{c2}} --adv {prefix}:{{m}}",
+                 f"error: {{m}}: {key} must be d x d = {d} x {d}, got shape {np.shape(m)}"),
+                m=_matrix(key, m, d))
+
+
+@pytest.mark.parametrize("prefix, key, m", [("", "kraus", np.eye(3)[None]),
+                                            ("unitary:", "matrix", np.eye(3)),
+                                            ("replace:", "state", np.eye(3) / 3)],
+                         ids=["kraus", "unitary", "replace"])
+def test_an_adversary_of_another_dimension_is_a_usage_error(usage_error, prefix, key, m):
+    usage_error((f"attack --scheme {{c2}} --adv {prefix}{{adv}} -o {{out}}",
+                 Whole("error: {adv}: adversary acts on dimension 3, scheme has dimension 2\n")),
+                adv=_matrix(key, m, d=3))
+
+
+def test_kraus_file_shape_error_names_the_file(usage_error):
+    usage_error(("attack --scheme {c2} --adv {k}",
+                 "error: {k}: malformed Kraus file (Kraus operator 0 has shape (2, 3)"),
+                k=_matrix("kraus", np.ones((1, 2, 3))))
+
+
+def test_a_trace_increasing_kraus_file_is_named_in_its_error(usage_error):
+    usage_error(("attack --scheme {c2} --adv {big} -o {out}", Whole(
+        "error: {big}: adversary channel is not trace non-increasing (defect 2.100e-01)\n")),
+        big=_matrix("kraus", 1.1 * np.eye(2)[None]))
+
+
+@pytest.mark.parametrize("prefix", ["", "replace:", "unitary:"],
+                         ids=["kraus", "replace", "unitary"])
+def test_too_deeply_nested_json_is_a_usage_error(usage_error, prefix):
+    usage_error((f"attack --scheme {{c2}} --adv {prefix}{{deep}}",
+                 "error: {deep}: not readable as JSON"), deep=_DEEP)
+
+
+def test_too_deeply_nested_ensemble_file_is_a_usage_error(usage_error):
+    usage_error(("certify {deep} --mode both", "error: {deep}: not readable as JSON"), deep=_DEEP)
+
+
+def test_a_json_array_is_not_an_input_file(usage_error):
+    usage_error(("certify {array} --out {out}",
+                 Whole("error: {array}: expected a JSON object at top level\n")), array="[]")
+
+
+def test_kraus_entries_must_be_re_im_pairs(usage_error):
+    usage_error(("attack --scheme {c2} --adv {kraus}",
+                 Whole("error: {kraus}: malformed Kraus file (Kraus operator 0 must be rows of "
+                       "[re, im] pairs of numbers)\n")),
+                kraus={"format": 1, "d": 2, "kraus": [[[[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]],
+                                                       [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]]]})
+
+
+def test_attack_invalid_adversary(usage_error):
+    usage_error(("attack --scheme {c2} --adv weyl:banana",),
+                ("attack --scheme {c2} --adv replace:9",))
+
+
+@pytest.mark.parametrize("index, error", [
+    *(pytest.param(index, f"error: replacement basis state {int(index)} out of range 0..1",
+                   id=index) for index in ["-1", "2", "+2", "9"]),
     # more digits than int() reads: the error names the selector and its field, not the value
-    _row("test_attack_replace_index_out_of_range[5000-digits]",
-         ("attack --scheme {c2} --adv replace:" + "9" * 5000,
-          Whole("error: replace:<j>: j has 5000 digits, too many\n"))),
-    *(_row(f"test_attack_weyl_reads_only_ascii_integers[{name}]",
-           (["attack", "--scheme", "{c2}", "--adv", f"weyl:{arg}"],
-            "weyl adversary needs 'weyl:<a>,<b>'"))
-      for name, arg in [("arabic-indic", "\u0661,\u0662"), ("spaces", " 1 , 2"),
-                        ("underscore", "1_0,2")]),
-    _row("test_attack_weyl_reads_only_ascii_integers[5000-digits]",
-         ("attack --scheme {c2} --adv weyl:1,-" + "9" * 5000,
-          Whole("error: weyl:<a>,<b>: b has 5000 digits, too many\n"))),
-    _row("test_attack_replace_non_ascii_digits_name_a_file",
-         ("attack --scheme {c2} --adv replace:\u00b2", "No such file or directory: '\u00b2'",
-          Absent("invalid literal"))),
-    *(_row(f"test_bounds_recommended_n_overflow_is_a_usage_error[{name}]",
-           (f"bounds --d {d} --theta {theta} --delta 0.01",
-            f"recommended_n overflows at d = {d}, theta = {float(theta)}, delta = 0.01"))
-      for name, d, theta in [("theta-1e-200", "2", "1e-200"), ("theta-1e-160", "2", "1e-160"),
-                             ("d-1e80", str(10**80), "0.1"), ("d-1e400", str(10**400), "0.1")]),
-    *(_row(f"test_argparse_errors_are_returned_as_exit_2[{name}]",
-           (f"{argv} -o {{out}}", f"error: {error}\n"))
-      for name, argv, error in [
-          ("certify-input", "certify", "the following arguments are required: input"),
-          ("sampled-n", "gen sampled --d 2", "the following arguments are required: --n"),
-          ("pauli-d", "gen pauli --p 3 --d 9", "unrecognized arguments: --d 9")]),
-    _row("test_a_stray_argument_is_reported_with_its_sub_command_usage",
-         ("certify {c2} extra.json", Prefix("usage: qnm certify "),
-          "qnm certify: error: unrecognized arguments: extra.json\n")),
-    *(_row(f"test_ensemble_content_error_names_the_file[{name}-{command}]",
-           (f"{argv} {{bad}}", Whole(f"error: {{bad}}: malformed ensemble file ({error})\n")),
-           bad={**_C2D, **fields})
-      for name, fields, error in _C2_SPOILED
-      for command, argv in [("certify", "certify"), ("attack", "attack --adv identity --scheme")]),
-    *(_row(f"test_certify_rejects_bad_tolerance[tol-{tol}]",
-           (f"certify {{c2}} --tol {tol}", "--tol must be finite and > 0"))
-      for tol in ["nan", "inf"]),
-    *(_row(f"test_non_finite_ensemble_file_is_a_usage_error[{field}]",
-           ("certify {bad}", f"{field} must be finite"),
-           ("attack --scheme {bad} --adv identity", f"{field} must be finite"),
-           bad={**_C2D, field: value})
-      for field, value in [("weights", _set(_C2.weights, 0, np.nan).tolist()),
-                           ("unitaries", _keys(*_set(_C2.unitaries, (0, 0, 0), np.nan)))]),
-    *(_row(f"test_non_finite_matrix_file_is_a_usage_error[{prefix}-{key}]",
-           (f"attack --scheme {{c2}} --adv {prefix}:{{m}}", f"{key} must be finite"),
-           m=_matrix(key, np.diag([1, complex(0, np.inf)])))
-      for prefix, key in [("replace", "state"), ("unitary", "matrix")]),
-    *(_row(f"test_matrix_entries_must_be_pairs_of_numbers[{name}]",
-           ("attack --scheme {c2} --adv unitary:{bad}", "{bad}"),
-           ("attack --scheme {c2} --adv {kraus}", "{kraus}", "Kraus operator 1"),
-           ("attack --scheme {c2} --adv replace:{state}", "{state}"),
-           bad={"format": 1, "d": 2, "matrix": _pairs_with(np.eye(2), (1, 0), entry)},
-           kraus={"format": 1, "d": 2,
-                  "kraus": [files.matrix_to_pairs(_HALF), _pairs_with(_HALF, (0, 1), entry)]},
-           state={"format": 1, "d": 2, "state": _pairs_with(_HALF, (0, 1), entry)})
-      for name, entry in [("three", [1.0, 0.0, 5.0]), ("one", [1.0]), ("strings", ["1.0", "0.0"])]),
-    _row("test_gen_sampled_rejects_a_dimension_no_reader_takes",
-         (f"gen sampled --from haar --d {files.MAX_D + 1} --n 1 -o {{out}}",
-          f"error: d must be <= {files.MAX_D}")),
-    _row("test_an_unnormalized_weight_error_prints_a_plain_float",
-         ("certify {w}", f"weights must sum to 1, got {float(_UNNORMALIZED.sum())!r})",
-          Absent("np.float64")),
-         w={**_C2D, "weights": _UNNORMALIZED.tolist()}),
-    _row("test_gen_pauli_rejects_zero_qudits",
-         ("gen pauli --p 2 --n 0 -o {out}", "n must be a positive integer")),
-    *(_row(f"test_format2_malformed_unitaries_are_usage_errors[{name}]",
-           ("certify {bad}", "{bad}", "unitaries"),
-           ("attack --scheme {bad} --adv identity", "unitaries"),
-           bad={**_P21D, "unitaries": unitaries})
-      for name, unitaries in [("bad-chars", "not base64!"), ("short", "QUJD"),
-                              ("wrong-length", "AAAAAAAAAAAAAAAA"), ("list", [[[[1.0, 0.0]]]]),
-                              ("number", 7), ("null", None)]),
-    *(_row(f"test_format2_rejects_stray_characters_in_a_valid_block[{stray}]",
-           ("certify {bad}", "unitaries must be a padded base64 string"),
-           bad={**_P21D, "unitaries": _P21D["unitaries"][:8] + stray + _P21D["unitaries"][8:]})
-      for stray in ["\n", " ", "!"]),
-    _row("test_format2_wrong_length_names_the_expected_size",
-         ("certify {bad}", f"unitaries holds {len(_P21_BYTES) - 16} bytes, "
-                           f"expected 16*N*d^2 = {len(_P21_BYTES)}"),
-         bad={**_P21D, "unitaries": base64.b64encode(_P21_BYTES[:-16]).decode()}),
-    _row("test_format2_non_finite_bytes_are_rejected",
-         ("certify {nan}", "unitaries must be finite"),
-         nan={**_P21D, "unitaries": _keys(*_set(_P21.unitaries, (2, 1, 0), np.nan))}),
-    *(_row(f"test_other_ensemble_format_versions_are_rejected[{version}]",
-           ("certify {v}", f"unsupported format version {version!r}"),
-           v={**_P21D, "format": version})
-      for version in [0, 3, "2", None, True]),
-    _row("test_kraus_and_matrix_files_stay_at_format_1",
-         ("attack --scheme {c2} --adv {kraus2}", "unsupported format version 2"),
-         ("attack --scheme {c2} --adv replace:{state2}", "unsupported format version 2"),
-         ("attack --scheme {c2} --adv {kraus_true}", "unsupported format version True"),
-         ("attack --scheme {c2} --adv replace:{state_true}", "unsupported format version True"),
-         kraus2=_matrix("kraus", np.eye(2)[None], version=2),
-         state2=_matrix("state", np.eye(2), version=2),
-         kraus_true=_matrix("kraus", np.eye(2)[None], version=True),
-         state_true=_matrix("state", np.eye(2), version=True)),
+    pytest.param("9" * 5000, Whole("error: replace:<j>: j has 5000 digits, too many\n"),
+                 id="5000-digits"),
+])
+def test_attack_replace_index_out_of_range(usage_error, index, error):
+    usage_error((f"attack --scheme {{c2}} --adv replace:{index}", error))
+
+
+@pytest.mark.parametrize("arg, error", [
+    *((arg, "weyl adversary needs 'weyl:<a>,<b>'") for arg in ["\u0661,\u0662", " 1 , 2", "1_0,2"]),
+    ("1,-" + "9" * 5000, Whole("error: weyl:<a>,<b>: b has 5000 digits, too many\n")),
+], ids=["arabic-indic", "spaces", "underscore", "5000-digits"])
+def test_attack_weyl_reads_only_ascii_integers(usage_error, arg, error):
+    usage_error((["attack", "--scheme", "{c2}", "--adv", f"weyl:{arg}"], error))
+
+
+def test_attack_replace_non_ascii_digits_name_a_file(usage_error):
+    usage_error(("attack --scheme {c2} --adv replace:\u00b2", "No such file or directory: '\u00b2'",
+                 Absent("invalid literal")))
+
+
+@pytest.mark.parametrize("d, theta", [("2", "1e-200"), ("2", "1e-160"), (str(10**80), "0.1"),
+                                      (str(10**400), "0.1")],
+                         ids=["theta-1e-200", "theta-1e-160", "d-1e80", "d-1e400"])
+def test_bounds_recommended_n_overflow_is_a_usage_error(usage_error, d, theta):
+    usage_error((f"bounds --d {d} --theta {theta} --delta 0.01",
+                 f"recommended_n overflows at d = {d}, theta = {float(theta)}, delta = 0.01"))
+
+
+@pytest.mark.parametrize("argv, error", [
+    ("certify", "the following arguments are required: input"),
+    ("gen sampled --d 2", "the following arguments are required: --n"),
+    ("gen pauli --p 3 --d 9", "unrecognized arguments: --d 9"),
+], ids=["certify-input", "sampled-n", "pauli-d"])
+def test_argparse_errors_are_returned_as_exit_2(usage_error, argv, error):
+    usage_error((f"{argv} -o {{out}}", f"error: {error}\n"))
+
+
+def test_a_stray_argument_is_reported_with_its_sub_command_usage(usage_error):
+    usage_error(("certify {c2} extra.json", Prefix("usage: qnm certify "),
+                 "qnm certify: error: unrecognized arguments: extra.json\n"))
+
+
+@pytest.mark.parametrize("fields, error, argv", [
+    pytest.param(fields, error, argv, id=f"{name}-{command}")
+    for name, fields, error in [
+        ("scaled-key", {"unitaries": _keys(*_set(_C2.unitaries, 3, 1.001 * _C2.unitaries[3]))},
+         "ensemble element 3 is not unitary (deviation 2.001e-03)"),
+        ("negative-weight", {"weights": _set(_C2.weights, 0, -0.1).tolist()},
+         "weights must be nonnegative"),
+        ("nested-weights", {"weights": [[w] for w in _C2.weights.tolist()]},
+         "weights must be a list of numbers"),
+        ("number-weights", {"weights": 1.0}, "weights must be a list of numbers")]
+    for command, argv in [("certify", "certify"), ("attack", "attack --adv identity --scheme")]])
+def test_ensemble_content_error_names_the_file(usage_error, fields, error, argv):
+    usage_error((f"{argv} {{bad}}", Whole(f"error: {{bad}}: malformed ensemble file ({error})\n")),
+                bad={**_C2D, **fields})
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf"], ids=["tol-nan", "tol-inf"])
+def test_certify_rejects_bad_tolerance(usage_error, tol):
+    usage_error((f"certify {{c2}} --tol {tol}", "--tol must be finite and > 0"))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("weights", _set(_C2.weights, 0, np.nan).tolist()),
+    ("unitaries", _keys(*_set(_C2.unitaries, (0, 0, 0), np.nan))),
+], ids=["weights", "unitaries"])
+def test_non_finite_ensemble_file_is_a_usage_error(usage_error, field, value):
+    usage_error(("certify {bad}", f"{field} must be finite"),
+                ("attack --scheme {bad} --adv identity", f"{field} must be finite"),
+                bad={**_C2D, field: value})
+
+
+@pytest.mark.parametrize("prefix, key", [("replace", "state"), ("unitary", "matrix")],
+                         ids=["replace-state", "unitary-matrix"])
+def test_non_finite_matrix_file_is_a_usage_error(usage_error, prefix, key):
+    usage_error((f"attack --scheme {{c2}} --adv {prefix}:{{m}}", f"{key} must be finite"),
+                m=_matrix(key, np.diag([1, complex(0, np.inf)])))
+
+
+@pytest.mark.parametrize("entry", [[1.0, 0.0, 5.0], [1.0], ["1.0", "0.0"]],
+                         ids=["three", "one", "strings"])
+def test_matrix_entries_must_be_pairs_of_numbers(usage_error, entry):
+    usage_error(("attack --scheme {c2} --adv unitary:{bad}", "{bad}"),
+                ("attack --scheme {c2} --adv {kraus}", "{kraus}", "Kraus operator 1"),
+                ("attack --scheme {c2} --adv replace:{state}", "{state}"),
+                bad={"format": 1, "d": 2, "matrix": _pairs_with(np.eye(2), (1, 0), entry)},
+                kraus={"format": 1, "d": 2, "kraus": [files.matrix_to_pairs(_HALF),
+                                                      _pairs_with(_HALF, (0, 1), entry)]},
+                state={"format": 1, "d": 2, "state": _pairs_with(_HALF, (0, 1), entry)})
+
+
+def test_gen_sampled_rejects_a_dimension_no_reader_takes(usage_error):
+    usage_error((f"gen sampled --from haar --d {files.MAX_D + 1} --n 1 -o {{out}}",
+                 f"error: d must be <= {files.MAX_D}"))
+
+
+def test_an_unnormalized_weight_error_prints_a_plain_float(usage_error):
+    usage_error(("certify {w}", f"weights must sum to 1, got {float(_UNNORMALIZED.sum())!r})",
+                 Absent("np.float64")), w={**_C2D, "weights": _UNNORMALIZED.tolist()})
+
+
+def test_gen_pauli_rejects_zero_qudits(usage_error):
+    usage_error(("gen pauli --p 2 --n 0 -o {out}", "n must be a positive integer"))
+
+
+@pytest.mark.parametrize("unitaries", ["not base64!", "QUJD", "AAAAAAAAAAAAAAAA", [[[[1.0, 0.0]]]],
+                                       7, None],
+                         ids=["bad-chars", "short", "wrong-length", "list", "number", "null"])
+def test_format2_malformed_unitaries_are_usage_errors(usage_error, unitaries):
+    usage_error(("certify {bad}", "{bad}", "unitaries"),
+                ("attack --scheme {bad} --adv identity", "unitaries"),
+                bad={**_P21D, "unitaries": unitaries})
+
+
+@pytest.mark.parametrize("stray", ["\n", " ", "!"])
+def test_format2_rejects_stray_characters_in_a_valid_block(usage_error, stray):
+    usage_error(("certify {bad}", "unitaries must be a padded base64 string"),
+                bad={**_P21D, "unitaries": _P21D["unitaries"][:8] + stray + _P21D["unitaries"][8:]})
+
+
+def test_format2_wrong_length_names_the_expected_size(usage_error):
+    usage_error(("certify {bad}", f"unitaries holds {len(_P21_BYTES) - 16} bytes, "
+                                  f"expected 16*N*d^2 = {len(_P21_BYTES)}"),
+                bad={**_P21D, "unitaries": base64.b64encode(_P21_BYTES[:-16]).decode()})
+
+
+def test_format2_non_finite_bytes_are_rejected(usage_error):
+    usage_error(("certify {nan}", "unitaries must be finite"),
+                nan={**_P21D, "unitaries": _keys(*_set(_P21.unitaries, (2, 1, 0), np.nan))})
+
+
+@pytest.mark.parametrize("version", [0, 3, "2", None, True])
+def test_other_ensemble_format_versions_are_rejected(usage_error, version):
+    usage_error(("certify {v}", f"unsupported format version {version!r}"),
+                v={**_P21D, "format": version})
+
+
+def test_kraus_and_matrix_files_stay_at_format_1(usage_error):
+    usage_error(("attack --scheme {c2} --adv {kraus2}", "unsupported format version 2"),
+                ("attack --scheme {c2} --adv replace:{state2}", "unsupported format version 2"),
+                ("attack --scheme {c2} --adv {kraus_true}", "unsupported format version True"),
+                ("attack --scheme {c2} --adv replace:{state_true}",
+                 "unsupported format version True"),
+                kraus2=_matrix("kraus", np.eye(2)[None], version=2),
+                state2=_matrix("state", np.eye(2), version=2),
+                kraus_true=_matrix("kraus", np.eye(2)[None], version=True),
+                state_true=_matrix("state", np.eye(2), version=True))
+
+
+def test_a_format1_ensemble_is_refused(usage_error):
     # the older ensemble encoding: each key entry as its own [re, im] pair
-    _row("test_a_format1_ensemble_is_refused",
-         ("certify {v1} -o {out}", Whole("error: {v1}: unsupported format version 1\n")),
-         ("attack --scheme {v1} --adv identity -o {out}",
-          Whole("error: {v1}: unsupported format version 1\n")),
-         v1={**_matrix("unitaries", _C2.unitaries), "weights": _C2.weights.tolist()}),
-    *(_row(f"test_dimension_below_two_is_a_usage_error[{d}]",
-           *((argv, f"d must be an integer in [2, {files.MAX_D}]") for argv in [
-               "certify {v2}", "attack --scheme {v2} --adv identity",
-               "attack --scheme {c2} --adv {kraus}"]),
-           (f"gen sampled --from haar --d {d} --n 3 -o {{out}}", f"d must be >= 2, got {d}"),
-           v2={"format": 2, "d": d, "weights": [1.0], "unitaries": _keys(np.ones((1, 1)))},
-           kraus=_matrix("kraus", np.eye(2)[None], d))
-      for d in [1, 0]),
-]
+    v1_error = Whole("error: {v1}: unsupported format version 1\n")
+    usage_error(("certify {v1} -o {out}", v1_error),
+                ("attack --scheme {v1} --adv identity -o {out}", v1_error),
+                v1={**_matrix("unitaries", _C2.unitaries), "weights": _C2.weights.tolist()})
 
 
-@pytest.mark.parametrize("inputs, commands", USAGE_ERRORS)
-def test_usage_error(tmp_path, capsys, inputs, commands):
-    # each command exits 2, prints nothing to stdout, writes no output file and leaves stderr as
-    # its checks say; c2.json holds what gen clifford --p 2 writes unless a row writes its own
-    paths = {name: str(tmp_path / f"{name}.json") for name in ("c2", "out", "missing", *inputs)}
-    for name, content in {"c2": _C2_FILE, **inputs}.items():
-        text = content if isinstance(content, (str, bytes)) else json.dumps(content)
-        (tmp_path / f"{name}.json").write_bytes(text if isinstance(text, bytes) else text.encode())
-    for argv, *checks in commands:
-        argv = argv.split() if isinstance(argv, str) else argv
-        assert run([arg.format(**paths) for arg in argv]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == "" and not os.path.exists(paths["out"])
-        for check in checks:
-            want = check.format(**paths)
-            holds = {str: want in captured.err, Whole: captured.err == want,
-                     Prefix: captured.err.startswith(want), Absent: want not in captured.err}
-            assert holds[type(check)], (check, captured.err)
+@pytest.mark.parametrize("d", [1, 0])
+def test_dimension_below_two_is_a_usage_error(usage_error, d):
+    usage_error(*((argv, f"d must be an integer in [2, {files.MAX_D}]") for argv in [
+                    "certify {v2}", "attack --scheme {v2} --adv identity",
+                    "attack --scheme {c2} --adv {kraus}"]),
+                (f"gen sampled --from haar --d {d} --n 3 -o {{out}}", f"d must be >= 2, got {d}"),
+                v2={"format": 2, "d": d, "weights": [1.0], "unitaries": _keys(np.ones((1, 1)))},
+                kraus=_matrix("kraus", np.eye(2)[None], d))

@@ -50,18 +50,17 @@ def haar3_uneven():
     return UnitaryEnsemble(3, np.arange(1, 31) / 465, haar_batch(3, 30, philox(73)))
 
 
-@pytest.mark.parametrize("name", ["clifford2", "haar3_uneven"])
-def test_effective_channel_replacement_adversary(name, request):
+def test_effective_channel_replacement_adversary(clifford2, haar3_uneven):
     # rho -> eta tr(rho) becomes rho -> (sum_k p_k U_k^dagger eta U_k) tr(rho), whose Choi
     # operator is that state (x) tau: the sum is taken key by key
-    e = request.getfixturevalue(name)
-    eta = random_density(e.d, philox(72))
-    choi = choi_of(effective_channel(EncryptionScheme(e), constant_channel(eta)))
-    mean = sum(p * u.conj().T @ eta @ u for p, u in zip(e.weights, e.unitaries))
-    tau = np.eye(e.d) / e.d
-    assert trace_norm(choi - np.kron(mean, tau)) <= 1e-12
-    if name == "clifford2":  # a 1-design sends every state to tau
-        assert trace_norm(choi - np.kron(tau, tau)) <= 1e-10
+    for e in (clifford2, haar3_uneven):
+        eta = random_density(e.d, philox(72))
+        choi = choi_of(effective_channel(EncryptionScheme(e), constant_channel(eta)))
+        mean = sum(p * u.conj().T @ eta @ u for p, u in zip(e.weights, e.unitaries))
+        tau = np.eye(e.d) / e.d
+        assert trace_norm(choi - np.kron(mean, tau)) <= 1e-12
+        if e is clifford2:  # a 1-design sends every state to tau
+            assert trace_norm(choi - np.kron(tau, tau)) <= 1e-10
 
 
 def test_effective_channel_traceless_unitary(clifford_scheme):
