@@ -78,7 +78,7 @@ def _parse_adversary(selector: str, d: int):
         if re.fullmatch(integer, arg):
             j = _selector_int(arg, "replace:<j>", "j")
             if not 0 <= j < d:
-                raise ValueError(f"replacement basis state {j} out of range 0..{d - 1}")
+                raise ValueError(f"replace:<j>: j out of range 0..{d - 1}")  # no echo of j
             return constant_channel(np.diag(np.eye(d)[j]))
         path, key, make = arg, "state", constant_channel
     elif selector.startswith("weyl:"):
@@ -111,6 +111,11 @@ def cmd_attack(args) -> int:
 
 def cmd_bounds(args) -> int:
     d, theta, delta = args.d, args.theta, args.delta
+    bound = rank_bound(d)
+    try:  # the report prints it: no more digits than str() converts, and no echo of d
+        str(bound)
+    except ValueError:
+        raise ValueError("--d must have fewer digits: rank_bound(d) has too many") from None
     if d < 2:
         raise ValueError(f"d must be at least 2, got {d}")
     if not (math.isfinite(theta) and theta >= 0):
@@ -119,7 +124,7 @@ def cmd_bounds(args) -> int:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
     entropy_ok = theta <= 1 / math.e
     report = files.report_dict(
-        "bounds", d=d, theta=theta, delta=delta, rank_bound=rank_bound(d),
+        "bounds", d=d, theta=theta, delta=delta, rank_bound=bound,
         key_bits_4log2d=4 * math.log2(d), key_bits_5log2d=5 * math.log2(d),
         recommended_n=construct.recommended_n(d, theta, delta) if 0 < theta <= 0.5 else None,
         entropy_bound_bits=entropy_bound(d, theta) if entropy_ok else None,

@@ -96,6 +96,9 @@ class SamplerConfig:
             raise ValueError(f"d must be a prime <= {CLIFFORD_PRIME_CAP} for clifford, got {self.d}")
         if self.d > MAX_D:  # checked before drawing: qnm reads no ensemble file of larger d
             raise ValueError(f"d must be <= {MAX_D}, the largest d of an ensemble file")
+        most = np.iinfo(np.intp).max // (16 * self.d**2)  # the keys numpy holds in one array
+        if self.n_samples > most:
+            raise ValueError(f"n_samples must be <= {most} at d = {self.d}: one array of the keys")
 
 
 def _clifford_generators(p: int) -> np.ndarray:

@@ -19,8 +19,8 @@ graded, in real arithmetic, in the adjoint frame whose first basis element is 1/
 U (x) conj(U) is 1 (+) R_U, and Omega_haar, its support and the sandwich A are diagonal, with 0 on
 the mixed entries (Gross, Audenaert and Eisert, J. Math. Phys. 48, 052104 (2007)). So is Omega, up
 to a bound certify adds. :func:`_support_deviation`, the one way into that frame, reads Omega's
-block on the 1 + (d^2 - 1)^2 support slab by slab, with no rotated copy. Certify solves it twice, as
-it is for the trace norm and sandwiched by A for theta and the rank, and builds no Phi_d.
+block on the 1 + (d^2 - 1)^2 support slab by slab, with no rotated copy. :func:`_grade`, certify's
+one grader, solves it twice, as it is for T and sandwiched by A for theta and the rank.
 
 Every per-key loop here, nmes.attack_report (the attack's one walk over the keys) and
 _support_deviation's groups of slabs walk :func:`key_blocks`; Omega adds up groups of d^4 keys.
@@ -337,30 +337,35 @@ def _support_deviation(omega: np.ndarray, d: int):
     return xs, float(np.linalg.norm(mixed)), float(np.real(leak))
 
 
-def _sandwich_spectrum(xs: np.ndarray, d: int, leak: float) -> tuple[np.ndarray, float | None]:
-    """(mu, theta): mu = ascending eig(A X A), A = diag(h^(-1/2)) on h > 0 (h = _haar_diagonal(d)),
-    from X's support block ``xs``, scaled in place; theta = max |mu|, or None if the support
-    ``leak`` exceeds ``SUPPORT_LEAK_TOL``. A is 0 on the mixed entries, which drop only zero
-    eigenvalues."""
+def _grade(xs: np.ndarray, mixed: float, leak: float, d: int) -> tuple[float, float | None, int]:
+    """(T, theta, rank) from :func:`_support_deviation`'s (X_s, r, leak): the one place certify's
+    grades are decided; ``xs`` is scaled in place. T = sum |eig(X_s)| + 2 sqrt(2 (d^2 - 1)) r >=
+    ||X_s||_1 + ||R||_1 >= ||X||_1, R being X's mixed rows and columns (rank <= 4 (d^2 - 1),
+    ||R||_F <= sqrt(2) r), which vanish for unitary keys and are O(eps) within UNITARY_INGEST_TOL.
+    mu = eig(A X_s A), A = diag(h^(-1/2)) on h > 0 (0 on the mixed entries, which drop only zero
+    eigenvalues); theta = max |mu|, or None if ``leak`` > SUPPORT_LEAK_TOL. mu + 1 = eig(A Omega A),
+    each t in [d^2, d^2 (d^2 - 1)] times one of Omega's (Ostrowski); the rank counts those above
+    d^2 (d^2 - 1) RANK_TOL, so an eigenvalue of Omega above (d^2 - 1) RANK_TOL always counts and one
+    at or below RANK_TOL never does. One below minus that cut: Omega is not PSD, a ValueError."""
+    mixed *= 2 * math.sqrt(2 * (d * d - 1))
+    two_dist = float(np.sum(np.abs(np.linalg.eigvalsh(xs)))) + mixed  # xs is symmetric
     h = _haar_diagonal(d)
     s = h[h > 0] ** -0.5
     xs *= s[:, None]
     xs *= s
     mu = np.linalg.eigvalsh(xs)
-    return mu, None if leak > SUPPORT_LEAK_TOL else float(np.max(np.abs(mu)))
+    theta = None if leak > SUPPORT_LEAK_TOL else float(np.max(np.abs(mu)))
+    cut = d * d * (d * d - 1) * RANK_TOL
+    if mu[0] + 1 < -cut:
+        raise ValueError(f"Omega is not positive semidefinite (min eig(A Omega A) {mu[0] + 1:.3e})")
+    return two_dist, theta, int(np.count_nonzero(mu + 1 > cut))
 
 
 def multiplicative_theta(omega: np.ndarray, d: int) -> float | None:
-    """Largest relative eigenvalue deviation of Omega on the ideal support.
-
-    In the adjoint frame Omega_haar = diag(h), so its pseudo-inverse square root is A = diag(s),
-    s = h^(-1/2) on P1 + P2 and 0 on the mixed entries. The result, max |eig(A (Omega -
-    Omega_haar) A)|, is the smallest theta with (1-theta) Omega_haar <= Omega <= (1+theta)
-    Omega_haar when Omega lies inside P1 + P2; it is None, as in :func:`certify_design`, if the
-    support leak tr Omega - tr((P1 + P2) Omega) exceeds ``SUPPORT_LEAK_TOL``.
-    """
-    xs, _, leak = _support_deviation(omega, d)
-    return _sandwich_spectrum(xs, d, leak)[1]
+    """Certify's theta of ``omega`` (see :func:`_grade`): max |eig(A (Omega - Omega_haar) A)|, the
+    smallest theta with (1-theta) Omega_haar <= Omega <= (1+theta) Omega_haar when Omega lies in
+    P1 + P2; None if the support leak exceeds SUPPORT_LEAK_TOL; a ValueError if Omega is not PSD."""
+    return _grade(*_support_deviation(omega, d), d)[1]
 
 
 def _merge_equal_keys(e: UnitaryEnsemble) -> UnitaryEnsemble:
@@ -387,11 +392,11 @@ def certify_design(e: UnitaryEnsemble, tol: float = DEFAULT_CERT_TOL) -> Certifi
     The additive grade is the trace norm ||Omega - Omega_haar||_1 on second-moment operators;
     d^2 times it upper-bounds the diamond distance of the corresponding twirls. The
     multiplicative grade is the operator sandwich deviation (see :func:`multiplicative_theta`),
-    next to the support leak that decides whether it exists. Each is one eigensolve of the support
-    block, which is read off Omega slab by slab; the rank of Omega (at ``RANK_TOL``) comes from
-    theta's. Frame potential (FP = d^4 tr Omega^2, read off the same Omega) and key-entropy
-    diagnostics are filled in alongside; nothing held is larger than Omega. ``tol`` must be finite
-    and > 0.
+    next to the support leak that decides whether it exists. :func:`_grade` decides both, the rank
+    of Omega and the PSD check from one eigensolve each of the support block, which is read off
+    Omega slab by slab. Frame potential (FP = d^4 tr Omega^2, read off the same Omega) and
+    key-entropy diagnostics are filled in alongside; nothing held is larger than Omega. ``tol``
+    must be finite and > 0.
 
     Omega, FP and the 1-design distance are built from the ``distinct_keys`` keys left when keys of
     equal complex128 bytes are merged, weights summed: equal keys give equal rows, so the sums are
@@ -403,16 +408,8 @@ def certify_design(e: UnitaryEnsemble, tol: float = DEFAULT_CERT_TOL) -> Certifi
     omega = ensemble_choi(merged)
     fp = frame_potential(merged, omega)
     xs, mixed, leak = _support_deviation(omega, d)  # omega itself is left as built
-    del omega
-    # Unitary keys act as 1 (+) R_k: X's 2 (d^2 - 1) mixed rows and columns R vanish. Keys only
-    # within UNITARY_INGEST_TOL leave R = O(eps), and ||X||_1 <= ||X_s||_1 + ||R||_1:
-    mixed *= 2 * math.sqrt(2 * (d * d - 1))  # >= rank^.5 ||R||_F
-    two_dist = float(np.sum(np.abs(np.linalg.eigvalsh(xs)))) + mixed  # xs is symmetric
-    mu, theta = _sandwich_spectrum(xs, d, leak)  # mu + 1 = eig(A Omega A), of Omega's rank
-    cut = d * d * (d * d - 1) * RANK_TOL
-    if mu[0] + 1 < -cut:
-        raise ValueError(f"Omega is not positive semidefinite (min eig(A Omega A) {mu[0] + 1:.3e})")
-    rank = int(np.count_nonzero(mu + 1 > cut))
+    del omega  # freed before the grader's two eigensolves
+    two_dist, theta, rank = _grade(xs, mixed, leak, d)
     one_dist = one_design_distance(merged)
     bound = rank_bound(d)
     return CertificationReport(

@@ -123,31 +123,31 @@ def mc_haar_twirl(inputs, d: int, n_samples: int, seed: int, chunk: int = 2000) 
     Each of the ``n_samples`` Haar draws is stratified over the discrete
     Weyl fiber (whose conditional average is evaluated exactly), which
     keeps the estimator unbiased while cutting its variance. The same
-    sample stream is shared by all inputs.
+    sample stream is shared by all inputs. A draw V = U (x) conj(U) gives X the fiber coordinates
+    <B_w, V X V^dagger> = <V^dagger B_w V, X>, so the draws' V^dagger B_w V are summed first and
+    each input is read once.
     """
     xs = np.asarray(inputs, dtype=complex)
     squeeze = xs.ndim == 2
     if squeeze:
         xs = xs[None]
     dd = d * d
-    # orthonormal (Frobenius) basis of the Weyl-fiber average's range
+    # orthonormal (Frobenius) basis B_w of the Weyl-fiber average's range
     bflat = np.array(
         [np.kron(weyl(d, a, b), weyl(d, a, b).conj()).reshape(-1) for a in range(d) for b in range(d)]
     ) / d
+    basis = bflat.reshape(dd, dd, dd)  # [w] = B_w
     rng = philox(seed)
-    acc = np.zeros((xs.shape[0], dd * dd), dtype=complex)
+    fiber = np.zeros((dd, dd, dd), dtype=complex)  # [w] = the sum of V^dagger B_w V over the draws
     left = n_samples
     while left > 0:
         b = min(chunk, left)
         u = haar_batch(d, b, rng)
         v = np.einsum("bik,bjl->bijkl", u, u.conj()).reshape(b, dd, dd)
-        y = np.einsum("bpq,nqr,bsr->bnps", v, xs, v.conj(), optimize=True).reshape(
-            b, xs.shape[0], dd * dd
-        )
-        coeff = y @ bflat.conj().T
-        acc += np.einsum("bnw,wf->nf", coeff, bflat)
+        fiber += np.einsum("bqp,wqr,brs->wps", v.conj(), basis, v, optimize=True)
         left -= b
-    out = (acc / n_samples).reshape(xs.shape[0], dd, dd)
+    coeff = xs.reshape(len(xs), dd * dd) @ fiber.reshape(dd, dd * dd).conj().T  # [n, w]
+    out = (coeff @ bflat / n_samples).reshape(xs.shape[0], dd, dd)
     return out[0] if squeeze else out
 
 

@@ -247,11 +247,12 @@ def test_bounds_out_flag_and_bad_arguments(tmp_path, capsys):
     assert json.loads(path.read_text())["recommended_n"] == 18243
     assert run(["bounds", "--d", "2", "--out", str(tmp_path / "no" / "dir" / "b.json")]) == 3
     for argv, name in [(["--theta", "nan"], "theta"), (["--delta", "1.5"], "delta"),
-                       (["--d", "1"], "d")]:
+                       (["--d", "1"], "d"), (["--d", "1" * 1100], "--d")]:  # a 4397-digit bound
         capsys.readouterr()
         assert run(["bounds", "--d", "2", *argv]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and f"{name} must" in captured.err
+        assert len(captured.err) < 100  # no echo of a huge value
 
 
 def test_report_out_flag(tmp_path):
@@ -817,6 +818,15 @@ def test_gen_sampled_rejects_negative_seed(usage_error):
     usage_error(("gen sampled --d 2 --n 5 --seed -1 -o {out}", "seed must be >= 0, got -1"))
 
 
+@pytest.mark.parametrize("source", ["clifford", "haar"])
+def test_gen_sampled_names_n_beyond_one_array_of_keys(usage_error, source):
+    # 16 n d^2 bytes of keys past numpy's largest array size: checked before anything is drawn
+    most = np.iinfo(np.intp).max // (16 * 9)
+    usage_error((f"gen sampled --d 3 --n {10**20} --from {source} -o {{out}}",
+                 Whole(f"error: n_samples must be <= {most} at d = 3: one array of the keys\n")),
+                (f"gen sampled --d 3 --n {most + 1} --from {source} -o {{out}}", "n_samples must"))
+
+
 def test_gen_requires_params(usage_error):
     usage_error(("gen clifford -o {out}",), ("gen sampled --d 2 -o {out}",))
 
@@ -928,9 +938,11 @@ def test_attack_invalid_adversary(usage_error):
 
 
 @pytest.mark.parametrize("index, error", [
-    *(pytest.param(index, f"error: replacement basis state {int(index)} out of range 0..1",
-                   id=index) for index in ["-1", "2", "+2", "9"]),
-    # more digits than int() reads: the error names the selector and its field, not the value
+    # the error names the selector, its field and the range, not the value
+    *(pytest.param(index, Whole("error: replace:<j>: j out of range 0..1\n"), id=name)
+      for name, index in {"-1": "-1", "2": "2", "+2": "+2", "9": "9",
+                          "4300-digits": "1" * 4300}.items()),
+    # more digits than int() reads
     pytest.param("9" * 5000, Whole("error: replace:<j>: j has 5000 digits, too many\n"),
                  id="5000-digits"),
 ])

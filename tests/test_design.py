@@ -666,8 +666,12 @@ def test_omega_rank_counts_outside_the_rank_tol_window(d, monkeypatch):
 def test_omega_rank_keeps_the_psd_check(d, monkeypatch):
     tol = design.RANK_TOL
     assert _rank_of(_support_omega(d, 0.25, [0.5, -0.5 * tol], 95 + d), d, monkeypatch) == 2
-    with pytest.raises(ValueError, match="not positive semidefinite"):
-        _rank_of(_support_omega(d, 0.25, [0.5, -2 * tol], 95 + d), d, monkeypatch)
+    bad = _support_omega(d, 0.25, [0.5, -2 * tol], 95 + d)
+    with pytest.raises(ValueError, match="not positive semidefinite") as certified:
+        _rank_of(bad, d, monkeypatch)
+    with pytest.raises(ValueError) as theta:  # the one grader's check, with certify's message
+        multiplicative_theta(bad, d)
+    assert str(theta.value) == str(certified.value)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1e-9])
@@ -839,7 +843,8 @@ def test_theta_and_rank_of_few_keys_match_the_dense_sandwich(name):
     omega = ensemble_choi(e)
     dense = dense_sandwich_spectrum(omega, d)
     report = certify_design(e)
-    assert abs(report.multiplicative_theta - multiplicative_theta(omega, d)) <= 1e-12
+    assert report.distinct_keys == e.size  # no keys merged: certify graded this very Omega
+    assert report.multiplicative_theta == multiplicative_theta(omega, d)  # by the same grader
     cut = d * d * (d * d - 1) * design.RANK_TOL
     assert report.omega_rank == int(np.count_nonzero(dense > cut)) == rank
     if e.size < support:

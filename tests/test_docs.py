@@ -1,5 +1,6 @@
 """The README's examples and the workflow's console-script smoke run against the library and do
-what they say, and every public name has a user outside the package's own exports."""
+what they say, every public name has a user outside the package's own exports, and no code the
+workflow's floor job runs uses a numpy name newer than its numpy 1.24."""
 
 import contextlib
 import inspect
@@ -95,3 +96,26 @@ def test_every_public_name_has_a_user():
         return any(word.search(line) and not own.match(line) for line in lines)
 
     assert [n for n in names if not used(n)] == []
+
+
+# numpy names added after 1.24: exceptions and dtypes in 1.25, astype, unstack and cumulative_* in
+# 2.1, matvec and vecmat in 2.2, the rest in 2.0
+NUMPY_AFTER_1_24 = [
+    "concat", "astype", "unique_values", "unique_counts", "unique_inverse", "unique_all", "vecdot",
+    "matvec", "vecmat", "permute_dims", "matrix_transpose", "cumulative_sum", "cumulative_prod",
+    "bitwise_count", "bitwise_invert", "bitwise_left_shift", "bitwise_right_shift", "isdtype",
+    "trapezoid", "unstack", "pow", "acos", "asin", "atan", "atan2", "acosh", "asinh", "atanh",
+    "exceptions", "dtypes", "strings", "linalg.matrix_norm", "linalg.vector_norm",
+    "linalg.vecdot", "linalg.matrix_transpose", "linalg.outer", "linalg.svdvals",
+    "linalg.diagonal", "linalg.trace", "linalg.cross", "linalg.tensordot", "linalg.matmul",
+]
+
+
+def test_no_numpy_name_newer_than_the_floor():
+    # only the floor job runs numpy 1.24: this finds a newer name in any numpy the suite runs on
+    newer = re.compile(rf"\b(?:np|numpy)\.(?:{'|'.join(map(re.escape, NUMPY_AFTER_1_24))})\b")
+    paths = [*(ROOT / "src" / "qnm").glob("*.py"), *(ROOT / "tests").glob("*.py"),
+             *(ROOT / "bench").glob("*.py")]
+    found = [f"{p.name}:{i}: {m[0]}" for p in sorted(paths)
+             for i, line in enumerate(p.read_text().splitlines(), 1) for m in newer.finditer(line)]
+    assert found == []
