@@ -26,6 +26,9 @@ EXIT_OK = 0
 EXIT_CERT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
+_MAX_DIGITS = 4300  # most digits read: int()'s limit from Python 3.10.7 on; 3.10.0-3.10.6 have none
+_INTEGER = r"[+-]?[0-9]+"  # ASCII: int() and float() also read "\u0663", "1_0", " 3"
+_REAL = r"(?ai)[+-]?(?:([0-9]+(\.[0-9]*)?|\.[0-9]+)(e[+-]?[0-9]+)?|inf(inity)?|nan)"  # linear time
 
 
 def cmd_gen(args) -> int:
@@ -60,32 +63,32 @@ def cmd_certify(args) -> int:
     return EXIT_OK
 
 
-def _selector_int(text: str, form: str, field: str) -> int:
-    try:
-        return int(text)
-    except ValueError:  # more digits than int() converts (sys.get_int_max_str_digits): no echo
-        raise ValueError(f"{form}: {field} has {len(text.lstrip('+-'))} digits, too many") from None
+def _number(text: str, kind: type = int, name: str = ""):  # every number the CLI reads
+    if not re.fullmatch(_INTEGER if kind is int else _REAL, text):
+        raise argparse.ArgumentTypeError(f"{name}not {'an integer' if kind is int else 'a number'}")
+    if kind is int and len(text.lstrip("+-")) > _MAX_DIGITS:  # the reason, never the text
+        raise argparse.ArgumentTypeError(f"{name}has {len(text.lstrip('+-'))} digits, too many")
+    return kind(text)
 
 
 def _parse_adversary(selector: str, d: int):
-    integer = r"[+-]?[0-9]+"  # ASCII only: int() would also read "\u0661", " 1 " and "1_0"
     if selector == "identity":
         return unitary_channel(np.eye(d))
     if selector.startswith("replace:"):
         arg = selector.split(":", 1)[1]
         if arg == "tau":
             return constant_channel(np.eye(d) / d)
-        if re.fullmatch(integer, arg):
-            j = _selector_int(arg, "replace:<j>", "j")
+        if re.fullmatch(_INTEGER, arg):
+            j = _number(arg, int, "replace:<j>: j ")
             if not 0 <= j < d:
                 raise ValueError(f"replace:<j>: j out of range 0..{d - 1}")  # no echo of j
             return constant_channel(np.diag(np.eye(d)[j]))
         path, key, make = arg, "state", constant_channel
     elif selector.startswith("weyl:"):
-        ab = re.fullmatch(f"weyl:(?P<a>{integer}),(?P<b>{integer})", selector)
-        if not ab:
-            raise ValueError(f"weyl adversary needs 'weyl:<a>,<b>', got {selector!r}")
-        a, b = (_selector_int(ab[field], "weyl:<a>,<b>", field) for field in "ab")
+        a, _, b = selector[5:].partition(",")
+        if not (re.fullmatch(_INTEGER, a) and re.fullmatch(_INTEGER, b)):
+            raise ValueError("weyl adversary needs 'weyl:<a>,<b>'")
+        a, b = _number(a, int, "weyl:<a>,<b>: a "), _number(b, int, "weyl:<a>,<b>: b ")
         return unitary_channel(construct.weyl(d, a, b))
     elif selector.startswith("unitary:"):
         path, key, make = selector.split(":", 1)[1], "matrix", unitary_channel
@@ -111,20 +114,17 @@ def cmd_attack(args) -> int:
 
 def cmd_bounds(args) -> int:
     d, theta, delta = args.d, args.theta, args.delta
-    bound = rank_bound(d)
-    try:  # the report prints it: no more digits than str() converts, and no echo of d
-        str(bound)
-    except ValueError:
-        raise ValueError("--d must have fewer digits: rank_bound(d) has too many") from None
+    if rank_bound(d) >= 10**_MAX_DIGITS:  # the report prints it, and str() converts no more
+        raise ValueError("--d must have fewer digits: rank_bound(d) has too many")
     if d < 2:
-        raise ValueError(f"d must be at least 2, got {d}")
+        raise ValueError("d must be at least 2")  # no echo of d, which may have 1075 digits
     if not (math.isfinite(theta) and theta >= 0):
         raise ValueError(f"theta must be finite and nonnegative, got {theta}")
     if not 0 < delta < 1:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
     entropy_ok = theta <= 1 / math.e
     report = files.report_dict(
-        "bounds", d=d, theta=theta, delta=delta, rank_bound=bound,
+        "bounds", d=d, theta=theta, delta=delta, rank_bound=rank_bound(d),
         key_bits_4log2d=4 * math.log2(d), key_bits_5log2d=5 * math.log2(d),
         recommended_n=construct.recommended_n(d, theta, delta) if 0 < theta <= 0.5 else None,
         entropy_bound_bits=entropy_bound(d, theta) if entropy_ok else None,
@@ -149,20 +149,20 @@ def build_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser("gen", help="generate an ensemble file")
     kinds = gen.add_subparsers(dest="kind", required=True)
     pauli = kinds.add_parser("pauli", parents=[gen_out], help="Weyl operators on n qudits")
-    pauli.add_argument("--p", type=int, required=True, help="prime")
-    pauli.add_argument("--n", type=int, default=1, help="qudit count (default 1)")
+    pauli.add_argument("--p", type=_number, required=True, help="prime")
+    pauli.add_argument("--n", type=_number, default=1, help="qudit count (default 1)")
     clifford = kinds.add_parser("clifford", parents=[gen_out], help="the full Clifford group")
-    clifford.add_argument("--p", type=int, required=True, help="prime")
+    clifford.add_argument("--p", type=_number, required=True, help="prime")
     sampled = kinds.add_parser("sampled", parents=[gen_out], help="sampled keys")
-    sampled.add_argument("--d", type=int, required=True, help="dimension")
-    sampled.add_argument("--n", type=int, required=True, help="sample count")
-    sampled.add_argument("--seed", type=int, default=0, help="sampler seed (default 0)")
+    sampled.add_argument("--d", type=_number, required=True, help="dimension")
+    sampled.add_argument("--n", type=_number, required=True, help="sample count")
+    sampled.add_argument("--seed", type=_number, default=0, help="sampler seed (default 0)")
     sampled.add_argument("--from", dest="source", choices=["clifford", "haar"],
                          default="clifford", help="sampling source (default clifford)")
 
     cert = sub.add_parser("certify", parents=[report_out], help="certify an ensemble as a 2-design")
     cert.add_argument("input", help="ensemble file")
-    cert.add_argument("--tol", type=float, default=DEFAULT_CERT_TOL,
+    cert.add_argument("--tol", type=lambda text: _number(text, float), default=DEFAULT_CERT_TOL,
                       help=f"pass/fail tolerance (default {DEFAULT_CERT_TOL})")
     cert.add_argument("--mode", choices=["trace", "multiplicative", "both"], default="trace")
 
@@ -173,9 +173,9 @@ def build_parser() -> argparse.ArgumentParser:
                           "unitary:<file> | <kraus file>")
 
     bnd = sub.add_parser("bounds", parents=[report_out], help="report size and entropy bounds")
-    bnd.add_argument("--d", type=int, required=True)
-    bnd.add_argument("--theta", type=float, default=0.0)
-    bnd.add_argument("--delta", type=float, default=0.01)
+    bnd.add_argument("--d", type=_number, required=True)
+    bnd.add_argument("--theta", type=lambda text: _number(text, float), default=0.0)
+    bnd.add_argument("--delta", type=lambda text: _number(text, float), default=0.01)
 
     for leaf in (pauli, clifford, sampled, cert, atk, bnd):
         leaf.set_defaults(parser=leaf)  # so main reports a stray argument with its own usage line
@@ -192,7 +192,7 @@ def main(argv=None) -> int:
     handler = {"gen": cmd_gen, "certify": cmd_certify, "attack": cmd_attack, "bounds": cmd_bounds}
     try:
         return handler[args.command](args)
-    except ValueError as exc:  # ValueError includes unreadable JSON and a missing input file
+    except (ValueError, argparse.ArgumentTypeError) as exc:  # selector numbers, bad JSON, no file
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except MemoryError as exc:  # an input too large for memory is a usage error, not a verdict

@@ -199,5 +199,5 @@ def recommended_n(d: int, theta: float, delta: float) -> int:
     except OverflowError:  # d, or d^2 - 1, beyond a float
         n = math.inf
     if not math.isfinite(n):
-        raise ValueError(f"recommended_n overflows at d = {d}, theta = {theta}, delta = {delta}")
+        raise ValueError(f"recommended_n overflows for this d at theta = {theta}, delta = {delta}")
     return math.ceil(n)

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import warnings
 
 import numpy as np
@@ -247,7 +248,8 @@ def test_bounds_out_flag_and_bad_arguments(tmp_path, capsys):
     assert json.loads(path.read_text())["recommended_n"] == 18243
     assert run(["bounds", "--d", "2", "--out", str(tmp_path / "no" / "dir" / "b.json")]) == 3
     for argv, name in [(["--theta", "nan"], "theta"), (["--delta", "1.5"], "delta"),
-                       (["--d", "1"], "d"), (["--d", "1" * 1100], "--d")]:  # a 4397-digit bound
+                       (["--d", "1"], "d"), (["--d", "1" * 1100], "--d"),  # a 4397-digit bound
+                       (["--d", "-" + "1" * 1000], "d")]:
         capsys.readouterr()
         assert run(["bounds", "--d", "2", *argv]) == 2
         captured = capsys.readouterr()
@@ -758,6 +760,10 @@ class Absent(str):
     """A usage-error check: stderr does not hold this text."""
 
 
+class AtMost(int):
+    """A usage-error check: stderr holds at most this many bytes."""
+
+
 @pytest.fixture
 def usage_error(tmp_path, capsys):
     """The one usage-error check: ``usage_error(*commands, **inputs)`` writes ``inputs`` as files,
@@ -778,6 +784,9 @@ def usage_error(tmp_path, capsys):
             captured = capsys.readouterr()
             assert captured.out == "" and not os.path.exists(paths["out"])
             for c in checks:
+                if isinstance(c, AtMost):
+                    assert len(captured.err.encode()) <= c, (c, captured.err[:200])
+                    continue
                 want = c.format(**paths)
                 holds = {str: want in captured.err, Whole: captured.err == want,
                          Prefix: captured.err.startswith(want), Absent: want not in captured.err}
@@ -953,7 +962,8 @@ def test_attack_replace_index_out_of_range(usage_error, index, error):
 @pytest.mark.parametrize("arg, error", [
     *((arg, "weyl adversary needs 'weyl:<a>,<b>'") for arg in ["\u0661,\u0662", " 1 , 2", "1_0,2"]),
     ("1,-" + "9" * 5000, Whole("error: weyl:<a>,<b>: b has 5000 digits, too many\n")),
-], ids=["arabic-indic", "spaces", "underscore", "5000-digits"])
+    ("x" * 5000, Whole("error: weyl adversary needs 'weyl:<a>,<b>'\n")),
+], ids=["arabic-indic", "spaces", "underscore", "5000-digits", "5000-chars"])
 def test_attack_weyl_reads_only_ascii_integers(usage_error, arg, error):
     usage_error((["attack", "--scheme", "{c2}", "--adv", f"weyl:{arg}"], error))
 
@@ -964,11 +974,58 @@ def test_attack_replace_non_ascii_digits_name_a_file(usage_error):
 
 
 @pytest.mark.parametrize("d, theta", [("2", "1e-200"), ("2", "1e-160"), (str(10**80), "0.1"),
-                                      (str(10**400), "0.1")],
-                         ids=["theta-1e-200", "theta-1e-160", "d-1e80", "d-1e400"])
+                                      (str(10**400), "0.1"), ("1" * 500, "0.1")],
+                         ids=["theta-1e-200", "theta-1e-160", "d-1e80", "d-1e400", "d-500-digits"])
 def test_bounds_recommended_n_overflow_is_a_usage_error(usage_error, d, theta):
-    usage_error((f"bounds --d {d} --theta {theta} --delta 0.01",
-                 f"recommended_n overflows at d = {d}, theta = {float(theta)}, delta = 0.01"))
+    # theta and delta are in the error, d is not: it may have up to about 1075 digits
+    usage_error((f"bounds --d {d} --theta {theta} --delta 0.01", Whole(
+        f"error: recommended_n overflows for this d at theta = {float(theta)}, delta = 0.01\n")))
+
+
+@pytest.mark.parametrize("value", ["1" * 5000, "x" * 5000, "\u0663", "1_0", " 3"],
+                         ids=["5000-digits", "5000-chars", "arabic-indic", "underscore", "space"])
+@pytest.mark.parametrize("argv", [
+    "gen pauli --p V --n 1 -o {out}", "gen pauli --p 2 --n V -o {out}",
+    "gen clifford --p V -o {out}", "gen sampled --d V --n 3 -o {out}",
+    "gen sampled --d 2 --n V -o {out}", "gen sampled --d 2 --n 3 --seed V -o {out}",
+    "certify {c2} --tol V", "bounds --d V", "bounds --d 2 --theta V", "bounds --d 2 --delta V",
+], ids=["pauli-p", "pauli-n", "clifford-p", "sampled-d", "sampled-n", "sampled-seed", "certify-tol",
+        "bounds-d", "bounds-theta", "bounds-delta"])
+def test_a_bad_number_names_its_option_and_not_its_text(usage_error, argv, value):
+    words = argv.split()
+    option = words[words.index("V") - 1]
+    real = option in ("--tol", "--theta", "--delta")
+    if value == "1" * 5000:  # a real of 5000 digits reads as inf, which the command refuses itself
+        reason = f"{option[2:]} must" if real else f"argument {option}: has 5000 digits, too many"
+    else:
+        reason = f"argument {option}: not {'a number' if real else 'an integer'}"
+    usage_error(([value if w == "V" else w for w in words], reason, Absent(value), AtMost(512)))
+
+
+def test_a_long_bad_real_is_refused_in_linear_time(usage_error):
+    # a real pattern that can split a run of digits two ways backtracks over every split: 12 s here
+    start = time.perf_counter()
+    usage_error((["bounds", "--d", "2", "--theta", "1" * 20000 + "_"], "argument --theta: not a"))
+    assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize("spelled, plain", [
+    ("gen sampled --d +3 --n +3 --seed 00 -o {out}", "gen sampled --d 3 --n 3 --seed 0 -o {out}"),
+    ("gen pauli --p 03 --n +1 -o {out}", "gen pauli --p 3 --n 1 -o {out}"),
+    ("gen clifford --p +2 -o {out}", "gen clifford --p 2 -o {out}"),
+    ("certify {c2} --tol 1E2", "certify {c2} --tol 100.0"),
+    ("certify {c2} --tol .5", "certify {c2} --tol 0.5"),
+    ("bounds --d 03 --theta .5E-1 --delta 1e-3", "bounds --d 3 --theta 0.05 --delta 0.001"),
+], ids=["sampled", "pauli", "clifford", "tol-1E2", "tol-.5", "bounds"])
+def test_every_spelling_of_a_number_gives_the_same_result(tmp_path, capsys, spelled, plain):
+    paths = {"c2": str(tmp_path / "c2.json"), "out": str(tmp_path / "out.json")}
+    (tmp_path / "c2.json").write_bytes(_C2_FILE)
+    results = []
+    for argv in (spelled, plain):
+        code = run([arg.format(**paths) for arg in argv.split()])
+        written = (tmp_path / "out.json").read_bytes() if "{out}" in argv else None
+        results.append((code, capsys.readouterr().out, written))
+    assert results[0] == results[1] and results[0][0] == 0
 
 
 @pytest.mark.parametrize("argv, error", [

@@ -5,6 +5,10 @@ its parsed JSON value or by its text, and runs every command that reads the file
 ``cli.main``: ``certify`` and ``attack`` with every adversary selector for an ensemble file, and
 the attack that reads it for an adversary file. Whatever the mutation, each command must return
 0, 1 or 2 without raising, and an exit-2 error must name the mutated file.
+
+Each of ``ARGV_MUTATIONS`` more edits the numeric arguments of a cheap command (``bounds``, ``gen
+clifford``, ``gen sampled``, ``certify --tol``) with digits, signs, Unicode digits, "_", spaces or a
+5000-character run. Each command must return 0, 1 or 2 without raising, with a short error.
 """
 
 import json
@@ -26,6 +30,11 @@ FACTORS = (0.0, -1.0, 1 + 1e-9, 1 + 1e-13, 1e200, 1j)
 TEXT_CHARS = '{}[],:"0123456789-+.eE aZ=/\\'
 BASE64_CHARS = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/="
 DELETE = object()
+ARGV_MUTATIONS = 200
+NUMBER_CHARS = "0123456789+-\u0661\u0663\u00b2_ "
+NUMBER_COMMANDS = ("bounds --d 3 --theta 0.1 --delta 0.01", "gen clifford --p 2 -o {out}",
+                   "gen sampled --d 2 --n 3 --seed 0 -o {out}", "certify {scheme} --tol 1e-9")
+NUMBER_OPTIONS = ("--d", "--theta", "--delta", "--p", "--n", "--seed", "--tol")
 
 
 def _base_files(tmp_path) -> dict:
@@ -126,5 +135,36 @@ def test_mutated_inputs_exit_0_1_or_2_and_name_the_file(tmp_path, capsys):
                 problems.append((n, argv, code, err))
             else:
                 exits[code] += 1
+    assert problems == []
+    assert all(exits.values()), exits  # the mutations reach every outcome
+
+
+def _mutate_number(text: str, rng: np.random.Generator) -> str:
+    """One random edit of a numeric argument: a character inserted, overwritten or deleted, or the
+    whole argument replaced by a 5000-character run of one character."""
+    char = NUMBER_CHARS[int(rng.integers(len(NUMBER_CHARS)))]
+    at = int(rng.integers(len(text) + 1))
+    return [text[:at] + char + text[at:], text[:at] + char + text[at + 1:],
+            text[:at] + text[at + 1:], char * 5000][int(rng.integers(4))]
+
+
+def test_mutated_numeric_arguments_exit_0_1_or_2_with_a_short_error(tmp_path, capsys):
+    paths = {"scheme": str(tmp_path / "c2.json"), "out": str(tmp_path / "out.json")}
+    files.save_ensemble(paths["scheme"], construct.clifford_prime(2), {"source": "clifford"})
+    rng = philox(902)
+    problems, exits = [], {0: 0, 1: 0, 2: 0}
+    for n in range(ARGV_MUTATIONS):
+        command = NUMBER_COMMANDS[n % len(NUMBER_COMMANDS)]
+        argv = [arg.format(**paths) for arg in command.split()]
+        numeric = [i for i in range(1, len(argv)) if argv[i - 1] in NUMBER_OPTIONS]
+        for _ in range(1 + int(rng.integers(2))):  # one or two edits
+            i = numeric[int(rng.integers(len(numeric)))]
+            argv[i] = _mutate_number(argv[i], rng)
+        code = cli.main(argv)  # an exception that escapes fails the test with its traceback
+        err = capsys.readouterr().err
+        if code not in exits or len(err.encode()) > 512:
+            problems.append((n, [a[:20] for a in argv], code, err[:200]))
+        else:
+            exits[code] += 1
     assert problems == []
     assert all(exits.values()), exits  # the mutations reach every outcome
