@@ -5,7 +5,7 @@ K_m^dagger. Its Choi operator is omega = (Lambda (x) id) Phi_d (trace at
 most 1, exactly 1 for trace-preserving channels), and the channel is
 recovered through Lambda(rho) = d tr_2((1 (x) rho^T) omega), with the
 transpose taken in the computational basis. The replacement attack
-rho -> eta tr(rho) takes its Kraus operators from eta's eigenvalues and eigenvectors.
+rho -> eta tr(rho) is its state eta (replacement_state) or its Kraus form (constant_channel).
 """
 
 from dataclasses import dataclass
@@ -86,13 +86,9 @@ def unitary_channel(u: np.ndarray) -> KrausChannel:
     return ch
 
 
-def constant_channel(eta0: np.ndarray) -> KrausChannel:
-    """The replacement attack rho -> eta0 tr(rho), whose Choi operator is eta0 (x) tau.
-
-    eta0 must be finite and square, of trace 1 and PSD within ``CPTNI_TOL`` and Hermitian within
-    ``HERM_TOL``. Its eigenpairs (lambda_i, psi_i) with lambda_i > ``KRAUS_CUTOFF``, ascending,
-    give the Kraus operators sqrt(lambda_i) |psi_i><j|, i-major: rank(eta0) * d of them.
-    """
+def replacement_state(eta0: np.ndarray) -> np.ndarray:
+    """eta0 as a complex array, once checked to be a state (else a ValueError): finite and square,
+    of trace 1 and PSD within ``CPTNI_TOL`` and Hermitian within ``HERM_TOL``."""
     eta0 = np.asarray(eta0, dtype=complex)
     if eta0.ndim != 2 or len(eta0) != eta0.shape[1]:
         raise ValueError(f"replacement state eta0 must be a square matrix, got shape {eta0.shape}")
@@ -100,10 +96,19 @@ def constant_channel(eta0: np.ndarray) -> KrausChannel:
         raise ValueError("replacement state must be finite")
     if not abs(np.trace(eta0) - 1) <= CPTNI_TOL:
         raise ValueError(f"replacement state has trace {complex(np.trace(eta0)):.6g}, not 1")
-    vals, vecs = np.linalg.eigh(eta0)  # reads the lower triangle only: the defect covers the rest
-    if not (hermitian_defect(eta0) <= HERM_TOL and vals[0] >= -CPTNI_TOL):
+    low = np.linalg.eigvalsh(eta0)[0]  # reads the lower triangle only: the defect covers the rest
+    if not (hermitian_defect(eta0) <= HERM_TOL and low >= -CPTNI_TOL):
         raise ValueError("replacement state must be Hermitian and PSD (Hermiticity defect "
-                         f"{hermitian_defect(eta0):.3e}, min eigenvalue {vals[0]:.3e})")
+                         f"{hermitian_defect(eta0):.3e}, min eigenvalue {low:.3e})")
+    return eta0
+
+
+def constant_channel(eta0: np.ndarray) -> KrausChannel:
+    """The replacement attack rho -> eta0 tr(rho) in Kraus form, eta0 checked by replacement_state:
+    its eigenpairs (lambda_i, psi_i) with lambda_i > ``KRAUS_CUTOFF``, ascending, give the Kraus
+    operators sqrt(lambda_i) |psi_i><j|, i-major: rank(eta0) * d of them."""
+    eta0 = replacement_state(eta0)
+    vals, vecs = np.linalg.eigh(eta0)
     keep, d = vals > KRAUS_CUTOFF, len(eta0)
     ops = np.einsum("ai,jb->ijab", np.sqrt(vals[keep]) * vecs[:, keep], np.eye(d))
     return KrausChannel(d=d, kraus_ops=ops.reshape(-1, d, d))

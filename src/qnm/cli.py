@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import construct, files
-from .channels import constant_channel, unitary_channel
+from .channels import replacement_state, unitary_channel
 from .design import DEFAULT_CERT_TOL, certify_design, entropy_bound, rank_bound
 from .linalg import check_tol
 from .nmes import EncryptionScheme, attack_report
@@ -26,7 +26,6 @@ EXIT_OK = 0
 EXIT_CERT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
-_MAX_DIGITS = 4300  # most digits read: int()'s limit from Python 3.10.7 on; 3.10.0-3.10.6 have none
 _INTEGER = r"[+-]?[0-9]+"  # ASCII: int() and float() also read "\u0663", "1_0", " 3"
 _REAL = r"(?ai)[+-]?(?:([0-9]+(\.[0-9]*)?|\.[0-9]+)(e[+-]?[0-9]+)?|inf(inity)?|nan)"  # linear time
 
@@ -63,10 +62,14 @@ def cmd_certify(args) -> int:
     return EXIT_OK
 
 
+def _max_digits() -> int:  # the most digits int() and str() convert, 0 for no limit
+    return getattr(sys, "get_int_max_str_digits", lambda: 4300)()  # 3.10.0-3.10.6: 3.10.7's default
+
+
 def _number(text: str, kind: type = int, name: str = ""):  # every number the CLI reads
     if not re.fullmatch(_INTEGER if kind is int else _REAL, text):
         raise argparse.ArgumentTypeError(f"{name}not {'an integer' if kind is int else 'a number'}")
-    if kind is int and len(text.lstrip("+-")) > _MAX_DIGITS:  # the reason, never the text
+    if kind is int and 0 < _max_digits() < len(text.lstrip("+-")):  # the reason, never the text
         raise argparse.ArgumentTypeError(f"{name}has {len(text.lstrip('+-'))} digits, too many")
     return kind(text)
 
@@ -77,13 +80,13 @@ def _parse_adversary(selector: str, d: int):
     if selector.startswith("replace:"):
         arg = selector.split(":", 1)[1]
         if arg == "tau":
-            return constant_channel(np.eye(d) / d)
+            return np.eye(d) / d  # a state: attack_report reads it off the scheme's first moment
         if re.fullmatch(_INTEGER, arg):
             j = _number(arg, int, "replace:<j>: j ")
             if not 0 <= j < d:
                 raise ValueError(f"replace:<j>: j out of range 0..{d - 1}")  # no echo of j
-            return constant_channel(np.diag(np.eye(d)[j]))
-        path, key, make = arg, "state", constant_channel
+            return np.diag(np.eye(d)[j])
+        path, key, make = arg, "state", replacement_state
     elif selector.startswith("weyl:"):
         a, _, b = selector[5:].partition(",")
         if not (re.fullmatch(_INTEGER, a) and re.fullmatch(_INTEGER, b)):
@@ -99,8 +102,9 @@ def _parse_adversary(selector: str, d: int):
         adv = m if make is None else make(m)
     except ValueError as exc:  # the matrix's content: name its file, as every input error does
         raise ValueError(f"{path}: {exc}") from None
-    if adv.d != d:
-        raise ValueError(f"{path}: adversary acts on dimension {adv.d}, scheme has dimension {d}")
+    dim = len(adv) if make is replacement_state else adv.d
+    if dim != d:
+        raise ValueError(f"{path}: adversary acts on dimension {dim}, scheme has dimension {d}")
     return adv
 
 
@@ -114,7 +118,7 @@ def cmd_attack(args) -> int:
 
 def cmd_bounds(args) -> int:
     d, theta, delta = args.d, args.theta, args.delta
-    if rank_bound(d) >= 10**_MAX_DIGITS:  # the report prints it, and str() converts no more
+    if _max_digits() and rank_bound(d) >= 10**_max_digits():  # str() converts no more
         raise ValueError("--d must have fewer digits: rank_bound(d) has too many")
     if d < 2:
         raise ValueError("d must be at least 2")  # no echo of d, which may have 1075 digits

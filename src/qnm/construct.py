@@ -27,6 +27,10 @@ _PHASE_PICK_TOL = 0.1  # picks the phase entry: Clifford entries have modulus 0 
 _KEY_DECIMALS = 6  # a key's rounding: far coarser than round-off, far finer than entry gaps
 
 
+def _shown(n: int) -> str:  # an integer in a range error: itself to 18 digits, else sign and size
+    return str(n) if abs(n) < 10**18 else f"a{' negative' if n < 0 else 'n'} integer of 19+ digits"
+
+
 def is_prime(n: int) -> bool:
     return n >= 2 and all(n % f for f in range(2, math.isqrt(n) + 1))
 
@@ -56,12 +60,13 @@ def pauli_ensemble(p: int, n: int = 1) -> UnitaryEnsemble:
     a 2-design.
     """
     if n < 1:
-        raise ValueError(f"n must be a positive integer, got {n}")
+        raise ValueError(f"n must be a positive integer, got {_shown(n)}")
     # the bound before trial division, which is slow for a huge p; logarithms never form p^{4n}
     if p >= 2 and n > math.log(PAULI_MAX_ENTRIES) / (4 * math.log(p)):
-        raise ValueError(f"p^(4n) must be <= {PAULI_MAX_ENTRIES} entries, got p = {p}, n = {n}")
+        raise ValueError(f"p^(4n) must be <= {PAULI_MAX_ENTRIES} entries, "
+                         f"got p = {_shown(p)}, n = {_shown(n)}")
     if not is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
+        raise ValueError(f"p must be prime, got {_shown(p)}")
     singles = np.array([weyl(p, digit % p, digit // p) for digit in range(p * p)])
     u = np.ones((1, 1, 1), dtype=complex)
     for _ in range(n):  # the next factor's digit is the slow axis: u[digit, key] = u[key] (x) W
@@ -85,15 +90,16 @@ class SamplerConfig:
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.d < 2:
-            raise ValueError(f"d must be >= 2, got {self.d}")
+            raise ValueError(f"d must be >= 2, got {_shown(self.d)}")
         if self.n_samples < 1:
-            raise ValueError(f"n_samples must be >= 1, got {self.n_samples}")
+            raise ValueError(f"n_samples must be >= 1, got {_shown(self.n_samples)}")
         if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+            raise ValueError(f"seed must be >= 0, got {_shown(self.seed)}")
         if self.source not in ("clifford", "haar"):
             raise ValueError(f"source must be 'clifford' or 'haar', got {self.source!r}")
         if self.source == "clifford" and not (self.d <= CLIFFORD_PRIME_CAP and is_prime(self.d)):
-            raise ValueError(f"d must be a prime <= {CLIFFORD_PRIME_CAP} for clifford, got {self.d}")
+            raise ValueError(f"d must be a prime <= {CLIFFORD_PRIME_CAP} for clifford, "
+                             f"got {_shown(self.d)}")
         if self.d > MAX_D:  # checked before drawing: qnm reads no ensemble file of larger d
             raise ValueError(f"d must be <= {MAX_D}, the largest d of an ensemble file")
         most = np.iinfo(np.intp).max // (16 * self.d**2)  # the keys numpy holds in one array
@@ -152,7 +158,7 @@ def clifford_prime(p: int) -> UnitaryEnsemble:
     unitary 2-design. ``CLIFFORD_PRIME_CAP`` bounds p for certify's sake, not the enumeration's.
     """
     if p > CLIFFORD_PRIME_CAP or not is_prime(p):  # the cap first: trial division is slow
-        raise ValueError(f"p must be a prime <= {CLIFFORD_PRIME_CAP}, got {p}")
+        raise ValueError(f"p must be a prime <= {CLIFFORD_PRIME_CAP}, got {_shown(p)}")
     return UnitaryEnsemble.uniform(p, _clifford_elements(p))
 
 

@@ -22,8 +22,8 @@ to a bound certify adds. :func:`_support_deviation`, the one way into that frame
 block on the 1 + (d^2 - 1)^2 support slab by slab, with no rotated copy. :func:`_grade`, certify's
 one grader, solves it twice, as it is for T and sandwiched by A for theta and the rank.
 
-Every per-key loop here, nmes.attack_report (the attack's one walk over the keys) and
-_support_deviation's groups of slabs walk :func:`key_blocks`; Omega adds up groups of d^4 keys.
+Every per-key loop here, nmes.attack_report's Kraus walk and _support_deviation's groups of slabs
+walk :func:`key_blocks`; Omega and the first moment J1 (encryption_choi) add up groups of d^4 keys.
 """
 
 import math
@@ -229,16 +229,19 @@ def ensemble_choi(e: UnitaryEnsemble) -> np.ndarray:
     return omega
 
 
-def one_design_distance(e: UnitaryEnsemble) -> float:
-    """Trace distance of the average encryption Choi operator from tau (x) tau = 1/d^2. Its
-    d^2 x d^2 Gram is added up over the groups of d^4 keys that Omega's is, so the scaled keys
-    held (at most d^6 entries) do not grow with N."""
+def encryption_choi(e: UnitaryEnsemble) -> np.ndarray:
+    """The scheme's first moment J1 = sum_k p_k vec(U_k) vec(U_k)^dagger / d (d^2 x d^2), the
+    average encryption's Choi operator, summed over Omega's groups of d^4 keys (d^6 entries)."""
     d = e.d
     groups = [slice(s, s + d**4) for s in range(0, e.size, d**4)]
-    g = sum(gram_choi(np.sqrt(e.weights[k])[:, None] * e.unitaries[k].reshape(-1, d * d), d)
-            for k in groups)
-    g.flat[:: d * d + 1] -= 1 / d**2
-    return trace_norm(g)
+    return sum(gram_choi(np.sqrt(e.weights[k])[:, None] * e.unitaries[k].reshape(-1, d * d), d)
+               for k in groups)
+
+
+def one_design_distance(e: UnitaryEnsemble, choi: np.ndarray | None = None) -> float:
+    """Trace distance of the average encryption Choi operator J1 from tau (x) tau = 1/d^2. J1 is
+    ``choi`` when given (it must be ``encryption_choi(e)``), else it is built here."""
+    return trace_norm((encryption_choi(e) if choi is None else choi) - np.eye(e.d**2) / e.d**2)
 
 
 def frame_potential(e: UnitaryEnsemble, omega: np.ndarray | None = None) -> float:

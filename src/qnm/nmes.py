@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import design
-from .channels import KrausChannel, choi_of, validate_cptni
+from .channels import KrausChannel, choi_of, replacement_state, validate_cptni
 from .design import IsotropicDecomposition, UnitaryEnsemble, iso_project, one_design_distance
 
 
@@ -74,19 +74,26 @@ def effective_channel(
     return KrausChannel(d=d, kraus_ops=ops)
 
 
-def attack_report(scheme: EncryptionScheme, adv: KrausChannel) -> AttackReport:
-    """Run an attack and grade how far the effective channel leaves the isotropic cone. Its Choi
-    operator is summed over the :func:`design.key_blocks` of the keys, the attack's one walk over
-    them, so one block of Kraus products is held at a time."""
-    d = scheme.d
-    blocks = design.key_blocks(scheme.ensemble.size, len(adv.kraus_ops) * d * d)
-    omega = sum(choi_of(effective_channel(scheme, adv, block)) for block in blocks)
-    decomposition = iso_project(omega, d)
-    residual = decomposition.residual
-    return AttackReport(
-        effective_choi=omega,
-        decomposition=decomposition,
-        malleability_residual=residual,
-        diamond_upper_bound=d * residual,
-        scheme_one_design_dist=one_design_distance(scheme.ensemble),
-    )
+def attack_report(scheme: EncryptionScheme, adv: KrausChannel | np.ndarray) -> AttackReport:
+    """Run an attack and grade how far the effective channel leaves the isotropic cone. A
+    KrausChannel's effective Choi operator is summed over the :func:`design.key_blocks` of the
+    keys, one block of Kraus products at a time. A state eta (channels.replacement_state) is the
+    attack rho -> eta tr(rho), with effective Choi operator eta_bar (x) tau, where eta_bar[a, b] =
+    sum_k p_k (U_k^dagger eta U_k)[a, b] = d sum_ij eta[i, j] J1[(j, b), (i, a)] is read off the
+    first moment J1 = design.encryption_choi: no Kraus product; residual ||eta_bar - tau||_1."""
+    d, e = scheme.d, scheme.ensemble
+    if isinstance(adv, KrausChannel):
+        blocks = design.key_blocks(e.size, len(adv.kraus_ops) * d * d)
+        omega = sum(choi_of(effective_channel(scheme, adv, block)) for block in blocks)
+        one_dist = one_design_distance(e)
+    else:
+        eta = replacement_state(adv)
+        if len(eta) != d:
+            raise ValueError(f"adversary acts on dimension {len(eta)}, scheme has dimension {d}")
+        j1 = design.encryption_choi(e)
+        mean = d * np.tensordot(eta, j1.reshape((d,) * 4), axes=([0, 1], [2, 0])).T
+        omega = np.kron((mean + mean.conj().T) / 2, np.eye(d) / d)  # exactly Hermitian
+        one_dist = one_design_distance(e, j1)
+    dec = iso_project(omega, d)
+    return AttackReport(effective_choi=omega, decomposition=dec, malleability_residual=dec.residual,
+                        diamond_upper_bound=d * dec.residual, scheme_one_design_dist=one_dist)

@@ -324,6 +324,11 @@ def loop_attack_reference(weights, unitaries, kraus_ops, d: int):
     return alpha, beta, float(np.sum(np.abs(np.linalg.eigvalsh(off)))), choi
 
 
+def loop_replacement_mean(weights, unitaries, eta: np.ndarray) -> np.ndarray:
+    """eta_bar = sum_k p_k U_k^dagger eta U_k, key by key: the state rho -> eta tr(rho) decrypts to."""
+    return sum(p * (u.conj().T @ eta @ u) for p, u in zip(weights, unitaries))
+
+
 def pairwise_frame_potential(weights, unitaries) -> float:
     """sum_{k,l} p_k p_l |tr(U_k^dagger U_l)|^4 over all N^2 pairs, never building Omega.
 

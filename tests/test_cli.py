@@ -11,10 +11,11 @@ import warnings
 import numpy as np
 import pytest
 
-from qnm import cli, construct, design, files
+from qnm import channels, cli, construct, design, files, nmes
 from qnm.design import DEFAULT_CERT_TOL, UnitaryEnsemble
 
-from helpers import ensemble_dict, haar_batch, philox, traced_peak
+from helpers import (ensemble_dict, haar_batch, loop_replacement_mean, philox, random_density,
+                     traced_peak)
 
 
 def run(argv):
@@ -91,10 +92,14 @@ def test_gen_checks_the_clifford_cap_before_primality(tmp_path, monkeypatch, cap
 
 
 @pytest.mark.parametrize(
-    "p, n", [("100000000000000000039", "1"), ("2", "7"), ("2", "1" + "0" * 400)],
+    "p, n, got", [("100000000000000000039", "1", "p = an integer of 19+ digits, n = 1"),
+                  ("2", "7", "p = 2, n = 7"),
+                  ("2", "1" + "0" * 400, "p = 2, n = an integer of 19+ digits")],
     ids=["huge-p", "4.3GB", "huge-n"],
 )
-def test_gen_pauli_checks_the_size_bound_before_primality(tmp_path, monkeypatch, capsys, p, n):
+def test_gen_pauli_checks_the_size_bound_before_primality(tmp_path, monkeypatch, capsys, p, n,
+                                                          got):
+    # an integer of more than 18 digits is named by its size, not echoed
     is_prime = construct.is_prime
 
     def bounded_is_prime(q):
@@ -104,7 +109,7 @@ def test_gen_pauli_checks_the_size_bound_before_primality(tmp_path, monkeypatch,
     monkeypatch.setattr(construct, "is_prime", bounded_is_prime)
     out = tmp_path / "x.json"
     assert run(["gen", "pauli", "--p", p, "--n", n, "-o", str(out)]) == 2
-    assert f"p^(4n) must be <= {construct.PAULI_MAX_ENTRIES} entries, got p = {p}, n = {n}" in (
+    assert f"p^(4n) must be <= {construct.PAULI_MAX_ENTRIES} entries, got {got}\n" in (
         capsys.readouterr().err
     )
     assert not out.exists()
@@ -363,6 +368,30 @@ def test_rerouted_selectors_give_byte_identical_reports(tmp_path, capsys, adv, t
         assert run(["attack", "--scheme", scheme, "--adv", selector]) == 0
         reports.append(capsys.readouterr().out)
     assert reports[0] == reports[1]
+
+
+def test_every_replace_selector_reads_the_state_off_the_first_moment(tmp_path, capsys,
+                                                                       monkeypatch):
+    # no replace: selector builds a Kraus operator or a Kraus Choi operator
+    def refuse(*args, **kwargs):
+        raise AssertionError("the Kraus route was taken")
+
+    for owner, name in [(nmes, "effective_channel"), (nmes, "choi_of"), (channels, "choi_of"),
+                        (channels, "constant_channel")]:
+        monkeypatch.setattr(owner, name, refuse)
+    ensemble = UnitaryEnsemble(3, np.arange(1, 31) / 465, haar_batch(3, 30, philox(73)))
+    scheme, state = tmp_path / "h3.json", tmp_path / "state.json"
+    scheme.write_text(json.dumps(ensemble_dict(ensemble)))
+    eta = random_density(3, philox(28))
+    state.write_text(json.dumps(_matrix("state", eta, d=3)))
+    for arg, want in [("tau", np.eye(3) / 3), *((str(j), np.diag(np.eye(3)[j])) for j in range(3)),
+                      (str(state), eta)]:
+        assert run(["attack", "--scheme", str(scheme), "--adv", f"replace:{arg}"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        mean = loop_replacement_mean(ensemble.weights, ensemble.unitaries, want)
+        choi = np.array(report["effective_choi"]) @ [1, 1j]
+        assert np.max(np.abs(choi - np.kron(mean, np.eye(3) / 3))) <= 1e-12
+        assert abs(report["alpha"] - 1 / 9) <= 1e-12 and abs(report["beta"] - 1 / 9) <= 1e-12
 
 
 def test_ensemble_file_round_trip(tmp_path):
@@ -1007,6 +1036,53 @@ def test_a_long_bad_real_is_refused_in_linear_time(usage_error):
     start = time.perf_counter()
     usage_error((["bounds", "--d", "2", "--theta", "1" * 20000 + "_"], "argument --theta: not a"))
     assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize("digits", [19, 4300])
+@pytest.mark.parametrize("argv, head", [
+    ("gen clifford --p V -o {out}", "p must be a prime <= 5, got "),
+    ("gen pauli --p V -o {out}", "p^(4n) must be <= 4194304 entries, got p = "),
+    ("gen pauli --p -V -o {out}", "p must be prime, got "),
+    ("gen pauli --p 2 --n -V -o {out}", "n must be a positive integer, got "),
+    ("gen sampled --d V --n 3 -o {out}", "d must be a prime <= 5 for clifford, got "),
+    ("gen sampled --d -V --n 3 -o {out}", "d must be >= 2, got "),
+    ("gen sampled --d 2 --n -V -o {out}", "n_samples must be >= 1, got "),
+    ("gen sampled --d 2 --n 3 --seed -V -o {out}", "seed must be >= 0, got "),
+], ids=["clifford-p", "pauli-p", "pauli-negative-p", "pauli-n", "sampled-d", "sampled-negative-d",
+        "sampled-n", "sampled-seed"])
+def test_a_range_error_names_a_long_integer_by_its_size(usage_error, argv, head, digits):
+    # an integer of more than 18 digits is named by its sign and size; 18 digits are still echoed
+    negative, tail = "-V" in argv, ", n = 1" if "--p V" in argv and "pauli" in argv else ""
+    size = f"a{' negative' if negative else 'n'} integer of 19+ digits"
+    usage_error((argv.replace("V", "1" * digits), Whole(f"error: {head}{size}{tail}\n")),
+                (argv.replace("V", "1" * 18),
+                 Whole(f"error: {head}{'-' if negative else ''}{'1' * 18}{tail}\n")))
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int() digit limit")
+def test_the_digit_bound_is_the_interpreters_limit(usage_error, capsys, monkeypatch):
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(640)
+        usage_error((["bounds", "--d", "1" * 1000], Prefix("usage: qnm bounds"),
+                     "argument --d: has 1000 digits, too many", Absent("1" * 641), AtMost(512)),
+                    (f"attack --scheme {{c2}} --adv replace:{'1' * 641}",
+                     Whole("error: replace:<j>: j has 641 digits, too many\n")),
+                    (["bounds", "--d", "1" * 640],
+                     Whole("error: --d must have fewer digits: rank_bound(d) has too many\n")),
+                    (f"gen clifford --p {'1' * 640} -o {{out}}",
+                     Whole("error: p must be a prime <= 5, got an integer of 19+ digits\n")))
+        sys.set_int_max_str_digits(0)  # no limit
+        assert run(["bounds", "--d", "1" * 5000]) == 0
+        assert json.loads(capsys.readouterr().out)["d"] == int("1" * 5000)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    # Python 3.10.0-3.10.6 have no limit to read: the CLI holds them to 3.10.7's 4300 digits
+    monkeypatch.delattr(sys, "get_int_max_str_digits")
+    usage_error((f"attack --scheme {{c2}} --adv replace:{'1' * 4301}",
+                 Whole("error: replace:<j>: j has 4301 digits, too many\n")),
+                (f"attack --scheme {{c2}} --adv replace:{'1' * 4300}",
+                 Whole("error: replace:<j>: j out of range 0..1\n")))
 
 
 @pytest.mark.parametrize("spelled, plain", [

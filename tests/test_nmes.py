@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from qnm import (
     unitary_channel,
     weyl,
 )
+from qnm import nmes
 from qnm.design import UnitaryEnsemble
 
 from helpers import (
@@ -21,6 +24,7 @@ from helpers import (
     haar_batch,
     loop_attack_reference,
     loop_effective_kraus,
+    loop_replacement_mean,
     max_entangled,
     philox,
     random_density,
@@ -338,3 +342,80 @@ def test_attack_report_holds_one_key_block_of_kraus_products(clifford5):
     _, peak = traced_peak(lambda: attack_report(scheme, adversary))
     # a 1 MiB block of products and its transients; all 3000 * 25 of them are 29 MiB
     assert peak <= 5 * 2**20, peak
+
+
+def _zero_weight_scheme():
+    """40 Haar keys at d = 2, three of zero weight: not a 1-design, in three groups of d^4 = 16."""
+    rng = philox(26)
+    weights = rng.random(40)
+    weights[[0, 16, 39]] = 0
+    return UnitaryEnsemble(2, weights / weights.sum(), haar_batch(2, 40, rng))
+
+
+def _replacement_states(d: int):
+    """tau, every basis state |j><j| and a random mixed non-diagonal state."""
+    mixed = random_density(d, philox(27 + d))
+    assert np.max(np.abs(mixed - np.diag(np.diag(mixed)))) > 0.05
+    return [np.eye(d) / d, *(np.diag(np.eye(d)[j]) for j in range(d)), mixed]
+
+
+def _report_values(report):
+    dec = report.decomposition
+    return np.array([dec.alpha, dec.beta, report.malleability_residual,
+                     report.diamond_upper_bound, report.scheme_one_design_dist])
+
+
+@pytest.mark.parametrize("scheme_name", ["haar3_uneven", "sampled3", "zero-weight", "clifford2",
+                                         "clifford3", "pauli21", "pauli31"])
+def test_replacement_state_route_matches_the_kraus_route_and_the_loop(request, scheme_name):
+    # sampled3's 300 keys and zero-weight's 40 fill more than one group of d^4 keys in J1
+    if scheme_name == "zero-weight":
+        e = _zero_weight_scheme()
+    else:
+        e = request.getfixturevalue(scheme_name)
+    d, scheme = e.d, EncryptionScheme(e)
+    for eta in _replacement_states(d):
+        report = attack_report(scheme, eta)
+        kraus = attack_report(scheme, constant_channel(eta))
+        assert np.max(np.abs(_report_values(report) - _report_values(kraus))) <= 1e-12
+        assert np.max(np.abs(report.effective_choi - kraus.effective_choi)) <= 1e-12
+        alpha, beta, residual, choi = loop_attack_reference(e.weights, e.unitaries,
+                                                            constant_channel(eta).kraus_ops, d)
+        got = _report_values(report)
+        assert np.max(np.abs(got[:3] - [alpha, beta, residual])) <= 1e-12
+        assert np.max(np.abs(report.effective_choi - choi)) <= 1e-12
+        assert np.array_equal(report.effective_choi, report.effective_choi.conj().T)
+        # the residual is the decrypted state's distance from tau, 0 on every 1-design
+        mean = loop_replacement_mean(e.weights, e.unitaries, eta)
+        tau = np.eye(d) / d
+        assert abs(report.malleability_residual - trace_norm(mean - tau)) <= 1e-12
+        assert np.max(np.abs(report.effective_choi - np.kron(mean, tau))) <= 1e-12
+        if scheme_name.startswith(("clifford", "pauli")):
+            assert np.max(np.abs(mean - tau)) <= 1e-12
+            assert report.scheme_one_design_dist <= 1e-12
+        elif not np.array_equal(eta, tau):  # every key fixes tau; these keys move any other eta
+            assert report.malleability_residual > 1e-6
+
+
+def test_replacement_state_route_builds_no_kraus_product(monkeypatch, clifford3):
+    def refuse(*args):
+        raise AssertionError("the Kraus route was taken")
+
+    monkeypatch.setattr(nmes, "effective_channel", refuse)
+    monkeypatch.setattr(nmes, "choi_of", refuse)
+    walks = []
+    monkeypatch.setattr(design, "encryption_choi",
+                        lambda e, build=design.encryption_choi: walks.append(e) or build(e))
+    report = attack_report(EncryptionScheme(clifford3), np.diag([0.0, 1.0, 0.0]))
+    assert len(walks) == 1  # J1 is built once, for eta_bar and the 1-design distance
+    assert abs(report.decomposition.alpha - 1 / 9) <= 1e-12
+
+
+@pytest.mark.parametrize("eta, error", [
+    (np.eye(2), "replacement state has trace 2+0j, not 1"),
+    (np.ones((2, 3)) / 2, "replacement state eta0 must be a square matrix, got shape (2, 3)"),
+    (np.eye(3) / 3, "adversary acts on dimension 3, scheme has dimension 2"),
+], ids=["trace-2", "non-square", "other-dimension"])
+def test_attack_report_checks_a_replacement_state(clifford_scheme, eta, error):
+    with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
+        attack_report(clifford_scheme, eta)
