@@ -34,10 +34,12 @@ class KrausChannel:
         shape = (self.d, self.d)
         try:
             ops = np.asarray(self.kraus_ops, dtype=complex)
-        except ValueError:  # operators of unequal shapes
+        except (TypeError, ValueError):  # operators of unequal shapes, or entries not numbers
             ops = None
         if ops is None or (ops.size and ops.shape[1:] != shape):
-            m = next(m for m, k in enumerate(self.kraus_ops) if np.shape(k) != shape)
+            m = next((m for m, k in enumerate(self.kraus_ops) if np.shape(k) != shape), None)
+            if m is None:  # every shape is right, so numpy could not convert an entry
+                raise ValueError("Kraus operators must be numbers")
             raise ValueError(
                 f"Kraus operator {m} has shape {np.shape(self.kraus_ops[m])}, expected {shape}"
             )

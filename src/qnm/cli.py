@@ -27,6 +27,9 @@ EXIT_CERT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
 _INTEGER = r"[+-]?[0-9]+"  # ASCII: int() and float() also read "\u0663", "1_0", " 3"
+# an integer's most digits, leading zeros counted: 2^128 - 1 has 39. Far below 640, the least limit
+# int() and str() may have, so no integer read, nor rank_bound of it (157 digits), meets that limit
+_MAX_DIGITS = 39
 _REAL = r"(?ai)[+-]?(?:([0-9]+(\.[0-9]*)?|\.[0-9]+)(e[+-]?[0-9]+)?|inf(inity)?|nan)"  # linear time
 
 
@@ -62,14 +65,10 @@ def cmd_certify(args) -> int:
     return EXIT_OK
 
 
-def _max_digits() -> int:  # the most digits int() and str() convert, 0 for no limit
-    return getattr(sys, "get_int_max_str_digits", lambda: 4300)()  # 3.10.0-3.10.6: 3.10.7's default
-
-
 def _number(text: str, kind: type = int, name: str = ""):  # every number the CLI reads
     if not re.fullmatch(_INTEGER if kind is int else _REAL, text):
         raise argparse.ArgumentTypeError(f"{name}not {'an integer' if kind is int else 'a number'}")
-    if kind is int and 0 < _max_digits() < len(text.lstrip("+-")):  # the reason, never the text
+    if kind is int and len(text.lstrip("+-")) > _MAX_DIGITS:  # the reason, never the text
         raise argparse.ArgumentTypeError(f"{name}has {len(text.lstrip('+-'))} digits, too many")
     return kind(text)
 
@@ -118,10 +117,8 @@ def cmd_attack(args) -> int:
 
 def cmd_bounds(args) -> int:
     d, theta, delta = args.d, args.theta, args.delta
-    if _max_digits() and rank_bound(d) >= 10**_max_digits():  # str() converts no more
-        raise ValueError("--d must have fewer digits: rank_bound(d) has too many")
     if d < 2:
-        raise ValueError("d must be at least 2")  # no echo of d, which may have 1075 digits
+        raise ValueError("d must be at least 2")
     if not (math.isfinite(theta) and theta >= 0):
         raise ValueError(f"theta must be finite and nonnegative, got {theta}")
     if not 0 < delta < 1:

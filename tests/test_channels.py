@@ -210,6 +210,9 @@ def test_kraus_shape_validation():
         KrausChannel(d=2, kraus_ops=[np.eye(2), np.eye(3)])
     with pytest.raises(ValueError, match=r"Kraus operator 0 has shape \(2, 3\)"):
         KrausChannel(d=2, kraus_ops=[np.ones((2, 3)), np.ones((2, 3))])
+    for entries in ([["a", "b"], ["c", "d"]], [[{}, 1], [1, 1]]):  # right shape, not numbers
+        with pytest.raises(ValueError, match="^Kraus operators must be numbers$"):
+            KrausChannel(d=2, kraus_ops=[entries])
 
 
 def test_kraus_ops_are_stored_as_one_array():

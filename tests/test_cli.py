@@ -92,14 +92,14 @@ def test_gen_checks_the_clifford_cap_before_primality(tmp_path, monkeypatch, cap
 
 
 @pytest.mark.parametrize(
-    "p, n, got", [("100000000000000000039", "1", "p = an integer of 19+ digits, n = 1"),
+    "p, n, got", [("100000000000000000039", "1", "p = 100000000000000000039, n = 1"),
                   ("2", "7", "p = 2, n = 7"),
-                  ("2", "1" + "0" * 400, "p = 2, n = an integer of 19+ digits")],
+                  ("2", "1" + "0" * 38, f"p = 2, n = {10**38}")],
     ids=["huge-p", "4.3GB", "huge-n"],
 )
 def test_gen_pauli_checks_the_size_bound_before_primality(tmp_path, monkeypatch, capsys, p, n,
                                                           got):
-    # an integer of more than 18 digits is named by its size, not echoed
+    # the error shows p and n, each of at most cli._MAX_DIGITS digits
     is_prime = construct.is_prime
 
     def bounded_is_prime(q):
@@ -252,14 +252,14 @@ def test_bounds_out_flag_and_bad_arguments(tmp_path, capsys):
     assert capsys.readouterr().out == ""
     assert json.loads(path.read_text())["recommended_n"] == 18243
     assert run(["bounds", "--d", "2", "--out", str(tmp_path / "no" / "dir" / "b.json")]) == 3
-    for argv, name in [(["--theta", "nan"], "theta"), (["--delta", "1.5"], "delta"),
-                       (["--d", "1"], "d"), (["--d", "1" * 1100], "--d"),  # a 4397-digit bound
-                       (["--d", "-" + "1" * 1000], "d")]:
+    for argv, error in [(["--theta", "nan"], "theta must"), (["--delta", "1.5"], "delta must"),
+                        (["--d", "1"], "d must"), (["--d", "-" + "9" * 39], "d must"),
+                        (["--d", "1" * 40], "argument --d: has 40 digits, too many")]:
         capsys.readouterr()
         assert run(["bounds", "--d", "2", *argv]) == 2
         captured = capsys.readouterr()
-        assert captured.out == "" and f"{name} must" in captured.err
-        assert len(captured.err) < 100  # no echo of a huge value
+        assert captured.out == "" and error in captured.err
+        assert len(captured.err.splitlines()[-1]) < 100  # the error line: no echo of a long value
 
 
 def test_report_out_flag(tmp_path):
@@ -978,9 +978,10 @@ def test_attack_invalid_adversary(usage_error):
 @pytest.mark.parametrize("index, error", [
     # the error names the selector, its field and the range, not the value
     *(pytest.param(index, Whole("error: replace:<j>: j out of range 0..1\n"), id=name)
-      for name, index in {"-1": "-1", "2": "2", "+2": "+2", "9": "9",
-                          "4300-digits": "1" * 4300}.items()),
-    # more digits than int() reads
+      for name, index in {"-1": "-1", "2": "2", "+2": "+2", "9": "9"}.items()),
+    # more digits than cli._MAX_DIGITS
+    pytest.param("1" * 4300, Whole("error: replace:<j>: j has 4300 digits, too many\n"),
+                 id="4300-digits"),
     pytest.param("9" * 5000, Whole("error: replace:<j>: j has 5000 digits, too many\n"),
                  id="5000-digits"),
 ])
@@ -1006,9 +1007,15 @@ def test_attack_replace_non_ascii_digits_name_a_file(usage_error):
                                       (str(10**400), "0.1"), ("1" * 500, "0.1")],
                          ids=["theta-1e-200", "theta-1e-160", "d-1e80", "d-1e400", "d-500-digits"])
 def test_bounds_recommended_n_overflow_is_a_usage_error(usage_error, d, theta):
-    # theta and delta are in the error, d is not: it may have up to about 1075 digits
-    usage_error((f"bounds --d {d} --theta {theta} --delta 0.01", Whole(
-        f"error: recommended_n overflows for this d at theta = {float(theta)}, delta = 0.01\n")))
+    # a tiny theta overflows; a d large enough to overflow has more digits than the CLI reads,
+    # so test_recommended_n_overflow_names_theta_and_delta_not_d holds those d in the library
+    if len(d) > cli._MAX_DIGITS:
+        checks = (Prefix("usage: qnm bounds"), f"argument --d: has {len(d)} digits, too many",
+                  Absent(d), AtMost(512))
+    else:
+        checks = (Whole(f"error: recommended_n overflows for this d at theta = {float(theta)}, "
+                        f"delta = 0.01\n"),)
+    usage_error((f"bounds --d {d} --theta {theta} --delta 0.01", *checks))
 
 
 @pytest.mark.parametrize("value", ["1" * 5000, "x" * 5000, "\u0663", "1_0", " 3"],
@@ -1051,38 +1058,52 @@ def test_a_long_bad_real_is_refused_in_linear_time(usage_error):
 ], ids=["clifford-p", "pauli-p", "pauli-negative-p", "pauli-n", "sampled-d", "sampled-negative-d",
         "sampled-n", "sampled-seed"])
 def test_a_range_error_names_a_long_integer_by_its_size(usage_error, argv, head, digits):
-    # an integer of more than 18 digits is named by its sign and size; 18 digits are still echoed
+    # an integer of up to cli._MAX_DIGITS digits is shown in its range error; a longer one is
+    # refused before any range check, by its option and its size, and never echoed
     negative, tail = "-V" in argv, ", n = 1" if "--p V" in argv and "pauli" in argv else ""
-    size = f"a{' negative' if negative else 'n'} integer of 19+ digits"
-    usage_error((argv.replace("V", "1" * digits), Whole(f"error: {head}{size}{tail}\n")),
-                (argv.replace("V", "1" * 18),
-                 Whole(f"error: {head}{'-' if negative else ''}{'1' * 18}{tail}\n")))
+    words = argv.split()
+    option = words[next(i for i, word in enumerate(words) if "V" in word) - 1]
+
+    def command(n):
+        value = "1" * n
+        if n > cli._MAX_DIGITS:
+            return (argv.replace("V", value), Prefix("usage: qnm gen "),
+                    f"argument {option}: has {n} digits, too many", Absent(value))
+        sign = "-" if negative else ""
+        return argv.replace("V", value), Whole(f"error: {head}{sign}{value}{tail}\n")
+
+    usage_error(command(digits), command(cli._MAX_DIGITS))
 
 
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int() digit limit")
-def test_the_digit_bound_is_the_interpreters_limit(usage_error, capsys, monkeypatch):
-    limit = sys.get_int_max_str_digits()
+def test_the_digit_bound_is_the_interpreters_limit(usage_error, capsys, tmp_path):
+    # whatever the interpreter's int() limit (the least, 640; none, 0; or the one in effect), the
+    # CLI reads cli._MAX_DIGITS digits and refuses one more, naming the option or field
+    limit, most = sys.get_int_max_str_digits(), "9" * cli._MAX_DIGITS
+    scheme, keys = tmp_path / "scheme.json", str(tmp_path / "keys.json")
+    scheme.write_bytes(_C2_FILE)
     try:
-        sys.set_int_max_str_digits(640)
-        usage_error((["bounds", "--d", "1" * 1000], Prefix("usage: qnm bounds"),
-                     "argument --d: has 1000 digits, too many", Absent("1" * 641), AtMost(512)),
-                    (f"attack --scheme {{c2}} --adv replace:{'1' * 641}",
-                     Whole("error: replace:<j>: j has 641 digits, too many\n")),
-                    (["bounds", "--d", "1" * 640],
-                     Whole("error: --d must have fewer digits: rank_bound(d) has too many\n")),
-                    (f"gen clifford --p {'1' * 640} -o {{out}}",
-                     Whole("error: p must be a prime <= 5, got an integer of 19+ digits\n")))
-        sys.set_int_max_str_digits(0)  # no limit
-        assert run(["bounds", "--d", "1" * 5000]) == 0
-        assert json.loads(capsys.readouterr().out)["d"] == int("1" * 5000)
+        for setting in (640, 0, limit):
+            sys.set_int_max_str_digits(setting)
+            assert run(["gen", "sampled", "--d", "2", "--n", "3", "--seed", most, "-o", keys]) == 0
+            assert run(["attack", "--scheme", str(scheme), "--adv", f"weyl:{most},-{most}"]) == 0
+            capsys.readouterr()
+            assert run(["bounds", "--d", most, "--theta", "0.1"]) == 0
+            report = json.loads(capsys.readouterr().out)
+            assert report["d"] == int(most) and report["rank_bound"] == (int(most)**2 - 1)**2 + 1
+            usage_error((f"attack --scheme {{c2}} --adv replace:{most}",
+                         Whole("error: replace:<j>: j out of range 0..1\n")),
+                        (f"attack --scheme {{c2}} --adv replace:-1{most}",
+                         Whole("error: replace:<j>: j has 40 digits, too many\n")),
+                        (f"attack --scheme {{c2}} --adv weyl:0,0{most}",
+                         Whole("error: weyl:<a>,<b>: b has 40 digits, too many\n")),
+                        (["bounds", "--d", f"0{most}"], Prefix("usage: qnm bounds"),
+                         "argument --d: has 40 digits, too many", Absent(most)),
+                        (f"gen sampled --d 2 --n 3 --seed +1{most} -o {{out}}",
+                         Prefix("usage: qnm gen sampled"),
+                         "argument --seed: has 40 digits, too many", Absent(most)))
     finally:
         sys.set_int_max_str_digits(limit)
-    # Python 3.10.0-3.10.6 have no limit to read: the CLI holds them to 3.10.7's 4300 digits
-    monkeypatch.delattr(sys, "get_int_max_str_digits")
-    usage_error((f"attack --scheme {{c2}} --adv replace:{'1' * 4301}",
-                 Whole("error: replace:<j>: j has 4301 digits, too many\n")),
-                (f"attack --scheme {{c2}} --adv replace:{'1' * 4300}",
-                 Whole("error: replace:<j>: j out of range 0..1\n")))
 
 
 @pytest.mark.parametrize("spelled, plain", [

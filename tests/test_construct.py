@@ -229,3 +229,18 @@ def test_recommended_n_monotone_and_domain():
         recommended_n(2, 0.6, 0.01)
     with pytest.raises(ValueError):
         recommended_n(2, 0.1, 1.5)
+
+
+@pytest.mark.parametrize("d", [1, 0, -3])
+def test_recommended_n_refuses_a_dimension_below_2(d):
+    with pytest.raises(ValueError, match="^dimension must be at least 2$"):
+        recommended_n(d, 0.25, 0.01)
+
+
+@pytest.mark.parametrize("d", [10**80, 10**200, 10**400, int("1" * 500)],
+                         ids=["1e80", "1e200", "1e400", "500-digits"])
+def test_recommended_n_overflow_names_theta_and_delta_not_d(d):
+    # d^2 (d^2 - 1) beyond a float, or d itself beyond one: far past what the CLI reads
+    with pytest.raises(ValueError) as err:
+        recommended_n(d, 0.1, 0.01)
+    assert str(err.value) == "recommended_n overflows for this d at theta = 0.1, delta = 0.01"

@@ -58,6 +58,13 @@ def test_readme_cli_block_has_the_stated_outcomes(tmp_path, monkeypatch, capsys)
     assert code == 0 and report["malleability_residual"] <= 1e-12
 
 
+def test_readme_states_the_clis_digit_bound():
+    text = README.read_text()
+    start = text.index("Every number on the command line")
+    paragraph = " ".join(text[start : text.index("\n\n", start)].split())
+    assert f"at most {cli._MAX_DIGITS} digits" in paragraph
+
+
 def test_workflow_smoke_is_qnm_calls_with_the_stated_exit_codes(tmp_path, monkeypatch, capsys):
     # a check is a tier-1 case, never a workflow line: the installed-script step may hold only
     # its setup, comments and qnm calls, each with the exit code it expects
